@@ -8,6 +8,43 @@ from stokes_squeeze.cli import SWEEP_FIELDS, main, sweep_samples
 
 SQRT3 = math.sqrt(3.0)
 
+STATE_T1_TEXT = """\
+triphoton state at T = 1
+spin s = 1.5, dimension 4
+amplitudes:
+  |3,0>_HV  (n = 1.5): 0.612372435696 + 0i
+  |2,1>_HV  (n = 0.5): 0 + 0.353553390593i
+  |1,2>_HV  (n = -0.5): -0.353553390593 + 0i
+  |0,3>_HV  (n = -1.5): 0 - 0.612372435696i
+c2 = 0.353553390593
+c3 = 0.612372435696
+mean <S>   = (0, 0, 1)   |<S>| = 1
+frame      theta = 1.57079632679, phi = 1.57079632679, degenerate = false
+ellipse    A = -1.5, B = 0, C = 2, gamma_opt = 3.14159265359, isotropic = false
+v_minus    = 0.25
+v_plus     = 1.75
+xi2        = 0.333333333333 (-4.7712125472 dB)
+zeta2      = 0.75
+chi2       = 0.428571428571 (-3.67976785295 dB)
+qfi        = 7
+snl        = 0.75
+"""
+
+NOON3_TEXT = """\
+NOON state with N = 3, phase = -1.57079632679
+spin s = 1.5, dimension 4
+mean <S>   = (0, 0, 0)   |<S>| = 0
+frame      theta = 1.57079632679, phi = 1.57079632679, degenerate = true
+ellipse    A = -1.5, B = 0, C = 3, gamma_opt = 3.14159265359, isotropic = false
+v_minus    = 0.75
+v_plus     = 2.25
+xi2        = 1 (0 dB)
+zeta2      = unbounded
+chi2       = 0.333333333333 (-4.7712125472 dB)
+qfi        = 9
+snl        = 0.75
+"""
+
 
 def _rows(csv_text):
     lines = csv_text.strip().split("\n")
@@ -128,6 +165,10 @@ class TestState:
         assert main(["state", "--T", "-2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_text_report_pinned(self, capsys):
+        assert main(["state", "--T", "1"]) == 0
+        assert capsys.readouterr().out == STATE_T1_TEXT
+
 
 class TestNoon:
     @pytest.mark.parametrize("num, chi2", [(3, 1 / 3), (5, 0.2), (1, 1.0)])
@@ -150,6 +191,10 @@ class TestNoon:
     def test_zero_photons_rejected(self, capsys):
         assert main(["noon", "--N", "0"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_text_report_pinned(self, capsys):
+        assert main(["noon", "--N", "3", "--noon-phase", "-1.5707963267948966"]) == 0
+        assert capsys.readouterr().out == NOON3_TEXT
 
 
 class TestHusimi:
