@@ -3,72 +3,36 @@ metrics, and the self-verification suite.
 
 Output files are byte-identical across runs for identical invocations; CSV
 renders real numbers with 12 significant digits and an unbounded zeta^2 as an
-empty field.  STOKES_SQUEEZE_THREADS (positive integer) caps the internal
-worker count used for sweep evaluation.
+empty field.  Every float argument must be finite.  Sweeps run serially;
+STOKES_SQUEEZE_THREADS is still validated (a positive integer, otherwise the
+sweep fails) but no longer changes anything.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .elements import vpp_success_probability
 from .husimi import SphereGrid, q_grid
+from .spin_core import SpinSpace
 from .squeezing import SqueezingReport, decibels, squeezing_report
-from .states import noon_state, triphoton_amplitudes, triphoton_seed, triphoton_state
+from .states import TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_seed, triphoton_state
 from .verify import run_checks
 
+#: sweep columns, in CSV and JSON order; sweep_record builds one row keyed by them
 SWEEP_FIELDS = (
-    "T",
-    "c2",
-    "c3",
-    "mean_s1",
-    "mean_s2",
-    "mean_s3",
-    "v_minus",
-    "v_plus",
-    "xi2",
-    "chi2",
-    "zeta2",
-    "zeta2_unbounded",
-    "xi2_db",
-    "chi2_db",
-    "vpp_success_probability",
+    "T", "c2", "c3", "mean_s1", "mean_s2", "mean_s3", "v_minus", "v_plus", "xi2", "chi2",
+    "zeta2", "zeta2_unbounded", "xi2_db", "chi2_db", "vpp_success_probability",
 )
 
 #: exact samples guaranteed to appear in every sweep that covers them
 SWEEP_LANDMARKS = (1.0, math.sqrt(3.0))
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of a transmissivity sweep."""
-
-    T: float
-    c2: float
-    c3: float
-    mean_s1: float
-    mean_s2: float
-    mean_s3: float
-    v_minus: float
-    v_plus: float
-    xi2: float
-    chi2: float
-    zeta2: float | None
-    zeta2_unbounded: bool
-    xi2_db: float | None
-    chi2_db: float | None
-    vpp_success_probability: float
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in SWEEP_FIELDS}
 
 
 def _fmt(value) -> str:
@@ -80,32 +44,30 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("STOKES_SQUEEZE_THREADS")
-    if raw is None:
-        return 1
+def _check_thread_env() -> None:
+    """Validate STOKES_SQUEEZE_THREADS; a valid value has no effect."""
+    raw = os.environ.get("STOKES_SQUEEZE_THREADS", "1")
     try:
-        workers = int(raw)
+        valid = int(raw) >= 1
     except ValueError:
-        workers = 0
-    if workers < 1:
+        valid = False
+    if not valid:
         raise ValueError(f"STOKES_SQUEEZE_THREADS must be a positive integer, got {raw!r}")
-    return workers
 
 
-def _map_ordered(func, items):
-    """Map preserving order, optionally on a capped thread pool."""
-    workers = _max_workers()
-    if workers == 1 or len(items) < 2:
-        return [func(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
+def _check_finite(args) -> None:
+    """Reject nan and inf in every float argument before any work is done."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def sweep_samples(t_min: float, t_max: float, steps: int) -> list[float]:
     """Uniform inclusive grid plus the exact landmark values inside the range."""
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError(f"sweep bounds must be finite, got [{t_min}, {t_max}]")
     if t_min < 0 or not t_min < t_max:
         raise ValueError(f"invalid sweep range [{t_min}, {t_max}]")
     samples = list(np.linspace(t_min, t_max, steps))
@@ -115,27 +77,17 @@ def sweep_samples(t_min: float, t_max: float, steps: int) -> list[float]:
     return sorted(samples)
 
 
-def sweep_record(t_ratio: float) -> SweepRecord:
-    """Evaluate the full triphoton report at one transmissivity ratio."""
+def sweep_record(t_ratio: float) -> dict:
+    """One sweep row, keyed by SWEEP_FIELDS: the triphoton report at one ratio T."""
     c2, c3 = triphoton_amplitudes(t_ratio)
     report = squeezing_report(triphoton_state(t_ratio))
-    return SweepRecord(
-        T=t_ratio,
-        c2=c2,
-        c3=c3,
-        mean_s1=report.mean.components[0],
-        mean_s2=report.mean.components[1],
-        mean_s3=report.mean.components[2],
-        v_minus=report.v_minus,
-        v_plus=report.v_plus,
-        xi2=report.xi2,
-        chi2=report.chi2,
-        zeta2=report.zeta2,
-        zeta2_unbounded=report.zeta2_unbounded,
-        xi2_db=decibels(report.xi2),
-        chi2_db=decibels(report.chi2),
-        vpp_success_probability=vpp_success_probability(triphoton_seed(), t_ratio),
+    values = (
+        t_ratio, c2, c3, *report.mean.components, report.v_minus, report.v_plus,
+        report.xi2, report.chi2, report.zeta2, report.zeta2_unbounded,
+        decibels(report.xi2), decibels(report.chi2),
+        vpp_success_probability(triphoton_seed(), t_ratio),
     )
+    return dict(zip(SWEEP_FIELDS, values, strict=True))
 
 
 def report_to_dict(report: SqueezingReport) -> dict:
@@ -201,29 +153,45 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _meta(command: str, parameters: dict, space: SpinSpace) -> dict:
+    """The `meta` block that opens every JSON output."""
+    return {"command": command, "parameters": parameters, "spin": space.spin, "dimension": space.dimension}
+
+
 def cmd_sweep(args) -> int:
     samples = sweep_samples(args.t_min, args.t_max, args.steps)
-    records = _map_ordered(sweep_record, samples)
+    _check_thread_env()
+    records = [sweep_record(t_ratio) for t_ratio in samples]
     if args.format == "csv":
         lines = [",".join(SWEEP_FIELDS)]
-        for record in records:
-            lines.append(",".join(_fmt(value) for value in record.as_dict().values()))
+        lines.extend(",".join(_fmt(value) for value in record.values()) for record in records)
         _write_text(args.output, "\n".join(lines) + "\n")
     else:
-        payload = {
-            "meta": {
-                "command": "sweep",
-                "parameters": {
-                    "t_min": args.t_min,
-                    "t_max": args.t_max,
-                    "steps": args.steps,
-                },
-                "spin": 1.5,
-                "dimension": 4,
-            },
-            "records": [record.as_dict() for record in records],
-        }
+        parameters = {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps}
+        payload = {"meta": _meta("sweep", parameters, TRIPHOTON_SPACE), "records": records}
         _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    return 0
+
+
+def _print_report(args, parameters, state, title, text_lines=(), json_fields=None):
+    """Print the squeezing report of `state` as JSON or text.
+
+    The text form is `title`, the spin line, `text_lines` and the report lines;
+    the JSON form is the meta block, `json_fields` and the report.
+    """
+    space, report = state.space, squeezing_report(state)
+    if args.format == "json":
+        payload = {
+            "meta": _meta(args.command, parameters, space),
+            **(json_fields or {}),
+            "report": report_to_dict(report),
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        lines = [title, f"spin s = {_fmt(space.spin)}, dimension {space.dimension}"]
+        lines.extend(text_lines)
+        lines.extend(_report_lines(report))
+        print("\n".join(lines))
     return 0
 
 
@@ -233,71 +201,32 @@ def cmd_state(args) -> int:
     state = triphoton_state(args.T)
     space = state.space
     c2, c3 = triphoton_amplitudes(args.T)
-    report = squeezing_report(state)
-    if args.format == "json":
-        payload = {
-            "meta": {
-                "command": "state",
-                "parameters": {"T": args.T},
-                "spin": space.spin,
-                "dimension": space.dimension,
-            },
-            "amplitudes": [
-                {
-                    "label": space.basis_label(k),
-                    "n": float(space.n_values[k]),
-                    "re": float(state.amplitudes[k].real),
-                    "im": float(state.amplitudes[k].imag),
-                }
-                for k in range(space.dimension)
-            ],
-            "c2": c2,
-            "c3": c3,
-            "report": report_to_dict(report),
+    amplitudes = [
+        {
+            "label": space.basis_label(k),
+            "n": float(space.n_values[k]),
+            "re": float(state.amplitudes[k].real),
+            "im": float(state.amplitudes[k].imag),
         }
-        print(json.dumps(payload, indent=2))
-        return 0
-    lines = [
-        f"triphoton state at T = {_fmt(args.T)}",
-        f"spin s = {_fmt(space.spin)}, dimension {space.dimension}",
-        "amplitudes:",
+        for k in range(space.dimension)
     ]
-    for k in range(space.dimension):
-        amp = state.amplitudes[k]
-        sign = "+" if amp.imag >= 0 else "-"
-        lines.append(
-            f"  {space.basis_label(k)}  (n = {_fmt(space.n_values[k])}): "
-            f"{_fmt(amp.real)} {sign} {_fmt(abs(amp.imag))}i"
+    text_lines = ["amplitudes:"]
+    for amp in amplitudes:
+        sign = "+" if amp["im"] >= 0 else "-"
+        text_lines.append(
+            f"  {amp['label']}  (n = {_fmt(amp['n'])}): "
+            f"{_fmt(amp['re'])} {sign} {_fmt(abs(amp['im']))}i"
         )
-    lines.append(f"c2 = {_fmt(c2)}")
-    lines.append(f"c3 = {_fmt(c3)}")
-    lines.extend(_report_lines(report))
-    print("\n".join(lines))
-    return 0
+    text_lines += [f"c2 = {_fmt(c2)}", f"c3 = {_fmt(c3)}"]
+    title = f"triphoton state at T = {_fmt(args.T)}"
+    json_fields = {"amplitudes": amplitudes, "c2": c2, "c3": c3}
+    return _print_report(args, {"T": args.T}, state, title, text_lines, json_fields)
 
 
 def cmd_noon(args) -> int:
     state = noon_state(args.N, args.noon_phase)
-    report = squeezing_report(state)
-    if args.format == "json":
-        payload = {
-            "meta": {
-                "command": "noon",
-                "parameters": {"N": args.N, "noon_phase": args.noon_phase},
-                "spin": state.space.spin,
-                "dimension": state.space.dimension,
-            },
-            "report": report_to_dict(report),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    lines = [
-        f"NOON state with N = {args.N}, phase = {_fmt(args.noon_phase)}",
-        f"spin s = {_fmt(state.space.spin)}, dimension {state.space.dimension}",
-    ]
-    lines.extend(_report_lines(report))
-    print("\n".join(lines))
-    return 0
+    title = f"NOON state with N = {args.N}, phase = {_fmt(args.noon_phase)}"
+    return _print_report(args, {"N": args.N, "noon_phase": args.noon_phase}, state, title)
 
 
 def _husimi_state(args):
@@ -313,13 +242,14 @@ def cmd_husimi(args) -> int:
     grid = SphereGrid(args.n_theta, args.n_phi, scheme=args.scheme)
     result = q_grid(state, grid)
     if args.format == "csv":
+        # theta and p are fixed along a row and phi down a column: format each once
+        phis = [_fmt(phi) for phi in grid.phis]
         lines = ["theta,phi,p,Q"]
-        for i, theta in enumerate(grid.thetas):
-            p = math.cos(theta)
-            for j, phi in enumerate(grid.phis):
-                lines.append(
-                    f"{_fmt(theta)},{_fmt(phi)},{_fmt(p)},{_fmt(result.values[i, j])}"
-                )
+        for theta, row in zip(grid.thetas, result.values):
+            theta_text, p_text = _fmt(theta), _fmt(math.cos(theta))
+            lines.extend(
+                f"{theta_text},{phi},{p_text},{_fmt(q)}" for phi, q in zip(phis, row.tolist())
+            )
         _write_text(args.output, "\n".join(lines) + "\n")
     else:
         peak = result.values.max()
@@ -391,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

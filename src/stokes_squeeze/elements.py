@@ -95,9 +95,7 @@ def rotate(state: PolarizationState, axis: int, angle: float) -> PolarizationSta
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"rotation axis must be 1, 2 or 3, got {axis}")
-    generator = stokes_operator(state.space, axis)
-    unitary = hermitian_exponential(generator, -1j * angle)
-    return normalized_state(state.space, unitary @ state.amplitudes)
+    return rotate_about(state, np.eye(3)[axis - 1], angle)
 
 
 def rotate_about(state: PolarizationState, direction, angle: float) -> PolarizationState:

@@ -88,7 +88,7 @@ class PolarizationState:
                 f"({self.space.dimension},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 

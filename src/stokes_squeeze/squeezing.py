@@ -275,11 +275,6 @@ def decibels(value: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def analytic_amplitudes(t_ratio: float) -> tuple[float, float]:
-    """Closed-form triphoton amplitudes (c2, c3) as a function of T."""
-    return triphoton_amplitudes(t_ratio)
-
-
 def analytic_mean_s3(t_ratio: float) -> float:
     """Closed-form <S3> = 2 c2 (sqrt(3) c3 + c2) of the triphoton family.
 

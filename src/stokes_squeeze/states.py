@@ -131,6 +131,8 @@ def noon_state(num_photons: int, noon_phase: float = 0.0) -> PolarizationState:
     The phase is reduced to [0, 2pi).  The triphoton family reaches the N=3
     member with phase -pi/2 at T = sqrt(3).
     """
+    if isinstance(num_photons, bool):
+        raise TypeError("photon number must be an integer, not a bool")
     if num_photons < 1:
         raise ValueError(f"NOON state needs at least one photon, got {num_photons}")
     phase = float(noon_phase) % (2.0 * math.pi)

@@ -125,6 +125,9 @@ class TestSweep:
         assert samples[0] == 0.0 and samples[-1] == 1.8
         narrow = sweep_samples(0.0, 0.5, 5)
         assert 1.0 not in narrow and len(narrow) == 5
+        for bounds in ((0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                sweep_samples(*bounds, 5)
 
 
 class TestState:
@@ -195,6 +198,23 @@ class TestNoon:
     def test_text_report_pinned(self, capsys):
         assert main(["noon", "--N", "3", "--noon-phase", "-1.5707963267948966"]) == 0
         assert capsys.readouterr().out == NOON3_TEXT
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--T", "nan"],
+    ["noon", "--N", "3", "--noon-phase", "nan"],
+    ["sweep", "--t-max", "inf", "--steps", "5", "--output"],
+    ["husimi", "--T", "nan", "--format", "pgm", "--output"],
+], ids=["state", "noon", "sweep", "husimi"])
+def test_non_finite_argument_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[-1] == "--output":
+        argv = argv + [str(out)]
+    assert main(argv) != 0
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestHusimi:

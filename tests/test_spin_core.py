@@ -189,6 +189,8 @@ class TestValidation:
         space = build_spin_space(1)
         with pytest.raises(ValueError):
             PolarizationState(space, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            PolarizationState(space, np.array([np.nan, 0.0]))  # a NaN norm fails too
         normalized_state(space, np.array([1.0, 1.0]))  # helper normalizes
 
     def test_state_dimension_checked(self):

@@ -5,7 +5,6 @@ import pytest
 
 from stokes_squeeze import (
     VarianceEllipse,
-    analytic_amplitudes,
     analytic_ellipse,
     analytic_mean_s3,
     analytic_variances,
@@ -19,6 +18,7 @@ from stokes_squeeze import (
     qfi_pure,
     rotate_about,
     squeezing_report,
+    triphoton_amplitudes,
     triphoton_state,
     variance_ellipse,
 )
@@ -284,7 +284,7 @@ class TestAnalyticForms:
 
     def test_amplitude_grid_consistency(self):
         for t in np.linspace(0.0, 1.8, 50):
-            c2, c3 = analytic_amplitudes(t)
+            c2, c3 = triphoton_amplitudes(t)
             state = triphoton_state(t)
             assert abs(state.amplitudes[0] - c3) < 1e-15
             assert abs(state.amplitudes[1] - 1j * c2) < 1e-15

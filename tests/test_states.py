@@ -172,6 +172,10 @@ class TestNoonState:
         with pytest.raises(ValueError):
             noon_state(0, 0.0)
 
+    def test_bool_photon_number_rejected(self):
+        with pytest.raises(TypeError):
+            noon_state(True)
+
     def test_phase_reduced_modulo_two_pi(self):
         a = noon_state(4, -np.pi / 2)
         b = noon_state(4, 3 * np.pi / 2)
