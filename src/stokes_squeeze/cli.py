@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     try:
         _check_finite(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,20 +4,24 @@ The variable partial polarizer (VPP) is a non-unitary mode-selective
 attenuation followed by post-selection; the quarter-wave plate (QWP) and the
 generic axis rotation are unitary.  All functions return fresh states and
 never mutate their input.
+
+Rotations use the Euler form: S1 phases and the cached S2 eigenbasis of
+`spin_core`, O(N^2) per call after one `eigh` per photon number.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin_core import (
-    HermitianOperator,
     PolarizationState,
     SpinSpace,
-    _stokes_matrices,
+    _s1_phases,
+    _s2_rotate,
     normalized_state,
     stokes_operator,
     hermitian_exponential,
@@ -93,20 +97,28 @@ def rotate(state: PolarizationState, axis: int, angle: float) -> PolarizationSta
     With this sign convention rotate(state, 2, -pi/2) coincides with the
     quarter-wave plate.
     """
-    if axis not in (1, 2, 3):
-        raise ValueError(f"rotation axis must be 1, 2 or 3, got {axis}")
+    if isinstance(axis, bool) or axis not in (1, 2, 3):
+        raise ValueError(f"rotation axis must be 1, 2 or 3, got {axis!r}")
     return rotate_about(state, np.eye(3)[axis - 1], angle)
 
 
 def rotate_about(state: PolarizationState, direction, angle: float) -> PolarizationState:
-    """Rotation exp(-i * angle * d.S) about an arbitrary unit Poincare direction."""
+    """Rotation exp(-i * angle * d.S) about an arbitrary unit Poincare direction.
+
+    With D(x) = exp(-i x S1) and W(x) = exp(-i x S2), the exact operator,
+    global phase included, is D(beta) W(theta) D(angle) W(-theta) D(-beta)
+    for theta = atan2(hypot(d2, d3), d1) and beta = atan2(d2, -d3), since
+    D(beta) W(theta) carries S1 onto d.S.  That is four O(N^2) products.
+    """
     d = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(d) - 1.0) > 1e-10:
         raise ValueError("rotation direction must be a unit vector")
-    _, s1, s2, s3 = _stokes_matrices(state.space.num_photons)
-    generator = HermitianOperator(state.space, d[0] * s1 + d[1] * s2 + d[2] * s3)
-    unitary = hermitian_exponential(generator, -1j * angle)
-    return normalized_state(state.space, unitary @ state.amplitudes)
+    space = state.space
+    theta = math.atan2(math.hypot(d[1], d[2]), d[0])
+    beta = math.atan2(d[1], -d[2])
+    amps = _s2_rotate(space, -theta, _s1_phases(space, -beta) * state.amplitudes)
+    amps = _s2_rotate(space, theta, _s1_phases(space, angle) * amps)
+    return normalized_state(space, _s1_phases(space, beta) * amps)
 
 
 @dataclass(frozen=True)
@@ -123,12 +135,12 @@ class ElementDescriptor:
 
     def __post_init__(self):
         if self.kind == "vpp":
-            if self.parameter is None or self.parameter < 0:
-                raise ValueError("vpp needs a transmissivity ratio >= 0")
+            if self.parameter is None or not 0 <= self.parameter < math.inf:
+                raise ValueError("vpp needs a finite transmissivity ratio >= 0")
         elif self.kind == "rotation":
             if self.parameter is None or not np.isfinite(self.parameter):
                 raise ValueError("rotation needs a finite angle")
-            if self.axis not in (1, 2, 3):
+            if isinstance(self.axis, bool) or self.axis not in (1, 2, 3):
                 raise ValueError("rotation axis must be 1, 2 or 3")
         elif self.kind == "qwp":
             if self.parameter is not None or self.axis is not None:

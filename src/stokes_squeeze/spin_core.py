@@ -5,6 +5,14 @@ spin s = N/2.  The basis |s,n> = |s+n, s-n>_HV diagonalizes the population
 imbalance S1 and is ordered by descending n, so index 0 is |N,0>_HV and the
 last index is |0,N>_HV.  All operators are small dense complex matrices;
 every value is immutable after construction.
+
+SU(2) rotations never exponentiate a dense generator.  S1 is diagonal, so
+exp(-i x S1) is a vector of phases, and
+exp(-i x S2) = V diag(e^{-i x (k - s)}) V^T comes from one eigendecomposition
+of the real symmetric S2 per photon number, cached and validated when it is
+first built.  After that one O(N^3) `eigh`,
+each factor costs O(N^2), and V keeps 8 (N+1)^2 bytes resident per N.
+`hermitian_exponential` stays as the dense route the tests compare against.
 """
 
 from __future__ import annotations
@@ -104,13 +112,24 @@ def normalized_state(space: SpinSpace, amplitudes) -> PolarizationState:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense complex matrix on `space`, Hermitian within HERMITICITY_TOL."""
+    """Dense complex matrix on `space`, Hermitian within HERMITICITY_TOL.
+
+    A read-only complex array that owns its data is kept as it is; anything
+    else (writable, a view, another dtype) is copied first.
+    """
 
     space: SpinSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = self.matrix
+        if not (
+            isinstance(mat, np.ndarray)
+            and mat.dtype == complex
+            and not mat.flags.writeable
+            and mat.base is None
+        ):
+            mat = np.array(mat, dtype=complex)
         dim = self.space.dimension
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
@@ -160,15 +179,68 @@ def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
     return tuple(_readonly(m) for m in (s0, s1, s2, s3))
 
 
+@functools.lru_cache(maxsize=None)
+def _stokes_operator(num_photons: int, which: int) -> HermitianOperator:
+    """One validated operator per (N, axis), sharing the cached matrix."""
+    return HermitianOperator(SpinSpace(num_photons), _stokes_matrices(num_photons)[which])
+
+
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
     """Stokes operator S0, S1, S2 or S3 on `space`.
 
     S1 is diagonal with entries n; S2 = (S+ + S-)/2 and S3 = (S+ - S-)/(2i)
-    come from the ladder matrix elements; S0 = s * identity.
+    come from the ladder matrix elements; S0 = s * identity.  The operator is
+    built and checked for Hermiticity once per (N, axis) and then reused.
     """
     if which not in (0, 1, 2, 3):
         raise ValueError(f"Stokes axis must be 0, 1, 2 or 3, got {which}")
-    return HermitianOperator(space, _stokes_matrices(space.num_photons)[which])
+    return _stokes_operator(space.num_photons, which)
+
+
+@functools.lru_cache(maxsize=None)
+def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues k - s in ascending order, V) of S2, with V real orthogonal.
+
+    S2 is real symmetric, so one real `eigh` per N gives S2 = V diag(k - s) V^T.
+    The basis is validated here, once: V^T V = I and the computed eigenvalues
+    equal k - s, both within HERMITICITY_TOL.  The exact values k - s are
+    returned.
+    """
+    s2 = _stokes_matrices(num_photons)[2].real
+    eigvals, eigvecs = np.linalg.eigh(s2)
+    dim = num_photons + 1
+    exact = np.arange(dim) - num_photons / 2
+    orthogonality = np.abs(eigvecs.T @ eigvecs - np.eye(dim)).max()
+    if orthogonality > HERMITICITY_TOL:
+        raise ArithmeticError(
+            f"S2 eigenbasis is not orthogonal (defect {orthogonality:.3e})"
+        )
+    spectrum = np.abs(eigvals - exact).max()
+    if spectrum > HERMITICITY_TOL:
+        raise ArithmeticError(f"S2 eigenvalues deviate from k - s by {spectrum:.3e}")
+    return _readonly(exact), _readonly(eigvecs)
+
+
+def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for a real matrix and a complex vector.
+
+    The vector is viewed as (real, imag) pairs, so one real product does the
+    work and no complex copy of `mat` is made.
+    """
+    pairs = np.ascontiguousarray(vec, dtype=complex).view(np.float64).reshape(-1, 2)
+    return (mat @ pairs).view(complex).ravel()
+
+
+def _s1_phases(space: SpinSpace, x: float) -> np.ndarray:
+    """Diagonal of exp(-i x S1)."""
+    return np.exp(-1j * x * space.n_values)
+
+
+def _s2_rotate(space: SpinSpace, x: float, amps: np.ndarray) -> np.ndarray:
+    """exp(-i x S2) @ amps through the cached eigenbasis, in O(N^2)."""
+    eigvals, eigvecs = _s2_eigenbasis(space.num_photons)
+    coeffs = np.exp(-1j * x * eigvals) * _real_matvec(eigvecs.T, amps)
+    return _real_matvec(eigvecs, coeffs)
 
 
 def ladder_operator(space: SpinSpace, sign: int) -> LadderOperator:

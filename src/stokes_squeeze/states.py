@@ -6,6 +6,9 @@ quarter-wave plate, N-photon NOON states, and raw two-mode Fock
 superpositions.  States are compared by fidelity |<a|b>|^2, never
 amplitude-wise, since optical transformations fix them only up to a global
 phase.
+
+`coherent_state` is one O(N^2) product with the cached S2 eigenbasis of
+`spin_core` (one `eigh` per photon number), not a dense exponential.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import math
 import numpy as np
 
 from .spin_core import (
-    HermitianOperator,
     PolarizationState,
     SpinSpace,
-    _stokes_matrices,
+    _real_matvec,
+    _s2_eigenbasis,
     build_spin_space,
-    hermitian_exponential,
     normalized_state,
 )
 
@@ -47,11 +49,16 @@ def coherent_state(space: SpinSpace, theta: float, phi: float) -> PolarizationSt
     The result is the minimal-uncertainty state pointing along the Poincare
     direction (cos(theta), sin(theta)cos(phi), sin(theta)sin(phi)), with both
     transverse variances equal to s/2.
+
+    The generator is D(phi + pi/2) (-S3) D(-phi - pi/2) with D(x) = exp(-i x S1),
+    and |s,s> is the first basis state, so the exact amplitudes, global phase
+    included, are exp(i k (phi + pi/2)) times column 0 of exp(-i theta S2),
+    with k the basis index.
     """
-    _, _, s2, s3 = _stokes_matrices(space.num_photons)
-    generator = HermitianOperator(space, np.sin(phi) * s2 - np.cos(phi) * s3)
-    unitary = hermitian_exponential(generator, 1j * theta)
-    return normalized_state(space, unitary[:, 0])
+    eigvals, eigvecs = _s2_eigenbasis(space.num_photons)
+    column = _real_matvec(eigvecs, np.exp(-1j * theta * eigvals) * eigvecs[0])
+    phases = np.exp(1j * (phi + np.pi / 2) * np.arange(space.dimension))
+    return normalized_state(space, phases * column)
 
 
 def coherent_state_closed_form(

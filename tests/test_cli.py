@@ -217,6 +217,18 @@ def test_non_finite_argument_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_arithmetic_failure_reported(tmp_path, capsys):
+    # the binomial weights of N = 1100 overflow a float inside the library
+    out = tmp_path / "big.csv"
+    argv = ["husimi", "--N", "1100", "--n-theta", "3", "--n-phi", "3", "--output", str(out)]
+    assert main(argv) != 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestHusimi:
     def test_pgm_threefold_symmetry(self, tmp_path):
         out = tmp_path / "noon.pgm"

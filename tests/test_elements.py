@@ -5,11 +5,14 @@ import pytest
 
 from stokes_squeeze import (
     ElementDescriptor,
+    HermitianOperator,
     apply_element,
     build_spin_space,
     fidelity,
+    hermitian_exponential,
     qwp_apply,
     rotate,
+    rotate_about,
     triphoton_raw,
     triphoton_seed,
     triphoton_state,
@@ -17,11 +20,25 @@ from stokes_squeeze import (
     vpp_success_probability,
 )
 from stokes_squeeze.elements import _qwp_matrix
+from stokes_squeeze.spin_core import _stokes_matrices
 from stokes_squeeze.states import basis_state, coherent_state, fock_superposition
 from stokes_squeeze.verify import random_state
 
 SPACE3 = build_spin_space(3)
 RNG = np.random.default_rng(23)
+
+#: photon numbers at which the eigenbasis routes are compared with the dense one
+ORACLE_SIZES = (1, 2, 3, 6, 32, 128, 512)
+
+
+def oracle_tol(num_photons: int) -> float:
+    """Amplitude tolerance against the dense exponential, growing with N."""
+    return max(1e-12, 1e-13 * (num_photons + 1))
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
 
 
 class TestVpp:
@@ -129,6 +146,10 @@ class TestRotate:
         with pytest.raises(ValueError):
             rotate(random_state(SPACE3, RNG), 0, 1.0)
 
+    def test_bool_axis_rejected(self):
+        with pytest.raises(ValueError):
+            rotate(random_state(SPACE3, RNG), True, 1.0)
+
     def test_qwp_matrix_is_unitary(self):
         mat = _qwp_matrix(3)
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-13)
@@ -163,3 +184,42 @@ class TestElementDescriptor:
             ElementDescriptor("qwp", parameter=1.0)
         with pytest.raises(ValueError):
             ElementDescriptor("polarizer")
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_non_finite_vpp_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError):
+            ElementDescriptor("vpp", parameter=ratio)
+
+    def test_bool_rotation_axis_rejected(self):
+        with pytest.raises(ValueError):
+            ElementDescriptor("rotation", parameter=0.3, axis=True)
+
+
+class TestRotateAboutOracle:
+    """The Euler-form rotation against exp(-i angle d.S) from a dense eigh."""
+
+    @pytest.mark.parametrize("num_photons", ORACLE_SIZES)
+    def test_matches_dense_exponential(self, num_photons):
+        space = build_spin_space(num_photons)
+        rng = np.random.default_rng(100 + num_photons)
+        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        axes = [
+            (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),     # the poles, where theta = 0 or pi
+            (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),      # the other basis axes
+            (0.0, math.cos(2.1), math.sin(2.1)),   # the S2-S3 plane
+            (0.0, -0.6, -0.8),
+            _unit(rng.normal(size=3)),
+            _unit(rng.normal(size=3)),
+        ]
+        for d in axes:
+            angle = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
+            state = random_state(space, rng)
+            generator = HermitianOperator(space, d[0] * s1 + d[1] * s2 + d[2] * s3)
+            expected = hermitian_exponential(generator, -1j * angle) @ state.amplitudes
+            np.testing.assert_allclose(
+                rotate_about(state, d, angle).amplitudes,
+                expected,
+                rtol=0.0,
+                atol=oracle_tol(num_photons),
+                err_msg=f"axis {d}, angle {angle}",
+            )

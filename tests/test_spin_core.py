@@ -13,6 +13,7 @@ from stokes_squeeze import (
     stokes_operator,
     variance,
 )
+from stokes_squeeze.spin_core import _s2_eigenbasis, _stokes_matrices
 from stokes_squeeze.states import basis_state, triphoton_state
 from stokes_squeeze.verify import random_state
 
@@ -96,6 +97,15 @@ class TestStokesOperators:
         np.testing.assert_allclose(
             casimir, spin * (spin + 1) * np.eye(space.dimension), atol=1e-12
         )
+
+    def test_operator_cached_per_axis_without_copy(self):
+        # validated once per (N, axis); the cached matrix is shared, not copied
+        space = build_spin_space(7)
+        for axis in (0, 1, 2, 3):
+            op = stokes_operator(space, axis)
+            assert stokes_operator(build_spin_space(7), axis) is op
+            assert op.matrix is _stokes_matrices(7)[axis]
+            assert op.space == space
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +194,42 @@ class TestHermitianExponential:
             assert abs(np.linalg.norm(unitary @ state.amplitudes) - 1) < 1e-12
 
 
+class TestS2Eigenbasis:
+    @pytest.mark.parametrize("num_photons", [0, 1, 4, 33])
+    def test_diagonalizes_s2(self, num_photons):
+        eigvals, eigvecs = _s2_eigenbasis(num_photons)
+        s2 = _stokes_matrices(num_photons)[2]
+        spin = num_photons / 2
+        np.testing.assert_array_equal(eigvals, np.arange(num_photons + 1) - spin)
+        np.testing.assert_allclose(
+            eigvecs @ np.diag(eigvals) @ eigvecs.T, s2, rtol=0, atol=1e-12
+        )
+        assert eigvecs.dtype == np.float64
+        assert not eigvecs.flags.writeable
+
+    def test_second_call_hits_cache(self):
+        first = _s2_eigenbasis(19)
+        hits = _s2_eigenbasis.cache_info().hits
+        assert _s2_eigenbasis(19) is first
+        assert _s2_eigenbasis.cache_info().hits == hits + 1
+
+    def test_non_orthogonal_basis_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda m: (eigh(m)[0], 1.001 * eigh(m)[1])
+        )
+        with pytest.raises(ArithmeticError, match="orthogonal"):
+            _s2_eigenbasis.__wrapped__(5)
+
+    def test_wrong_spectrum_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-9, eigh(m)[1])
+        )
+        with pytest.raises(ArithmeticError, match="eigenvalues"):
+            _s2_eigenbasis.__wrapped__(5)
+
+
 class TestValidation:
     def test_state_must_be_normalized(self):
         space = build_spin_space(1)
@@ -200,6 +246,18 @@ class TestValidation:
     def test_zero_vector_cannot_be_normalized(self):
         with pytest.raises(ValueError):
             normalized_state(build_spin_space(1), np.array([0.0, 0.0]))
+
+    def test_operator_copies_mutable_input(self):
+        space = build_spin_space(1)
+        writable = np.diag([0.5, -0.5]).astype(complex)
+        op = HermitianOperator(space, writable)
+        writable[0, 0] = 9.0
+        assert op.matrix[0, 0] == 0.5
+        frozen = np.diag([0.5, -0.5]).astype(complex)
+        frozen.setflags(write=False)
+        assert HermitianOperator(space, frozen).matrix is frozen
+        view = frozen[:, :]  # read-only, but shares the buffer of another array
+        assert HermitianOperator(space, view).matrix is not view
 
     def test_non_hermitian_matrix_rejected(self):
         space = build_spin_space(1)

@@ -10,6 +10,7 @@ from stokes_squeeze import (
     coherent_state_closed_form,
     fidelity,
     fock_superposition,
+    hermitian_exponential,
     mean_polarization,
     noon_state,
     qwp_apply,
@@ -22,7 +23,7 @@ from stokes_squeeze import (
     vpp_apply,
 )
 from stokes_squeeze.squeezing import bloch_frame, _transverse_operators
-from stokes_squeeze.spin_core import HermitianOperator
+from stokes_squeeze.spin_core import HermitianOperator, _stokes_matrices
 from stokes_squeeze.states import basis_state
 
 SQRT3 = math.sqrt(3.0)
@@ -62,6 +63,29 @@ class TestCoherentState:
         )
         np.testing.assert_allclose(mean.components, 1.5 * direction, atol=1e-12)
         assert mean.length == pytest.approx(1.5, abs=1e-12)
+
+
+class TestCoherentStateOracle:
+    """One eigenbasis product against the dense exp(i theta (S2 sin phi - S3 cos phi))."""
+
+    @pytest.mark.parametrize("num_photons", [1, 2, 3, 6, 32, 128, 512])
+    def test_matches_dense_exponential(self, num_photons):
+        space = build_spin_space(num_photons)
+        rng = np.random.default_rng(200 + num_photons)
+        _, _, s2, s3 = _stokes_matrices(num_photons)
+        angles = [(0.0, 1.3), (np.pi, 0.4), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)]
+        angles += [(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(2)]
+        tol = max(1e-12, 1e-13 * (num_photons + 1))
+        for theta, phi in angles:
+            generator = HermitianOperator(space, np.sin(phi) * s2 - np.cos(phi) * s3)
+            expected = hermitian_exponential(generator, 1j * theta)[:, 0]
+            np.testing.assert_allclose(
+                coherent_state(space, theta, phi).amplitudes,
+                expected,
+                rtol=0.0,
+                atol=tol,
+                err_msg=f"theta {theta}, phi {phi}",
+            )
 
 
 class TestCoherentClosedForm:
