@@ -22,7 +22,7 @@ from stokes_squeeze import (
     triphoton_state,
     variance_ellipse,
 )
-from stokes_squeeze.squeezing import MeanPolarization
+from stokes_squeeze.squeezing import BlochFrame, MeanPolarization
 from stokes_squeeze.verify import (
     angle_mod_pi_distance,
     random_state,
@@ -114,6 +114,39 @@ class TestBlochFrame:
             np.testing.assert_allclose(
                 frame.n3, mean.components / mean.length, atol=1e-10
             )
+
+
+class TestBlochFrameChecks:
+    """A BlochFrame built directly must be unit length, orthogonal and right-handed."""
+
+    E1, E2, E3 = np.eye(3)
+
+    def test_valid_frame_accepted(self):
+        frame = BlochFrame(self.E2, self.E3, self.E1, 0.0, 0.0, False)
+        assert frame.n3 is self.E1
+
+    @pytest.mark.parametrize("excess", [1e-11, 1e-3, 1.0])
+    def test_non_unit_vector_rejected(self, excess):
+        for slot in range(3):
+            vectors = [self.E2, self.E3, self.E1]
+            vectors[slot] = vectors[slot] * (1.0 + excess)
+            with pytest.raises(ValueError, match="unit length"):
+                BlochFrame(*vectors, 0.0, 0.0, False)
+
+    @pytest.mark.parametrize("tilt", [1e-11, 1e-6, 0.5])
+    def test_non_orthogonal_pair_rejected(self, tilt):
+        tilted = np.array([0.0, math.sin(tilt), math.cos(tilt)])  # unit, leans to E2
+        with pytest.raises(ValueError, match="orthogonal"):
+            BlochFrame(self.E2, tilted, self.E1, 0.0, 0.0, False)
+
+    def test_left_handed_triple_rejected(self):
+        with pytest.raises(ValueError, match="right-handed"):
+            BlochFrame(self.E2, self.E3, -self.E1, 0.0, 0.0, False)
+        with pytest.raises(ValueError, match="right-handed"):
+            BlochFrame(self.E3, self.E2, self.E1, 0.0, 0.0, False)
+
+    def test_round_off_within_tolerance_accepted(self):
+        BlochFrame(self.E2 * (1.0 + 1e-14), self.E3, self.E1, 0.0, 0.0, False)
 
 
 class TestVarianceEllipse:
