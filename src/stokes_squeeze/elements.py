@@ -63,8 +63,11 @@ def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
         filtered = np.zeros(state.space.dimension, dtype=complex)
         filtered[nonzero[0]] = state.amplitudes[nonzero[0]]
         return normalized_state(state.space, filtered)
-    weights = _vpp_weights(state.space, t_ratio)
-    return normalized_state(state.space, weights * state.amplitudes)
+    filtered = _vpp_weights(state.space, t_ratio) * state.amplitudes
+    # the squared norm underflows long before the amplitudes do (T = 1e200
+    # leaves only ~1e-200), so bring the largest amplitude to 1 first
+    peak = np.abs(filtered).max()
+    return normalized_state(state.space, filtered / peak if peak > 0.0 else filtered)
 
 
 def vpp_success_probability(state: PolarizationState, t_ratio: float) -> float:

@@ -13,6 +13,15 @@ of the real symmetric S2 per photon number, cached and validated when it is
 first built.  After that one O(N^3) `eigh`,
 each factor costs O(N^2), and V keeps 8 (N+1)^2 bytes resident per N.
 `hermitian_exponential` stays as the dense route the tests compare against.
+
+A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
+main one, S2 and S3 on the first off-diagonals.  `_stokes_combination` writes
+those 3N+1 entries into a zeroed matrix, with the same elementwise arithmetic
+as the dense sum, and checks Hermiticity on the band alone, in O(N).  The
+matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N)
+matvec would be cheaper, but it accumulates in another order than BLAS (which
+fuses multiply-adds) and moves the low bits of published sweep values, so it
+needs the golden outputs re-recorded first.
 """
 
 from __future__ import annotations
@@ -180,6 +189,43 @@ def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
+    """(flat indices, mirror, S1, S2, S3 entries) on the three diagonals.
+
+    Flat indices point into the (N+1)^2 matrix and come in three runs: the
+    main diagonal (N+1 entries), then the upper and the lower diagonal (N
+    each).  `mirror[i]` is the position of the transposed entry of entry i.
+    The entries are copied from `_stokes_matrices`; every array is read-only.
+    """
+    dim = num_photons + 1
+    diagonal = np.arange(dim) * (dim + 1)
+    flat = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[:-1] + dim])
+    runs = np.arange(len(flat))
+    mirror = np.concatenate([runs[:dim], runs[2 * dim - 1 :], runs[dim : 2 * dim - 1]])
+    _, s1, s2, s3 = _stokes_matrices(num_photons)
+    entries = (m.ravel()[flat] for m in (s1, s2, s3))
+    return tuple(_readonly(a) for a in (flat, mirror, *entries))
+
+
+def _stokes_combination(space: SpinSpace, d) -> np.ndarray:
+    """Dense matrix of d[0] S1 + d[1] S2 + d[2] S3, built on its three diagonals.
+
+    Every band entry is the same expression, in the same operand order, as in
+    the dense sum, so it is bitwise equal to it; entries off the band are +0.
+    Hermiticity is checked on the band alone, within HERMITICITY_TOL, and
+    measures the same defect max |M - M^H| as a check of the dense matrix.
+    """
+    flat, mirror, b1, b2, b3 = _stokes_band(space.num_photons)
+    band = d[0] * b1 + d[1] * b2 + d[2] * b3
+    defect = np.abs(band - band[mirror].conj()).max()
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
+    np.put(mat, flat, band)
+    return mat
+
+
+@functools.lru_cache(maxsize=None)
 def _stokes_operator(num_photons: int, which: int) -> HermitianOperator:
     """One validated operator per (N, axis), sharing the cached matrix."""
     return HermitianOperator(SpinSpace(num_photons), _stokes_matrices(num_photons)[which])
@@ -277,8 +323,12 @@ def variance(state: PolarizationState, op: HermitianOperator) -> float:
     and raise ArithmeticError.
     """
     _require_same_space(state, op)
-    image = op.matrix @ state.amplitudes
-    mean = np.vdot(state.amplitudes, image)
+    return _image_variance(state.amplitudes, op.matrix @ state.amplitudes)
+
+
+def _image_variance(amps: np.ndarray, image: np.ndarray) -> float:
+    """`variance` from the amplitudes and their image under the operator."""
+    mean = np.vdot(amps, image)
     if abs(mean.imag) >= IMAG_TOL:
         raise ArithmeticError(
             f"expectation of a Hermitian operator has imaginary part {mean.imag:.3e}"

@@ -12,6 +12,11 @@ V-+ -> derived figures of merit:
 A closed-form route for the triphoton family (amplitudes, ellipse
 coefficients, extremal variances) doubles every matrix result and is kept
 strictly separate so the two paths cross-validate each other.
+
+The transverse operators n.S and the QFI generator d.S are built on their
+three diagonals (`spin_core._stokes_combination`, O(N) with an O(N)
+Hermiticity check) and applied by one BLAS matrix-vector product, which keeps
+every published value bit for bit as the dense sum gave it.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_core import (
-    HermitianOperator,
     PolarizationState,
-    _stokes_matrices,
+    _image_variance,
+    _stokes_combination,
     expectation,
     stokes_operator,
-    variance,
 )
 from .states import triphoton_amplitudes
 
@@ -73,17 +77,22 @@ class BlochFrame:
     degenerate: bool
 
     def __post_init__(self):
-        for v in (self.n1, self.n2, self.n3):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        # scalar arithmetic on Python floats: numpy's per-call overhead on
+        # 3-vectors dominated the whole N = 3 report
+        n1, n2, n3 = (v.tolist() for v in (self.n1, self.n2, self.n3))
+        for v in (n1, n2, n3):
+            if not abs(math.hypot(*v) - 1.0) <= 1e-12:
                 raise ValueError("frame vectors must be unit length")
-        if (
-            abs(self.n1 @ self.n2) > 1e-12
-            or abs(self.n2 @ self.n3) > 1e-12
-            or abs(self.n3 @ self.n1) > 1e-12
-        ):
+        if not max(abs(_dot(n1, n2)), abs(_dot(n2, n3)), abs(_dot(n3, n1))) <= 1e-12:
             raise ValueError("frame vectors must be orthogonal")
-        if np.abs(np.cross(self.n1, self.n2) - self.n3).max() > 1e-12:
+        (x1, y1, z1), (x2, y2, z2) = n1, n2
+        cross = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+        if not max(abs(c - e) for c, e in zip(cross, n3)) <= 1e-12:
             raise ValueError("frame must be right-handed")
+
+
+def _dot(u: list[float], v: list[float]) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 @dataclass(frozen=True)
@@ -172,10 +181,10 @@ def bloch_frame(
 
 
 def _transverse_operators(state: PolarizationState, frame: BlochFrame):
-    _, s1, s2, s3 = _stokes_matrices(state.space.num_photons)
-    op1 = frame.n1[0] * s1 + frame.n1[1] * s2 + frame.n1[2] * s3
-    op2 = frame.n2[0] * s1 + frame.n2[1] * s2 + frame.n2[2] * s3
-    return op1, op2
+    return (
+        _stokes_combination(state.space, frame.n1),
+        _stokes_combination(state.space, frame.n2),
+    )
 
 
 def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEllipse:
@@ -183,9 +192,10 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
 
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
-    op1, op2 = _transverse_operators(state, frame)
-    image1 = op1 @ state.amplitudes
-    image2 = op2 @ state.amplitudes
+    # one matrix alive at a time: at N = 512 a second 4 MB buffer is mapped
+    # fresh and page-faulted on every call, which more than doubles the cost
+    image1 = _stokes_combination(state.space, frame.n1) @ state.amplitudes
+    image2 = _stokes_combination(state.space, frame.n2) @ state.amplitudes
     sq1 = np.vdot(image1, image1).real
     sq2 = np.vdot(image2, image2).real
     a = sq1 - sq2
@@ -256,11 +266,10 @@ def qfi_pure(state: PolarizationState, direction) -> float:
     `direction` must be a unit 3-vector on the Poincare sphere.
     """
     d = np.asarray(direction, dtype=float)
-    if d.shape != (3,) or abs(np.linalg.norm(d) - 1.0) > 1e-10:
+    if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-10:
         raise ValueError("direction must be a unit 3-vector")
-    _, s1, s2, s3 = _stokes_matrices(state.space.num_photons)
-    generator = HermitianOperator(state.space, d[0] * s1 + d[1] * s2 + d[2] * s3)
-    return 4.0 * variance(state, generator)
+    generator = _stokes_combination(state.space, d)
+    return 4.0 * _image_variance(state.amplitudes, generator @ state.amplitudes)
 
 
 def decibels(value: float) -> float | None:

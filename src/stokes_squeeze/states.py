@@ -13,6 +13,7 @@ phase.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -97,11 +98,13 @@ def triphoton_amplitudes(t_ratio: float) -> tuple[float, float]:
     return c2, c3
 
 
+@functools.lru_cache(maxsize=None)
 def triphoton_seed() -> PolarizationState:
     """The three-photon overlap state (a_H^+2 - a_V^+2) a_H^+ |0> normalized.
 
     Expanding in photon-number states gives sqrt(6)|3,0>_HV - sqrt(2)|1,2>_HV;
-    this is the state entering the variable partial polarizer.
+    this is the state entering the variable partial polarizer.  States are
+    immutable, so one instance is built and shared.
     """
     return normalized_state(
         TRIPHOTON_SPACE, [math.sqrt(6.0), 0.0, -math.sqrt(2.0), 0.0]

@@ -74,6 +74,20 @@ class TestVpp:
         with pytest.raises(ValueError):
             vpp_apply(triphoton_seed(), -0.5)
 
+    def test_huge_ratio_keeps_surviving_component(self):
+        # the filtered amplitudes are ~1e-200, whose squares underflow
+        result = vpp_apply(triphoton_seed(), 1e200)
+        assert SPACE3.basis_label(2) == "|1,2>_HV"
+        assert fidelity(result, basis_state(SPACE3, -0.5)) == 1.0
+
+    def test_large_ratio_ray_unchanged(self):
+        seed = triphoton_seed()
+        filtered = np.array([math.sqrt(6.0) * 1e-300, 0.0, -math.sqrt(2.0) * 1e-100, 0.0])
+        expected = filtered / np.linalg.norm(filtered)
+        result = vpp_apply(seed, 1e100)
+        assert abs(result.amplitudes[0]) > 1e-200  # the 1e-200 component survives
+        np.testing.assert_allclose(result.amplitudes, expected, rtol=1e-15, atol=0)
+
     def test_success_probability_values(self):
         seed = triphoton_seed()
         assert vpp_success_probability(seed, 1.0) == pytest.approx(1.0)

@@ -1,4 +1,5 @@
-"""Property tests of the SU(2) rotations on random states, N <= 64."""
+"""Property tests on random states, N <= 64: SU(2) rotations, the
+uncertainty bound of the squeezing report, and the analysis frame."""
 
 import math
 
@@ -10,11 +11,15 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from stokes_squeeze import (  # noqa: E402
+    bloch_frame,
     build_spin_space,
+    coherent_state,
     mean_polarization,
     rotate_about,
+    squeezing_report,
     stokes_operator,
 )
+from stokes_squeeze.squeezing import DEGENERACY_TOL, MeanPolarization  # noqa: E402
 from stokes_squeeze.verify import random_state  # noqa: E402
 
 BASIS_AXES = [
@@ -76,3 +81,63 @@ def test_casimir_is_invariant(num_photons, seed, axis, angle):
     casimir = sum(np.vdot(image, image).real for image in images)
     spin = num_photons / 2
     assert abs(casimir - spin * (spin + 1)) <= 1e-12 * (1 + spin) ** 2
+
+
+# coherent states meet the uncertainty bound with equality, random states
+# usually exceed it
+coherent_or_random = st.one_of(
+    st.tuples(
+        st.just("coherent"),
+        photon_numbers,
+        st.floats(min_value=0.0, max_value=math.pi),
+        angles,
+    ),
+    st.tuples(st.just("random"), photon_numbers, seeds, st.just(0.0)),
+)
+
+
+@given(coherent_or_random)
+def test_report_obeys_uncertainty_bound(case):
+    kind, num_photons, a, b = case
+    space = build_spin_space(num_photons)
+    state = coherent_state(space, a, b) if kind == "coherent" else _state(num_photons, a)
+    report = squeezing_report(state)
+    spin = space.spin
+    assert (
+        report.v_minus * report.v_plus >= report.mean.length**2 / 4 - 1e-12 * spin**2
+    )
+
+
+def _mean(components) -> MeanPolarization:
+    comps = np.asarray(components, dtype=float)
+    return MeanPolarization(
+        comps, float(np.linalg.norm(comps)), float(np.hypot(comps[1], comps[2]))
+    )
+
+
+components = st.floats(min_value=-32.0, max_value=32.0)
+tiny = st.floats(min_value=-DEGENERACY_TOL, max_value=DEGENERACY_TOL)
+pole_lengths = st.floats(min_value=1e-9, max_value=32.0)
+means = st.one_of(
+    st.tuples(components, components, components),
+    # within 1e-10 of a pole, where the frame snaps to phi = 0
+    st.tuples(pole_lengths.flatmap(lambda x: st.sampled_from([x, -x])), tiny, tiny),
+    # a vanishing mean takes the fallback frame
+    st.tuples(tiny, tiny, tiny),
+)
+
+
+@given(means)
+def test_frame_orthonormal_right_handed_along_mean(components):
+    mean = _mean(components)
+    frame = bloch_frame(mean)
+    basis = np.array([frame.n1, frame.n2, frame.n3])
+    np.testing.assert_allclose(basis @ basis.T, np.eye(3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.cross(frame.n1, frame.n2), frame.n3, rtol=0, atol=1e-12)
+    assert frame.degenerate == (mean.length <= DEGENERACY_TOL)
+    if not frame.degenerate:
+        # n3 may miss the mean only by the snapped transverse part at a pole
+        along = frame.n3 @ mean.components
+        across = np.linalg.norm(np.cross(frame.n3, mean.components))
+        assert along > 0.0
+        assert across <= DEGENERACY_TOL + 1e-12 * mean.length

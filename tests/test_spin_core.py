@@ -13,7 +13,13 @@ from stokes_squeeze import (
     stokes_operator,
     variance,
 )
-from stokes_squeeze.spin_core import _s2_eigenbasis, _stokes_matrices
+from stokes_squeeze import spin_core
+from stokes_squeeze.spin_core import (
+    _s2_eigenbasis,
+    _stokes_band,
+    _stokes_combination,
+    _stokes_matrices,
+)
 from stokes_squeeze.states import basis_state, triphoton_state
 from stokes_squeeze.verify import random_state
 
@@ -228,6 +234,92 @@ class TestS2Eigenbasis:
         )
         with pytest.raises(ArithmeticError, match="eigenvalues"):
             _s2_eigenbasis.__wrapped__(5)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+#: directions with signed zeros and basis axes, then random unit vectors;
+#: (0, -0.0, 1) is the n1 of the phi = 0 frame
+COMBINATION_DIRECTIONS = [
+    np.array([0.0, -0.0, 1.0]),
+    np.array([-0.0, -1.0, 0.0]),
+    np.array([-0.0, 0.0, -1.0]),
+    np.array([1.0, 0.0, -0.0]),
+    *(sign * row for row in np.eye(3) for sign in (1.0, -1.0)),
+    *(_unit(v) for v in np.random.default_rng(23).normal(size=(6, 3))),
+]
+
+
+class TestStokesCombination:
+    """d.S built on its band is the dense d0 S1 + d1 S2 + d2 S3, bit for bit."""
+
+    @pytest.mark.parametrize("num_photons", [1, 2, 3, 8, 32, 128, 512])
+    def test_product_bitwise_equals_dense(self, num_photons):
+        space = build_spin_space(num_photons)
+        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        rng = np.random.default_rng(num_photons)
+        for d in COMBINATION_DIRECTIONS:
+            dense = d[0] * s1 + d[1] * s2 + d[2] * s3
+            banded = _stokes_combination(space, d)
+            # a sparse vector leaves exact-zero rows, where signed zeros could show
+            for amps in (random_state(space, rng).amplitudes, s3[:, 0].copy()):
+                np.testing.assert_array_equal(
+                    (banded @ amps).view(np.uint64), (dense @ amps).view(np.uint64)
+                )
+
+    @pytest.mark.parametrize("num_photons", [0, 1, 5, 64])
+    def test_band_entries_equal_dense_and_rest_zero(self, num_photons):
+        space = build_spin_space(num_photons)
+        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        for d in COMBINATION_DIRECTIONS:
+            banded = _stokes_combination(space, d)
+            dense = d[0] * s1 + d[1] * s2 + d[2] * s3
+            off_band = np.triu(np.ones_like(banded, dtype=bool), 2)
+            off_band |= off_band.T
+            assert not banded[off_band].any()
+            np.testing.assert_array_equal(banded[~off_band], dense[~off_band])
+
+    def test_band_cached_read_only(self):
+        band = _stokes_band(7)
+        assert _stokes_band(7) is band
+        assert len(band[0]) == 3 * 7 + 1
+        assert not any(a.flags.writeable for a in band)
+
+    @pytest.mark.parametrize("num_photons", [0, 1, 6])
+    def test_mirror_points_at_transposed_entry(self, num_photons):
+        flat, mirror = _stokes_band(num_photons)[:2]
+        rows, cols = np.divmod(flat, num_photons + 1)
+        np.testing.assert_array_equal(rows[mirror], cols)
+        np.testing.assert_array_equal(cols[mirror], rows)
+
+    def _perturbed_band(self, monkeypatch, run, entry, delta):
+        """Patch `_stokes_band` so S2's entry `entry` of run `run` moves by `delta`."""
+
+        def perturbed(num_photons):
+            flat, mirror, b1, b2, b3 = _stokes_band(num_photons)
+            runs = np.cumsum([0, num_photons + 1, num_photons])
+            b2 = b2.copy()
+            b2[runs[run] + entry] += delta
+            return flat, mirror, b1, b2, b3
+
+        monkeypatch.setattr(spin_core, "_stokes_band", perturbed)
+
+    @pytest.mark.parametrize(
+        "run, delta", [(1, 1e-9), (2, 1e-9), (1, 1e-9j), (0, 1e-9j)]
+    )
+    def test_non_hermitian_band_rejected(self, monkeypatch, run, delta):
+        # run 0 is the main diagonal, 1 the upper and 2 the lower diagonal
+        self._perturbed_band(monkeypatch, run, 1, delta)
+        space = build_spin_space(4)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _stokes_combination(space, _unit([0.2, 0.9, 0.3]))
+
+    def test_round_off_within_tolerance_accepted(self, monkeypatch):
+        self._perturbed_band(monkeypatch, 1, 1, 1e-14)
+        _stokes_combination(build_spin_space(4), _unit([0.2, 0.9, 0.3]))
 
 
 class TestValidation:

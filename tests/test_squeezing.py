@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stokes_squeeze import (
+    HermitianOperator,
     VarianceEllipse,
     analytic_ellipse,
     analytic_mean_s3,
@@ -17,11 +18,14 @@ from stokes_squeeze import (
     noon_state,
     qfi_pure,
     rotate_about,
+    spin_core,
     squeezing_report,
     triphoton_amplitudes,
     triphoton_state,
+    variance,
     variance_ellipse,
 )
+from stokes_squeeze.spin_core import _stokes_matrices
 from stokes_squeeze.squeezing import BlochFrame, MeanPolarization
 from stokes_squeeze.verify import (
     angle_mod_pi_distance,
@@ -147,6 +151,10 @@ class TestBlochFrameChecks:
 
     def test_round_off_within_tolerance_accepted(self):
         BlochFrame(self.E2 * (1.0 + 1e-14), self.E3, self.E1, 0.0, 0.0, False)
+
+    def test_nan_vector_rejected(self):
+        with pytest.raises(ValueError, match="unit length"):
+            BlochFrame(self.E2, np.array([0.0, math.nan, 1.0]), self.E1, 0.0, 0.0, False)
 
 
 class TestVarianceEllipse:
@@ -282,6 +290,31 @@ class TestQfiPure:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             qfi_pure(triphoton_state(1.0), (1.0, 1.0, 0.0))
+        with pytest.raises(ValueError):
+            qfi_pure(triphoton_state(1.0), (math.nan, 0.0, 0.0))
+
+    @pytest.mark.parametrize("num_photons", [1, 3, 16, 128])
+    def test_equals_dense_operator_route(self, num_photons):
+        # the banded generator reproduces 4 variance(d.S) of the dense sum exactly
+        space = build_spin_space(num_photons)
+        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        for _ in range(5):
+            state = random_state(space, RNG)
+            d = RNG.normal(size=3)
+            d /= np.linalg.norm(d)
+            dense = HermitianOperator(space, d[0] * s1 + d[1] * s2 + d[2] * s3)
+            assert qfi_pure(state, d) == 4.0 * variance(state, dense)
+
+    def test_non_hermitian_generator_rejected(self, monkeypatch):
+        band = spin_core._stokes_band
+
+        def skewed(num_photons):
+            flat, mirror, b1, b2, b3 = band(num_photons)
+            return flat, mirror, b1 + 1e-9j, b2, b3
+
+        monkeypatch.setattr(spin_core, "_stokes_band", skewed)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qfi_pure(triphoton_state(1.0), (1.0, 0.0, 0.0))
 
 
 class TestAnalyticForms:

@@ -119,6 +119,14 @@ class TestTriphotonRaw:
         for t in np.linspace(0.0, 1.8, 37):
             assert fidelity(vpp_apply(seed, t), triphoton_raw(t)) > 1 - 1e-12
 
+    def test_seed_built_once_and_immutable(self):
+        seed = triphoton_seed()
+        assert triphoton_seed() is seed
+        assert not seed.amplitudes.flags.writeable
+        np.testing.assert_allclose(
+            seed.amplitudes, [np.sqrt(3) / 2, 0.0, -0.5, 0.0], rtol=0, atol=1e-15
+        )
+
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
             triphoton_raw(-0.1)
