@@ -10,10 +10,10 @@ from stokes_squeeze import (
     hermitian_exponential,
     ladder_operator,
     normalized_state,
+    spin_core,
     stokes_operator,
     variance,
 )
-from stokes_squeeze import spin_core
 from stokes_squeeze.spin_core import (
     _s2_eigenbasis,
     _stokes_band,
