@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from stokes_squeeze.cli import SWEEP_FIELDS, main, sweep_samples
+from stokes_squeeze import cli
+from stokes_squeeze.cli import SWEEP_FIELDS, _fmt, main, sweep_samples
+from stokes_squeeze.husimi import QGrid, q_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -50,6 +52,39 @@ def _rows(csv_text):
     lines = csv_text.strip().split("\n")
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+#: husimi states of the byte-identity tests: triphoton T and NOON N
+HUSIMI_STATES = [
+    ["--T", "0"], ["--T", "1"], ["--T", repr(SQRT3)], ["--T", "7.25"],
+    ["--N", "1"], ["--N", "2"], ["--N", "64"],
+]
+
+
+def _husimi_csv(tmp_path, monkeypatch, state_args, shape, scheme):
+    """Run `husimi` to CSV; return the file's bytes and the QGrid it was written from."""
+    evaluate, evaluated = cli.q_grid, []
+
+    def capture(state, grid):
+        evaluated.append(evaluate(state, grid))
+        return evaluated[-1]
+
+    out = tmp_path / "q.csv"
+    argv = ["husimi", *state_args, "--n-theta", str(shape[0]), "--n-phi", str(shape[1]),
+            "--scheme", scheme, "--output", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "q_grid", capture)
+        assert main(argv) == 0
+    return out.read_bytes(), evaluated[0]
+
+
+def _per_cell_csv(result):
+    """The husimi CSV as the per-cell writer rendered it: `_fmt` on every cell."""
+    lines = ["theta,phi,p,Q"]
+    for theta, row in zip(result.grid.thetas, result.values):
+        for phi, q in zip(result.grid.phis, row.tolist()):
+            lines.append(f"{_fmt(theta)},{_fmt(phi)},{_fmt(math.cos(theta))},{_fmt(q)}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestSweep:
@@ -281,6 +316,48 @@ class TestHusimi:
         assert main(argv + [str(a)]) == 0
         assert main(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scheme", ["endpoint", "midpoint"])
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 5), (256, 17)], ids=str)
+    def test_csv_matches_per_cell_writer(self, tmp_path, monkeypatch, scheme, shape):
+        for state_args in HUSIMI_STATES:
+            blob, result = _husimi_csv(tmp_path, monkeypatch, state_args, shape, scheme)
+            assert blob == _per_cell_csv(result), state_args
+
+    @pytest.mark.parametrize("scheme, state_args", [
+        ("endpoint", ["--N", "64"]),
+        ("midpoint", ["--T", repr(SQRT3)]),
+    ], ids=["endpoint-N64", "midpoint-Tsqrt3"])
+    def test_default_grid_csv_matches_per_cell_writer(
+        self, tmp_path, monkeypatch, scheme, state_args
+    ):
+        blob, result = _husimi_csv(tmp_path, monkeypatch, state_args, (181, 360), scheme)
+        assert blob == _per_cell_csv(result)
+
+    @pytest.mark.parametrize("scheme", ["endpoint", "midpoint"])
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 5), (256, 17)], ids=str)
+    def test_csv_zero_and_extreme_cells_match_per_cell_writer(
+        self, tmp_path, monkeypatch, scheme, shape
+    ):
+        # no CLI state has an exact zero of Q on these grids, so plant zeros,
+        # the smallest subnormal, ones and values next to 1 in the real map
+        def planted(state, grid):
+            values = q_grid(state, grid).values.copy()
+            values[::2, ::3] = 0.0
+            values[-1, :] = 0.0
+            values[0, -1] = 5e-324
+            values[-1, 0] = 1.0
+            values[1::3, 1::2] = math.nextafter(1.0, 0.0)
+            return QGrid(grid, values, 1.0)
+
+        monkeypatch.setattr(cli, "q_grid", planted)
+        blob, result = _husimi_csv(tmp_path, monkeypatch, ["--N", "3"], shape, scheme)
+        assert blob == _per_cell_csv(result)
+        assert b",0\n" in blob and b",4.94065645841e-324\n" in blob and b",1\n" in blob
+        if scheme == "endpoint":  # both pole rows are present
+            lines = blob.split(b"\n")
+            assert lines[1].startswith(b"0,0,1,")
+            assert lines[-2].startswith(f"{_fmt(math.pi)},".encode())
 
 
 class TestVerify:
