@@ -20,7 +20,7 @@ from stokes_squeeze import (
     vpp_success_probability,
 )
 from stokes_squeeze.elements import _qwp_matrix
-from stokes_squeeze.spin_core import _stokes_matrices
+from stokes_squeeze.spin_core import _stokes_matrices, normalized_state
 from stokes_squeeze.states import basis_state, coherent_state, fock_superposition
 from stokes_squeeze.verify import random_state
 
@@ -103,6 +103,33 @@ class TestVpp:
         for t in (0.2, 0.5, 0.9):
             assert vpp_success_probability(seed, t) == pytest.approx(
                 (3 + t**4) / 4, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("t_ratio, real_parts", [
+        (0.3, [0.9986527276135589, 0.0, -0.05189151790031781, 0.0]),
+        (1.7, [0.514070311497462, 0.0, -0.8577480485765635, 0.0]),
+        (1e200, [0.0, 0.0, -1.0, 0.0]),
+    ])
+    def test_seed_amplitudes_pinned(self, t_ratio, real_parts):
+        # bit for bit, signs of zero included; the verify golden prints them
+        expected = np.array(real_parts, dtype=complex)
+        result = vpp_apply(triphoton_seed(), t_ratio).amplitudes
+        np.testing.assert_array_equal(result.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("num_photons", [1, 3, 8, 64])
+    def test_max_transmission_route_kept_bit_for_bit(self, num_photons):
+        # a state supported on every index: T^(-n) relative to index 0 below
+        # T = 1 and index N above, rescaled by the largest amplitude
+        space = build_spin_space(num_photons)
+        k = np.arange(space.dimension, dtype=float)
+        for t_ratio in (1e-30, 0.05, 0.3, 0.999, 1.001, 1.7, 40.0, 1e30):
+            state = random_state(space, RNG)
+            exponent = k if t_ratio <= 1.0 else k - num_photons
+            filtered = t_ratio**exponent * state.amplitudes
+            expected = normalized_state(space, filtered / np.abs(filtered).max())
+            result = vpp_apply(state, t_ratio)
+            np.testing.assert_array_equal(
+                result.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64)
             )
 
 
