@@ -242,15 +242,18 @@ def cmd_husimi(args) -> int:
     grid = SphereGrid(args.n_theta, args.n_phi, scheme=args.scheme)
     result = q_grid(state, grid)
     if args.format == "csv":
-        # theta and p are fixed along a row and phi down a column: format each once
-        phis = [_fmt(phi) for phi in grid.phis]
-        lines = ["theta,phi,p,Q"]
-        for theta, row in zip(grid.thetas, result.values):
-            theta_text, p_text = _fmt(theta), _fmt(math.cos(theta))
-            lines.extend(
-                f"{theta_text},{phi},{p_text},{_fmt(q)}" for phi, q in zip(phis, row.tolist())
-            )
-        _write_text(args.output, "\n".join(lines) + "\n")
+        # one %-format call per theta row: phi is baked into the template, theta
+        # and p repeat along the row, and Q (a clipped float, never None or
+        # bool) takes "%.12g", the same rendering as _fmt
+        template = "".join(f"%s,{_fmt(phi)},%s,%.12g\n" for phi in grid.phis)
+        row_args = [None] * (3 * grid.n_phi)
+        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("theta,phi,p,Q\n")
+            for theta, row in zip(grid.thetas, result.values.tolist()):
+                row_args[0::3] = [_fmt(theta)] * grid.n_phi
+                row_args[1::3] = [_fmt(math.cos(theta))] * grid.n_phi
+                row_args[2::3] = row
+                handle.write(template % tuple(row_args))
     else:
         peak = result.values.max()
         scaled = result.values / peak if peak > 0 else result.values

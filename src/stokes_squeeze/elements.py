@@ -28,12 +28,19 @@ from .spin_core import (
 )
 
 
-def _vpp_weights(space: SpinSpace, t_ratio: float) -> np.ndarray:
-    """Relative VPP amplitude weights T^(-n), rescaled so the largest is 1.
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
-    The rescaling leaves the output ray unchanged (the state is renormalized
-    anyway) and makes the pre-normalization squared norm a true post-selection
-    probability in (0, 1].
+
+def _vpp_weights(space: SpinSpace, t_ratio: float, anchor: int | None = None) -> np.ndarray:
+    """Relative VPP amplitude weights T^(-n), rescaled to 1 at index `anchor`.
+
+    The anchor defaults to the least-attenuated index, 0 for T <= 1 and N
+    above, so the largest weight is 1: the rescaling leaves the output ray
+    unchanged (the state is renormalized anyway) and makes the
+    pre-normalization squared norm a true post-selection probability in
+    (0, 1].  Indices on the other side of a given anchor, which would get
+    weights above 1 or inf, get weight 1; callers anchor at the state's
+    least-attenuated nonzero amplitude, so those amplitudes are zero.
     """
     if t_ratio < 0:
         raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
@@ -42,9 +49,11 @@ def _vpp_weights(space: SpinSpace, t_ratio: float) -> np.ndarray:
         weights = np.zeros(space.dimension)
         weights[0] = 1.0  # only the maximal-n (all-horizontal) state survives
         return weights
-    # T^(-n) = T^(k-s); divide by the largest weight: k=0 for T<=1, k=N above
-    exponent = k if t_ratio <= 1.0 else k - space.num_photons
-    return t_ratio**exponent
+    if anchor is None:
+        anchor = 0 if t_ratio <= 1.0 else space.num_photons
+    # T^(-n) = T^(k-s) divided by T^(anchor-s)
+    clamp = np.maximum if t_ratio <= 1.0 else np.minimum
+    return t_ratio ** clamp(k - anchor, 0.0)
 
 
 def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
@@ -64,10 +73,18 @@ def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
         filtered[nonzero[0]] = state.amplitudes[nonzero[0]]
         return normalized_state(state.space, filtered)
     filtered = _vpp_weights(state.space, t_ratio) * state.amplitudes
+    peak = np.abs(filtered).max()
+    if not peak >= _SMALLEST_NORMAL:
+        # the surviving weights underflowed (|0,3>_HV at T = 1e-200 weighs
+        # 1e-600) or are subnormal (complex division by 1e-312 overflows):
+        # weigh relative to the least-attenuated nonzero amplitude
+        support = np.flatnonzero(state.amplitudes)
+        anchor = support[0] if t_ratio < 1.0 else support[-1]
+        filtered = _vpp_weights(state.space, t_ratio, int(anchor)) * state.amplitudes
+        peak = np.abs(filtered).max()
     # the squared norm underflows long before the amplitudes do (T = 1e200
     # leaves only ~1e-200), so bring the largest amplitude to 1 first
-    peak = np.abs(filtered).max()
-    return normalized_state(state.space, filtered / peak if peak > 0.0 else filtered)
+    return normalized_state(state.space, filtered / peak)
 
 
 def vpp_success_probability(state: PolarizationState, t_ratio: float) -> float:

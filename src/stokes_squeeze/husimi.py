@@ -19,6 +19,11 @@ from .states import coherent_state_closed_form
 
 THETA_SCHEMES = ("midpoint", "endpoint")
 
+#: most entries any one array of a grid evaluation may hold: the
+#: n_theta x n_phi values, the n_theta x n_theta/2 Chebyshev series of a
+#: midpoint grid, and q_grid's (N+1) coefficients per theta or phi sample
+MAX_GRID_ENTRIES = 2**21
+
 
 @functools.lru_cache(maxsize=None)
 def _chebyshev_weights(n: int) -> np.ndarray:
@@ -58,6 +63,14 @@ class SphereGrid:
             raise ValueError("grid needs at least 2 samples per axis")
         if self.scheme not in THETA_SCHEMES:
             raise ValueError(f"unknown theta scheme {self.scheme!r}")
+        entries = self.n_theta * self.n_phi
+        if self.scheme == "midpoint":
+            entries = max(entries, self.n_theta * (self.n_theta // 2))
+        if entries > MAX_GRID_ENTRIES:
+            raise ValueError(
+                f"{self.n_theta} x {self.n_phi} {self.scheme} grid needs {entries} entries "
+                f"per array, above the bound MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}"
+            )
 
     @functools.cached_property
     def thetas(self) -> np.ndarray:
@@ -99,7 +112,8 @@ class QGrid:
     def __post_init__(self):
         if self.values.shape != (self.grid.n_theta, self.grid.n_phi):
             raise ValueError("value matrix does not match the grid shape")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
+        # written so that a NaN, which fails every comparison, is rejected
+        if not (0.0 <= self.values.min() and self.values.max() <= 1.0):
             raise ValueError("Husimi values must lie in [0, 1]")
 
 
@@ -125,6 +139,12 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
     row is a short Fourier sum evaluated for all phi at once.
     """
     num = state.space.num_photons
+    entries = max(grid.n_theta, grid.n_phi) * (num + 1)
+    if entries > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"{grid.n_theta} x {grid.n_phi} grid at N = {num} needs {entries} coefficients "
+            f"per array, above the bound MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}"
+        )
     profile = _coherent_theta_profile(num, grid.thetas)
     k = np.arange(num + 1)
     phases = np.exp(-1j * np.outer(grid.phis, k))

@@ -309,6 +309,14 @@ class TestHusimi:
         assert main(["husimi", "--T", "1", "--n-theta", "1",
                      "--output", str(tmp_path / "x.csv")]) == 1
 
+    def test_oversize_grid_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["husimi", "--T", "1", "--n-theta", "1000000", "--n-phi", "1000000",
+                     "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "MAX_GRID_ENTRIES" in captured.err
+        assert not out.exists()
+
     def test_deterministic_pgm(self, tmp_path):
         argv = ["husimi", "--T", "1", "--n-theta", "31", "--n-phi", "36",
                 "--format", "pgm", "--output"]

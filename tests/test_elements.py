@@ -105,6 +105,19 @@ class TestVpp:
                 (3 + t**4) / 4, abs=1e-12
             )
 
+    @pytest.mark.parametrize("n, t_ratio", [(-1.5, 1e-200), (1.5, 1e200), (-1.5, 1e-104)])
+    def test_underflowing_weights_reanchored(self, n, t_ratio):
+        # T^3 underflows (or is subnormal) at the state's only nonzero index,
+        # which the filter passes unchanged
+        state = basis_state(SPACE3, n)
+        assert fidelity(vpp_apply(state, t_ratio), state) == 1.0
+
+    def test_reanchored_weights_keep_the_tail(self):
+        # relative to |1,2>_HV, the |0,3>_HV amplitude is attenuated by T
+        state = fock_superposition(SPACE3, [(1, 2, 1.0), (0, 3, 1.0)])
+        result = vpp_apply(state, 1e-200).amplitudes
+        np.testing.assert_array_equal(result, [0.0, 0.0, 1.0, 1e-200])
+
     @pytest.mark.parametrize("t_ratio, real_parts", [
         (0.3, [0.9986527276135589, 0.0, -0.05189151790031781, 0.0]),
         (1.7, [0.514070311497462, 0.0, -0.8577480485765635, 0.0]),

@@ -13,7 +13,7 @@ from stokes_squeeze import (
     rotate,
     triphoton_state,
 )
-from stokes_squeeze.husimi import _chebyshev_weights
+from stokes_squeeze.husimi import MAX_GRID_ENTRIES, QGrid, _chebyshev_weights
 from stokes_squeeze.verify import random_state
 
 SQRT3 = math.sqrt(3.0)
@@ -45,6 +45,27 @@ class TestSphereGrid:
         with pytest.raises(ValueError):
             SphereGrid(4, 4, scheme="gauss")
 
+    # constructors only: nothing here evaluates a grid
+    @pytest.mark.parametrize("shape, scheme", [
+        ((10**6, 10**6), "endpoint"),
+        ((2049, 1024), "endpoint"),  # 2049 * 1024 values
+        ((20000, 2), "midpoint"),  # a 20000 x 10000 Chebyshev series
+        ((2050, 2), "midpoint"),  # 2050 * 1025 series entries
+    ])
+    def test_oversize_grids_rejected(self, shape, scheme):
+        with pytest.raises(ValueError, match="MAX_GRID_ENTRIES"):
+            SphereGrid(*shape, scheme=scheme)
+
+    @pytest.mark.parametrize("shape, scheme", [
+        ((2048, 1024), "midpoint"),
+        ((2050, 2), "endpoint"),  # no Chebyshev series on endpoint grids
+        ((2, 2**20), "endpoint"),
+        ((256, 256), "midpoint"),
+        ((181, 360), "endpoint"),
+    ])
+    def test_grids_within_the_bound_accepted(self, shape, scheme):
+        assert SphereGrid(*shape, scheme=scheme).n_theta * shape[1] <= MAX_GRID_ENTRIES
+
     def test_chebyshev_weights_integrate_polynomials(self):
         # exact for integral_{-1}^{1} p^d dp up to degree n-1
         weights = _chebyshev_weights(16)
@@ -75,6 +96,19 @@ class TestQValue:
 
 
 class TestQGrid:
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3, 1.5, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 1)])
+    def test_values_outside_unit_interval_rejected(self, bad, cell):
+        values = np.array([[0.5, 0.5], [0.1, 0.2]])
+        values[cell] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            QGrid(SphereGrid(2, 2), values, 1.0)
+
+    def test_coefficients_bounded_by_photon_number(self):
+        # 2049 phi samples of 1024 coefficients each; checked before allocating
+        with pytest.raises(ValueError, match="MAX_GRID_ENTRIES"):
+            q_grid(noon_state(1023, 0.0), SphereGrid(2, 2049, scheme="endpoint"))
+
     @pytest.mark.parametrize("num_photons", range(0, 9))
     def test_normalization_estimate(self, num_photons):
         # (2s+1)/(4pi) * integral of Q over the sphere equals 1; s <= 4

@@ -1,5 +1,6 @@
 """Property tests on random states, N <= 64: SU(2) rotations, the
-uncertainty bound of the squeezing report, and the analysis frame."""
+covariance of the Husimi Q under them, the uncertainty bound of the
+squeezing report, and the analysis frame."""
 
 import math
 
@@ -15,6 +16,7 @@ from stokes_squeeze import (  # noqa: E402
     build_spin_space,
     coherent_state,
     mean_polarization,
+    q_value,
     rotate_about,
     squeezing_report,
     stokes_operator,
@@ -82,6 +84,26 @@ def test_casimir_is_invariant(num_photons, seed, axis, angle):
     spin = num_photons / 2
     assert abs(casimir - spin * (spin + 1)) <= 1e-12 * (1 + spin) ** 2
 
+
+polar_angles = st.floats(min_value=0.0, max_value=math.pi)
+
+
+@given(photon_numbers, seeds, axes, angles, polar_angles, angles)
+def test_husimi_q_is_rotation_covariant(num_photons, seed, axis, angle, theta, phi):
+    # Q(R n; R psi) = Q(n; psi) with n = (cos theta, sin theta cos phi,
+    # sin theta sin phi) and R the right-handed rotation rotate_about applies
+    state = _state(num_photons, seed)
+    point = np.array(
+        [math.cos(theta), math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)]
+    )
+    moved = _rodrigues(point, axis, angle)
+    # atan2 keeps the polar angle well conditioned at the poles, unlike acos
+    moved_theta = math.atan2(math.hypot(moved[1], moved[2]), moved[0])
+    moved_phi = math.atan2(moved[2], moved[1])
+    rotated = rotate_about(state, axis, angle)
+    assert abs(q_value(rotated, moved_theta, moved_phi) - q_value(state, theta, phi)) <= (
+        1e-13 * (num_photons + 1)
+    )
 
 # coherent states meet the uncertainty bound with equality, random states
 # usually exceed it
