@@ -3,7 +3,9 @@ metrics, and the self-verification suite.
 
 Output files are byte-identical across runs for identical invocations; CSV
 renders real numbers with 12 significant digits and an unbounded zeta^2 as an
-empty field.  Every float argument must be finite.  Sweeps run serially;
+empty field.  The husimi CSV is streamed one theta row per `%` format call;
+its grid is bounded by `husimi.MAX_GRID_ENTRIES` (2^21 entries per array).
+Every float argument must be finite.  Sweeps run serially;
 STOKES_SQUEEZE_THREADS is still validated (a positive integer, otherwise the
 sweep fails) but no longer changes anything.
 """

@@ -31,16 +31,12 @@ from .spin_core import (
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-def _vpp_weights(space: SpinSpace, t_ratio: float, anchor: int | None = None) -> np.ndarray:
-    """Relative VPP amplitude weights T^(-n), rescaled to 1 at index `anchor`.
+def _vpp_weights(space: SpinSpace, t_ratio: float) -> np.ndarray:
+    """Relative VPP amplitude weights T^(-n), rescaled so the largest is 1.
 
-    The anchor defaults to the least-attenuated index, 0 for T <= 1 and N
-    above, so the largest weight is 1: the rescaling leaves the output ray
-    unchanged (the state is renormalized anyway) and makes the
-    pre-normalization squared norm a true post-selection probability in
-    (0, 1].  Indices on the other side of a given anchor, which would get
-    weights above 1 or inf, get weight 1; callers anchor at the state's
-    least-attenuated nonzero amplitude, so those amplitudes are zero.
+    The rescaling leaves the output ray unchanged (the state is renormalized
+    anyway) and makes the pre-normalization squared norm a true post-selection
+    probability in (0, 1].
     """
     if t_ratio < 0:
         raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
@@ -49,11 +45,9 @@ def _vpp_weights(space: SpinSpace, t_ratio: float, anchor: int | None = None) ->
         weights = np.zeros(space.dimension)
         weights[0] = 1.0  # only the maximal-n (all-horizontal) state survives
         return weights
-    if anchor is None:
-        anchor = 0 if t_ratio <= 1.0 else space.num_photons
-    # T^(-n) = T^(k-s) divided by T^(anchor-s)
-    clamp = np.maximum if t_ratio <= 1.0 else np.minimum
-    return t_ratio ** clamp(k - anchor, 0.0)
+    # T^(-n) = T^(k-s); divide by the largest weight: k=0 for T<=1, k=N above
+    exponent = k if t_ratio <= 1.0 else k - space.num_photons
+    return t_ratio**exponent
 
 
 def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
@@ -77,10 +71,17 @@ def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
     if not peak >= _SMALLEST_NORMAL:
         # the surviving weights underflowed (|0,3>_HV at T = 1e-200 weighs
         # 1e-600) or are subnormal (complex division by 1e-312 overflows):
-        # weigh relative to the least-attenuated nonzero amplitude
+        # weigh by T^(k - anchor), 1 at the least-attenuated nonzero amplitude,
+        # and 1 rather than an overflowing power for the zeros beyond it.  Only
+        # then: re-anchoring would move low bits of states the default weights
+        # handle, such as the seed above T = 1, whose infidelity `verify` prints
         support = np.flatnonzero(state.amplitudes)
-        anchor = support[0] if t_ratio < 1.0 else support[-1]
-        filtered = _vpp_weights(state.space, t_ratio, int(anchor)) * state.amplitudes
+        k = np.arange(state.space.dimension, dtype=float)
+        if t_ratio < 1.0:
+            exponent = np.maximum(k - support[0], 0.0)
+        else:
+            exponent = np.minimum(k - support[-1], 0.0)
+        filtered = t_ratio**exponent * state.amplitudes
         peak = np.abs(filtered).max()
     # the squared norm underflows long before the amplitudes do (T = 1e200
     # leaves only ~1e-200), so bring the largest amplitude to 1 first
