@@ -25,7 +25,7 @@ from .husimi import SphereGrid, q_grid
 from .spin_core import SpinSpace
 from .squeezing import SqueezingReport, decibels, squeezing_report
 from .states import TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_seed, triphoton_state
-from .verify import run_checks
+from .verify import CHECKS, run_checks
 
 #: sweep columns, in CSV and JSON order; sweep_record builds one row keyed by them
 SWEEP_FIELDS = (
@@ -269,7 +269,7 @@ def cmd_husimi(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_checks(ladder_perturbation=args.perturb_ladder)
-    width = max(len(result.name) for result in results)
+    width = max(len(check.name) for check in CHECKS)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {result.name.ljust(width)}  {result.detail}")

@@ -22,6 +22,7 @@ from .spin_core import (
     SpinSpace,
     _s1_phases,
     _s2_rotate,
+    _unit_direction,
     normalized_state,
     stokes_operator,
     hermitian_exponential,
@@ -131,9 +132,7 @@ def rotate_about(state: PolarizationState, direction, angle: float) -> Polarizat
     for theta = atan2(hypot(d2, d3), d1) and beta = atan2(d2, -d3), since
     D(beta) W(theta) carries S1 onto d.S.  That is four O(N^2) products.
     """
-    d = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-10:
-        raise ValueError("rotation direction must be a unit vector")
+    d = _unit_direction(direction)
     space = state.space
     theta = math.atan2(math.hypot(d[1], d[2]), d[0])
     beta = math.atan2(d[1], -d[2])

@@ -37,6 +37,9 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 IMAG_TOL = 1e-12
 VARIANCE_CLAMP = 1e-12
+#: c eps of the variance clamp window max(VARIANCE_CLAMP, c eps (s+1)^2);
+#: c = 16 keeps the window at VARIANCE_CLAMP up to N = 31
+VARIANCE_ROUNDOFF = 16 * np.finfo(float).eps
 
 
 class SpaceMismatchError(ValueError):
@@ -297,6 +300,14 @@ def ladder_operator(space: SpinSpace, sign: int) -> LadderOperator:
     return LadderOperator(space, sp if sign == +1 else sp.conj().T)
 
 
+def _unit_direction(direction) -> np.ndarray:
+    """`direction` as a float array, which must be a unit 3-vector (not NaN)."""
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-10:
+        raise ValueError("direction must be a unit 3-vector")
+    return d
+
+
 def _require_same_space(state: PolarizationState, op) -> None:
     if state.space != op.space:
         raise SpaceMismatchError(
@@ -317,7 +328,10 @@ def expectation(state: PolarizationState, op: HermitianOperator) -> float:
 
 
 def variance(state: PolarizationState, op: HermitianOperator) -> float:
-    """<O^2> - <O>^2, clamped to 0 when within VARIANCE_CLAMP below zero.
+    """<O^2> - <O>^2, clamped to 0 when within the round-off window below zero.
+
+    The window is max(VARIANCE_CLAMP, VARIANCE_ROUNDOFF (s+1)^2): 1e-12 up to
+    N = 31, then growing with the size of the moments it subtracts.
 
     Values more negative than the clamp window indicate a bug, not round-off,
     and raise ArithmeticError.
@@ -335,7 +349,10 @@ def _image_variance(amps: np.ndarray, image: np.ndarray) -> float:
         )
     var = np.vdot(image, image).real - mean.real**2
     if var < 0.0:
-        if var < -VARIANCE_CLAMP:
+        # <O^2> and <O>^2 are each ~s^2, so their difference carries a few
+        # ulps of s^2 of round-off; (amps.size + 1) / 2 is s + 1
+        window = max(VARIANCE_CLAMP, VARIANCE_ROUNDOFF * ((amps.size + 1) / 2) ** 2)
+        if var < -window:
             raise ArithmeticError(f"variance {var:.3e} below the round-off window")
         var = 0.0
     return var

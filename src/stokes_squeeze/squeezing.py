@@ -30,6 +30,7 @@ from .spin_core import (
     PolarizationState,
     _image_variance,
     _stokes_combination,
+    _unit_direction,
     expectation,
     stokes_operator,
 )
@@ -180,13 +181,6 @@ def bloch_frame(
     return _frame_from_angles(theta, phi, degenerate=False)
 
 
-def _transverse_operators(state: PolarizationState, frame: BlochFrame):
-    return (
-        _stokes_combination(state.space, frame.n1),
-        _stokes_combination(state.space, frame.n2),
-    )
-
-
 def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEllipse:
     """Second moments of the transverse Stokes operators S_n1 and S_n2.
 
@@ -265,10 +259,7 @@ def qfi_pure(state: PolarizationState, direction) -> float:
 
     `direction` must be a unit 3-vector on the Poincare sphere.
     """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-10:
-        raise ValueError("direction must be a unit 3-vector")
-    generator = _stokes_combination(state.space, d)
+    generator = _stokes_combination(state.space, _unit_direction(direction))
     return 4.0 * _image_variance(state.amplitudes, generator @ state.amplitudes)
 
 

@@ -4,12 +4,23 @@ Every check is deterministic (fixed RNG seeds) and independent of the code
 path it validates wherever a second route exists: closed forms are compared
 against dense-matrix results, extremal variances against a brute-force angle
 scan, and Husimi features against direct grid evaluation.
+
+The suite is one ordered table, `CHECKS`.  Each entry holds a check's name,
+its seed offset and its function, which takes the run's shared fixtures and a
+random generator and returns (passed, detail).  A seeded check draws from a
+fresh generator seeded with `seed + offset`; an offset of None means the check
+draws nothing and gets no generator.  `run_checks`, `stokes-squeeze verify`
+and the tests all read this table.  Inputs read by several checks are built
+by `_Fixtures` once per `run_checks` call, on first use, never at import: the
+200-point triphoton family pass and the ladder-rebuilt Stokes matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,16 +30,16 @@ from .spin_core import (
     HermitianOperator,
     PolarizationState,
     _ladder_plus_matrix,
+    _stokes_combination,
     build_spin_space,
-    expectation,
     hermitian_exponential,
+    ladder_operator,
     normalized_state,
     stokes_operator,
     variance,
 )
 from .squeezing import (
     BlochFrame,
-    _transverse_operators,
     analytic_ellipse,
     analytic_mean_s3,
     analytic_variances,
@@ -68,9 +79,27 @@ def random_state(space, rng) -> PolarizationState:
     return normalized_state(space, amps)
 
 
+def _random_states(rng, count: int):
+    """`count` random states on N = 1, 2, ..., 8, 1, ... photons, drawn lazily.
+
+    Each state is drawn when it is yielded, so draws a caller makes between
+    two states keep their place in the generator's sequence.
+    """
+    for trial in range(count):
+        yield random_state(build_spin_space(1 + trial % 8), rng)
+
+
 # ---------------------------------------------------------------------------
 # brute-force transverse-variance scan (independent of the ellipse formulas)
 # ---------------------------------------------------------------------------
+
+
+def _transverse_operators(state: PolarizationState, frame: BlochFrame):
+    """Dense S_n1 and S_n2 in the frame's transverse plane."""
+    return (
+        _stokes_combination(state.space, frame.n1),
+        _stokes_combination(state.space, frame.n2),
+    )
 
 
 def transverse_variance(state: PolarizationState, frame: BlochFrame, gamma: float) -> float:
@@ -154,52 +183,71 @@ def angle_mod_pi_distance(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# fixtures shared by several checks, built once per run
 # ---------------------------------------------------------------------------
 
 
-def _stokes_from_ladder(num_photons: int, perturbation: float = 0.0):
-    """Rebuild (S1, S2, S3) from the raising operator, optionally perturbed.
+class _Fixtures:
+    """Inputs that several checks read, each built on first use."""
 
-    The perturbation hook lets the harness confirm that a wrong ladder
-    coefficient is caught by the commutator check.
-    """
-    space = build_spin_space(num_photons)
-    raising = np.array(_ladder_plus_matrix(num_photons))
-    if perturbation and space.dimension >= 2:
-        raising[0, 1] += perturbation
-    lowering = raising.conj().T
-    s1 = np.diag(space.n_values).astype(complex)
-    return s1, (raising + lowering) / 2.0, (raising - lowering) / 2j
+    def __init__(self, ladder_perturbation: float):
+        self.ladder_perturbation = ladder_perturbation
+
+    @functools.cached_property
+    def family(self) -> list:
+        """(T, mean, ellipse) of the matrix pipeline at linspace(0, 1.8, 200)."""
+        rows = []
+        for t in np.linspace(0.0, 1.8, 200):
+            state = triphoton_state(t)
+            mean = mean_polarization(state)
+            rows.append((t, mean, variance_ellipse(state, bloch_frame(mean))))
+        return rows
+
+    @functools.cached_property
+    def ladder_stokes(self) -> list:
+        """(S1, S2, S3) for N = 0..12, rebuilt from the raising operator.
+
+        The perturbation is added to the first ladder coefficient: a harness
+        hook that confirms a wrong coefficient is caught by the algebra checks.
+        """
+        stokes = []
+        for num in range(0, 13):
+            space = build_spin_space(num)
+            raising = np.array(_ladder_plus_matrix(num))
+            if self.ladder_perturbation and space.dimension >= 2:
+                raising[0, 1] += self.ladder_perturbation
+            lowering = raising.conj().T
+            s1 = np.diag(space.n_values).astype(complex)
+            stokes.append((s1, (raising + lowering) / 2.0, (raising - lowering) / 2j))
+        return stokes
 
 
-def _check_su2_commutators(perturbation: float) -> CheckResult:
+# ---------------------------------------------------------------------------
+# checks: each takes (fixtures, rng) and returns (passed, detail)
+# ---------------------------------------------------------------------------
+
+
+def _su2_commutators(fx, rng):
     worst = 0.0
-    for num in range(0, 13):
-        s1, s2, s3 = _stokes_from_ladder(num, perturbation)
+    for s1, s2, s3 in fx.ladder_stokes:
         ops = {1: s1, 2: s2, 3: s3}
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             defect = np.abs(ops[i] @ ops[j] - ops[j] @ ops[i] - 1j * ops[k]).max()
             worst = max(worst, float(defect))
-    return CheckResult(
-        "su2-commutators", worst < 1e-12, f"max |[Si,Sj]-iSk| = {worst:.3e} (N<=12)"
-    )
+    return worst < 1e-12, f"max |[Si,Sj]-iSk| = {worst:.3e} (N<=12)"
 
 
-def _check_casimir(perturbation: float) -> CheckResult:
+def _casimir(fx, rng):
     worst = 0.0
-    for num in range(0, 13):
-        s1, s2, s3 = _stokes_from_ladder(num, perturbation)
+    for num, (s1, s2, s3) in enumerate(fx.ladder_stokes):
         spin = num / 2.0
         total = s1 @ s1 + s2 @ s2 + s3 @ s3
         defect = np.abs(total - spin * (spin + 1.0) * np.eye(num + 1)).max()
         worst = max(worst, float(defect))
-    return CheckResult(
-        "casimir-invariant", worst < 1e-12, f"max |S^2 - s(s+1)I| = {worst:.3e} (N<=12)"
-    )
+    return worst < 1e-12, f"max |S^2 - s(s+1)I| = {worst:.3e} (N<=12)"
 
 
-def _check_s0_commutes() -> CheckResult:
+def _s0_commutes(fx, rng):
     worst = 0.0
     for num in range(0, 13):
         space = build_spin_space(num)
@@ -207,66 +255,48 @@ def _check_s0_commutes() -> CheckResult:
         for axis in (1, 2, 3):
             op = stokes_operator(space, axis).matrix
             worst = max(worst, float(np.abs(s0 @ op - op @ s0).max()))
-    return CheckResult("s0-commutes", worst == 0.0, f"max |[S0,Si]| = {worst:.3e}")
+    return worst == 0.0, f"max |[S0,Si]| = {worst:.3e}"
 
 
-def _check_ladder_adjoint() -> CheckResult:
-    from .spin_core import ladder_operator
-
+def _ladder_adjoint(fx, rng):
     worst = 0.0
     for num in range(0, 13):
         space = build_spin_space(num)
         raising = ladder_operator(space, +1).matrix
         lowering = ladder_operator(space, -1).matrix
         worst = max(worst, float(np.abs(raising.conj().T - lowering).max()))
-    return CheckResult("ladder-adjoint", worst < 1e-12, f"max |S+^H - S-| = {worst:.3e}")
+    return worst < 1e-12, f"max |S+^H - S-| = {worst:.3e}"
 
 
-def _check_expectation_real(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _expectation_real(fx, rng):
     worst = 0.0
-    for trial in range(1000):
-        space = build_spin_space(1 + trial % 8)
-        state = random_state(space, rng)
+    for state in _random_states(rng, 1000):
         for axis in (1, 2, 3):
             raw = np.vdot(
-                state.amplitudes, stokes_operator(space, axis).matrix @ state.amplitudes
+                state.amplitudes, stokes_operator(state.space, axis).matrix @ state.amplitudes
             )
             worst = max(worst, abs(raw.imag))
-    return CheckResult(
-        "expectation-real", worst < 1e-12, f"max residual imaginary part = {worst:.3e}"
-    )
+    return worst < 1e-12, f"max residual imaginary part = {worst:.3e}"
 
 
-def _check_variance_nonnegative(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _variance_nonnegative(fx, rng):
     smallest = np.inf
-    for trial in range(400):
-        space = build_spin_space(1 + trial % 8)
-        state = random_state(space, rng)
+    for state in _random_states(rng, 400):
         for axis in (1, 2, 3):
-            smallest = min(smallest, variance(state, stokes_operator(space, axis)))
-    return CheckResult(
-        "variance-nonnegative", smallest >= 0.0, f"min clamped variance = {smallest:.3e}"
-    )
+            smallest = min(smallest, variance(state, stokes_operator(state.space, axis)))
+    return smallest >= 0.0, f"min clamped variance = {smallest:.3e}"
 
 
-def _check_exponential_unitarity(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _exponential_unitarity(fx, rng):
     worst = 0.0
-    for trial in range(200):
-        space = build_spin_space(1 + trial % 8)
-        state = random_state(space, rng)
-        axis = 1 + trial % 3
+    for trial, state in enumerate(_random_states(rng, 200)):
         angle = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
-        unitary = hermitian_exponential(stokes_operator(space, axis), 1j * angle)
+        unitary = hermitian_exponential(stokes_operator(state.space, 1 + trial % 3), 1j * angle)
         worst = max(worst, abs(np.linalg.norm(unitary @ state.amplitudes) - 1.0))
-    return CheckResult(
-        "exponential-unitarity", worst < 1e-12, f"max norm drift = {worst:.3e}"
-    )
+    return worst < 1e-12, f"max norm drift = {worst:.3e}"
 
 
-def _check_coherent_closed_form() -> CheckResult:
+def _coherent_closed_form(fx, rng):
     worst = 0.0
     for num in (1, 2, 3, 6):
         space = build_spin_space(num)
@@ -277,34 +307,26 @@ def _check_coherent_closed_form() -> CheckResult:
                     coherent_state_closed_form(space, theta, phi),
                 )
                 worst = max(worst, infidelity)
-    return CheckResult(
-        "coherent-closed-form", worst < 1e-12, f"max infidelity = {worst:.3e}"
-    )
+    return worst < 1e-12, f"max infidelity = {worst:.3e}"
 
 
-def _check_qwp_amplitudes() -> CheckResult:
+def _qwp_amplitudes(fx, rng):
     worst = 0.0
     for t in np.linspace(0.0, 1.8, 50):
         infidelity = 1.0 - fidelity(qwp_apply(triphoton_raw(t)), triphoton_state(t))
         worst = max(worst, infidelity)
-    return CheckResult(
-        "qwp-amplitude-consistency",
-        worst < 1e-12,
-        f"max infidelity QWP(raw) vs closed form = {worst:.3e} (50 T values)",
-    )
+    return worst < 1e-12, f"max infidelity QWP(raw) vs closed form = {worst:.3e} (50 T values)"
 
 
-def _check_vpp_route() -> CheckResult:
+def _vpp_route(fx, rng):
     seed = triphoton_seed()
     worst = 0.0
     for t in np.linspace(0.0, 1.8, 50):
         worst = max(worst, 1.0 - fidelity(vpp_apply(seed, t), triphoton_raw(t)))
-    return CheckResult(
-        "vpp-route", worst < 1e-12, f"max infidelity VPP(seed) vs closed form = {worst:.3e}"
-    )
+    return worst < 1e-12, f"max infidelity VPP(seed) vs closed form = {worst:.3e}"
 
 
-def _check_triphoton_normalization() -> CheckResult:
+def _triphoton_normalization(fx, rng):
     ts = np.linspace(0.0, 1.8, 200)
     amps = [triphoton_amplitudes(t) for t in ts]
     worst = max(abs(2.0 * c2**2 + 2.0 * c3**2 - 1.0) for c2, c3 in amps)
@@ -312,68 +334,36 @@ def _check_triphoton_normalization() -> CheckResult:
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     c3_positive = all(c3 > 0 for _, c3 in amps)
     ok = worst < 1e-12 and flips == 1 and c3_positive
-    return CheckResult(
-        "triphoton-normalization",
-        ok,
-        f"max |2c2^2+2c3^2-1| = {worst:.3e}, c2 sign flips = {flips}, c3>0 = {c3_positive}",
-    )
+    return ok, f"max |2c2^2+2c3^2-1| = {worst:.3e}, c2 sign flips = {flips}, c3>0 = {c3_positive}"
 
 
-def _triphoton_matrix_metrics(t: float):
-    state = triphoton_state(t)
-    mean = mean_polarization(state)
-    frame = bloch_frame(mean)
-    ellipse = variance_ellipse(state, frame)
-    return state, mean, frame, ellipse
-
-
-def _check_ellipse_oracle() -> CheckResult:
+def _ellipse_oracle(fx, rng):
     worst = 0.0
-    for t in np.linspace(0.0, 1.8, 200):
-        _, _, _, ellipse = _triphoton_matrix_metrics(t)
+    for t, _, ellipse in fx.family:
         closed = analytic_ellipse(t)
-        worst = max(
-            worst,
-            abs(ellipse.A - closed.A),
-            abs(ellipse.B),
-            abs(ellipse.C - closed.C),
-        )
-    return CheckResult(
-        "ellipse-oracle-agreement",
-        worst < 1e-10,
-        f"max |matrix - closed form| over A,B,C = {worst:.3e} (200 T values)",
-    )
+        worst = max(worst, abs(ellipse.A - closed.A), abs(ellipse.B), abs(ellipse.C - closed.C))
+    return worst < 1e-10, f"max |matrix - closed form| over A,B,C = {worst:.3e} (200 T values)"
 
 
-def _check_variance_oracle() -> CheckResult:
+def _variance_oracle(fx, rng):
     worst = 0.0
-    for t in np.linspace(0.0, 1.8, 200):
-        _, _, _, ellipse = _triphoton_matrix_metrics(t)
+    for t, _, ellipse in fx.family:
         v_minus, v_plus = extremal_variances(ellipse)
         a_minus, a_plus = analytic_variances(t)
         worst = max(worst, abs(v_minus - a_minus), abs(v_plus - a_plus))
-    return CheckResult(
-        "variance-oracle-agreement",
-        worst < 1e-10,
-        f"max |matrix - closed form| over V-+ = {worst:.3e} (200 T values)",
-    )
+    return worst < 1e-10, f"max |matrix - closed form| over V-+ = {worst:.3e} (200 T values)"
 
 
-def _check_mean_oracle() -> CheckResult:
+def _mean_oracle(fx, rng):
     worst_s3 = worst_perp = 0.0
-    for t in np.linspace(0.0, 1.8, 200):
-        mean = mean_polarization(triphoton_state(t))
+    for t, mean, _ in fx.family:
         worst_s3 = max(worst_s3, abs(mean.components[2] - analytic_mean_s3(t)))
         worst_perp = max(worst_perp, abs(mean.components[0]), abs(mean.components[1]))
     ok = worst_s3 < 1e-10 and worst_perp < 1e-12
-    return CheckResult(
-        "mean-oracle-agreement",
-        ok,
-        f"max |<S3> - closed form| = {worst_s3:.3e}, max |<S1>|,|<S2>| = {worst_perp:.3e}",
-    )
+    return ok, f"max |<S3> - closed form| = {worst_s3:.3e}, max |<S1>|,|<S2>| = {worst_perp:.3e}"
 
 
-def _check_landmarks() -> CheckResult:
+def _landmarks(fx, rng):
     failures = []
     report0 = squeezing_report(triphoton_state(0.0))
     for label, value, target in (
@@ -408,41 +398,29 @@ def _check_landmarks() -> CheckResult:
     if abs(qfi_pure(triphoton_state(1.0), (1.0, 0.0, 0.0)) - 7.0) > 1e-10:
         failures.append("QFI(T=1, S1)")
     detail = "T=0 baseline, T=1 squeezing, T=sqrt(3) NOON point"
-    if failures:
-        detail = "; ".join(failures)
-    return CheckResult("squeezing-landmarks", not failures, detail)
+    return not failures, "; ".join(failures) or detail
 
 
-def _check_chi2_monotone() -> CheckResult:
+def _chi2_monotone(fx, rng):
     ts = np.linspace(0.0, SQRT3, 200)
     chi2 = [squeezing_report(triphoton_state(t)).chi2 for t in ts]
-    rises = max(
-        (b - a for a, b in zip(chi2, chi2[1:])), default=0.0
-    )
-    return CheckResult(
-        "chi2-monotone",
-        rises <= 1e-12,
-        f"max increase along [0, sqrt(3)] = {rises:.3e} (200 T values)",
-    )
+    rises = max((b - a for a, b in zip(chi2, chi2[1:])), default=0.0)
+    return rises <= 1e-12, f"max increase along [0, sqrt(3)] = {rises:.3e} (200 T values)"
 
 
-def _check_xi2_minimum() -> CheckResult:
+def _xi2_minimum(fx, rng):
     ts = np.linspace(0.0, 1.8, 181)
     xi2 = np.array([squeezing_report(triphoton_state(t)).xi2 for t in ts])
     idx = int(np.argmin(xi2))
     unique = np.sum(np.abs(xi2 - xi2[idx]) < 1e-12) == 1
     ok = unique and abs(ts[idx] - 1.0) < 1e-9 and abs(xi2[idx] - 1.0 / 3.0) < 1e-10
-    return CheckResult(
-        "xi2-minimum", ok, f"grid minimum {xi2[idx]:.12f} at T = {ts[idx]:.12f}"
-    )
+    return ok, f"grid minimum {xi2[idx]:.12f} at T = {ts[idx]:.12f}"
 
 
-def _check_polarization_flip() -> CheckResult:
-    ts = np.linspace(0.0, 1.8, 200)
+def _polarization_flip(fx, rng):
     ok = True
     worst_perp = 0.0
-    for t in ts:
-        mean = mean_polarization(triphoton_state(t))
+    for t, mean, _ in fx.family:
         s3 = mean.components[2]
         worst_perp = max(worst_perp, abs(mean.components[0]), abs(mean.components[1]))
         if t < SQRT3 and s3 <= 0:
@@ -451,14 +429,10 @@ def _check_polarization_flip() -> CheckResult:
             ok = False
     at_flip = abs(mean_polarization(triphoton_state(SQRT3)).components[2])
     ok = ok and at_flip < 1e-12 and worst_perp < 1e-12
-    return CheckResult(
-        "polarization-flip",
-        ok,
-        f"|<S3>(sqrt 3)| = {at_flip:.3e}, max transverse component = {worst_perp:.3e}",
-    )
+    return ok, f"|<S3>(sqrt 3)| = {at_flip:.3e}, max transverse component = {worst_perp:.3e}"
 
 
-def _check_zeta2_extremum() -> CheckResult:
+def _zeta2_extremum(fx, rng):
     def zeta2_closed(t):
         v_minus, _ = analytic_variances(t)
         return 3.0 * v_minus / analytic_mean_s3(t) ** 2
@@ -469,12 +443,10 @@ def _check_zeta2_extremum() -> CheckResult:
     report = squeezing_report(triphoton_state(t_min))
     matrix_matches = abs(report.zeta2 - z_min) < 1e-9
     ok = abs(t_min - 0.81) <= 0.02 and abs(z_min - 0.58) <= 0.01 and matrix_matches
-    return CheckResult(
-        "zeta2-extremum", ok, f"min zeta^2 = {z_min:.6f} at T = {t_min:.6f}"
-    )
+    return ok, f"min zeta^2 = {z_min:.6f} at T = {t_min:.6f}"
 
 
-def _check_noon_metrics() -> CheckResult:
+def _noon_metrics(fx, rng):
     failures = []
     for num in range(2, 9):
         spin = num / 2.0
@@ -495,19 +467,17 @@ def _check_noon_metrics() -> CheckResult:
     report1 = squeezing_report(noon_state(1, FAMILY_NOON_PHASE))
     if abs(report1.chi2 - 1.0) > 1e-12 or abs(report1.xi2 - 1.0) > 1e-10:
         failures.append("N=1 chi2/xi2")
-    detail = "N=2..8 Heisenberg scaling chi^2 = 1/N" if not failures else "; ".join(failures)
-    return CheckResult("noon-metrics", not failures, detail)
+    return not failures, "; ".join(failures) or "N=2..8 Heisenberg scaling chi^2 = 1/N"
 
 
-def _check_gamma_scan(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _gamma_scan(fx, rng):
     worst_value = 0.0
     worst_angle = 0.0
     family_ok = True
 
-    def examine(state, fallback=None):
+    def examine(state):
         nonlocal worst_value, worst_angle
-        report = squeezing_report(state, fallback)
+        report = squeezing_report(state)
         scan = scan_transverse_variance(state, report.frame, samples=3600)
         worst_value = max(
             worst_value,
@@ -525,53 +495,35 @@ def _check_gamma_scan(seed: int) -> CheckResult:
         report = examine(triphoton_state(t))
         if t > 0 and abs(report.ellipse.gamma_opt - math.pi) > 1e-12:
             family_ok = False
-    for trial in range(10):
-        examine(random_state(build_spin_space(1 + trial % 8), rng))
+    for state in _random_states(rng, 10):
+        examine(state)
     ok = worst_value < 1e-10 and worst_angle < 1e-6 and family_ok
-    return CheckResult(
-        "gamma-scan-optimality",
-        ok,
+    return ok, (
         f"max |scan - formula| = {worst_value:.3e}, max argmin offset = "
-        f"{worst_angle:.3e} rad, family gamma_opt = pi: {family_ok}",
+        f"{worst_angle:.3e} rad, family gamma_opt = pi: {family_ok}"
     )
 
 
-def _check_uncertainty_bound(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _uncertainty_bound(fx, rng):
     worst = np.inf
-    for trial in range(1000):
-        state = random_state(build_spin_space(1 + trial % 8), rng)
+    for state in _random_states(rng, 1000):
         report = squeezing_report(state)
         margin = report.v_minus * report.v_plus - report.mean.length**2 / 4.0
         worst = min(worst, margin)
-    return CheckResult(
-        "uncertainty-bound",
-        worst >= -1e-10,
-        f"min V-V+ - |<S_n3>|^2/4 = {worst:.3e} (1000 random states)",
-    )
+    return worst >= -1e-10, f"min V-V+ - |<S_n3>|^2/4 = {worst:.3e} (1000 random states)"
 
 
-def _husimi_test_states(rng):
-    for num in range(0, 9):  # spins s <= 4
-        space = build_spin_space(num)
-        yield random_state(space, rng)
-        yield coherent_state(space, 0.9, 2.1)
-
-
-def _check_husimi_normalization(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _husimi_normalization(fx, rng):
     grid = SphereGrid(256, 256, scheme="midpoint")
     worst = 0.0
-    for state in _husimi_test_states(rng):
-        worst = max(worst, abs(q_grid(state, grid).normalization_estimate - 1.0))
-    return CheckResult(
-        "husimi-normalization",
-        worst < 1e-6,
-        f"max |estimate - 1| = {worst:.3e} (256x256 midpoint grid, s <= 4)",
-    )
+    for num in range(0, 9):  # spins s <= 4
+        space = build_spin_space(num)
+        for state in (random_state(space, rng), coherent_state(space, 0.9, 2.1)):
+            worst = max(worst, abs(q_grid(state, grid).normalization_estimate - 1.0))
+    return worst < 1e-6, f"max |estimate - 1| = {worst:.3e} (256x256 midpoint grid, s <= 4)"
 
 
-def _check_husimi_features() -> CheckResult:
+def _husimi_features(fx, rng):
     failures = []
     grid = SphereGrid(181, 360, scheme="endpoint")
 
@@ -601,17 +553,12 @@ def _check_husimi_features() -> CheckResult:
         failures.append("vacuum Q not identically 1")
 
     detail = "coherent center, squeezed center, NOON poles and threefold symmetry"
-    if failures:
-        detail = "; ".join(failures)
-    return CheckResult("husimi-features", not failures, detail)
+    return not failures, "; ".join(failures) or detail
 
 
-def _check_husimi_rotation(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _husimi_rotation(fx, rng):
     worst = 0.0
-    for trial in range(5):
-        space = build_spin_space(1 + trial % 6)
-        state = random_state(space, rng)
+    for state in _random_states(rng, 5):
         alpha = rng.uniform(0.0, 2.0 * np.pi)
         rotated = rotate(state, 1, alpha)  # shifts the azimuth by +alpha
         for _ in range(20):
@@ -619,38 +566,58 @@ def _check_husimi_rotation(seed: int) -> CheckResult:
             phi = rng.uniform(0.0, 2.0 * np.pi)
             defect = abs(q_value(rotated, theta, phi) - q_value(state, theta, phi - alpha))
             worst = max(worst, defect)
-    return CheckResult(
-        "husimi-rotation-covariance", worst < 1e-10, f"max |Q drift| = {worst:.3e}"
-    )
+    return worst < 1e-10, f"max |Q drift| = {worst:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
+
+
+class Check(NamedTuple):
+    name: str
+    seed_offset: int | None
+    func: Callable[[_Fixtures, np.random.Generator | None], tuple[bool, str]]
+
+
+#: every check in run order; a name appears here and nowhere else
+CHECKS = (
+    Check("su2-commutators", None, _su2_commutators),
+    Check("casimir-invariant", None, _casimir),
+    Check("s0-commutes", None, _s0_commutes),
+    Check("ladder-adjoint", None, _ladder_adjoint),
+    Check("expectation-real", 0, _expectation_real),
+    Check("variance-nonnegative", 1, _variance_nonnegative),
+    Check("exponential-unitarity", 2, _exponential_unitarity),
+    Check("coherent-closed-form", None, _coherent_closed_form),
+    Check("qwp-amplitude-consistency", None, _qwp_amplitudes),
+    Check("vpp-route", None, _vpp_route),
+    Check("triphoton-normalization", None, _triphoton_normalization),
+    Check("ellipse-oracle-agreement", None, _ellipse_oracle),
+    Check("variance-oracle-agreement", None, _variance_oracle),
+    Check("mean-oracle-agreement", None, _mean_oracle),
+    Check("squeezing-landmarks", None, _landmarks),
+    Check("chi2-monotone", None, _chi2_monotone),
+    Check("xi2-minimum", None, _xi2_minimum),
+    Check("polarization-flip", None, _polarization_flip),
+    Check("zeta2-extremum", None, _zeta2_extremum),
+    Check("noon-metrics", None, _noon_metrics),
+    Check("gamma-scan-optimality", 3, _gamma_scan),
+    Check("uncertainty-bound", 4, _uncertainty_bound),
+    Check("husimi-normalization", 5, _husimi_normalization),
+    Check("husimi-features", None, _husimi_features),
+    Check("husimi-rotation-covariance", 6, _husimi_rotation),
+)
 
 
 def run_checks(ladder_perturbation: float = 0.0, seed: int = 20260809) -> list[CheckResult]:
-    """Run the whole suite; `ladder_perturbation` is a harness hook that
-    corrupts the ladder coefficients inside the algebra checks."""
-    return [
-        _check_su2_commutators(ladder_perturbation),
-        _check_casimir(ladder_perturbation),
-        _check_s0_commutes(),
-        _check_ladder_adjoint(),
-        _check_expectation_real(seed),
-        _check_variance_nonnegative(seed + 1),
-        _check_exponential_unitarity(seed + 2),
-        _check_coherent_closed_form(),
-        _check_qwp_amplitudes(),
-        _check_vpp_route(),
-        _check_triphoton_normalization(),
-        _check_ellipse_oracle(),
-        _check_variance_oracle(),
-        _check_mean_oracle(),
-        _check_landmarks(),
-        _check_chi2_monotone(),
-        _check_xi2_minimum(),
-        _check_polarization_flip(),
-        _check_zeta2_extremum(),
-        _check_noon_metrics(),
-        _check_gamma_scan(seed + 3),
-        _check_uncertainty_bound(seed + 4),
-        _check_husimi_normalization(seed + 5),
-        _check_husimi_features(),
-        _check_husimi_rotation(seed + 6),
-    ]
+    """Run every check of `CHECKS` in order; `ladder_perturbation` is a
+    harness hook that corrupts the ladder coefficients inside the algebra
+    checks."""
+    fixtures = _Fixtures(ladder_perturbation)
+    results = []
+    for name, offset, check in CHECKS:
+        rng = None if offset is None else np.random.default_rng(seed + offset)
+        passed, detail = check(fixtures, rng)
+        results.append(CheckResult(name, bool(passed), detail))
+    return results

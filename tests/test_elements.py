@@ -204,6 +204,17 @@ class TestRotate:
         with pytest.raises(ValueError):
             rotate(random_state(SPACE3, RNG), True, 1.0)
 
+    @pytest.mark.parametrize(
+        "direction",
+        [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0), (math.nan, 0.0, 0.0), (1.0, 1.0, 0.0)],
+        ids=["4-vector", "2-vector", "nan", "not-unit"],
+    )
+    def test_malformed_direction_rejected(self, direction):
+        # the rule qfi_pure applies to its direction, with its message
+        state = random_state(SPACE3, RNG)
+        with pytest.raises(ValueError, match="direction must be a unit 3-vector"):
+            rotate_about(state, direction, 0.7)
+
     def test_qwp_matrix_is_unitary(self):
         mat = _qwp_matrix(3)
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-13)

@@ -15,6 +15,7 @@ from stokes_squeeze import (
     variance,
 )
 from stokes_squeeze.spin_core import (
+    _image_variance,
     _s2_eigenbasis,
     _stokes_band,
     _stokes_combination,
@@ -158,6 +159,22 @@ class TestExpectationVariance:
         assert variance(state, stokes_operator(space, 1)) == pytest.approx(
             2.25, abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "num_photons, window", [(1, 1e-12), (8, 1e-12), (31, 1e-12), (512, 2.3465e-10)]
+    )
+    def test_variance_clamp_window(self, num_photons, window):
+        # amplitudes of norm 1 + delta against an image of norm 1 give a
+        # variance of 1 - (1 + delta)^2 ~ -2 delta
+        def raw_variance(target):
+            amps = np.zeros(num_photons + 1, dtype=complex)
+            image = amps.copy()
+            amps[0], image[0] = 1.0 - target / 2.0, 1.0
+            return _image_variance(amps, image)
+
+        assert raw_variance(-0.9 * window) == 0.0
+        with pytest.raises(ArithmeticError, match="below the round-off window"):
+            raw_variance(-1.1 * window)
 
     def test_expectation_real_on_random_states(self):
         for trial in range(200):

@@ -293,6 +293,18 @@ class TestQfiPure:
         with pytest.raises(ValueError):
             qfi_pure(triphoton_state(1.0), (math.nan, 0.0, 0.0))
 
+    @pytest.mark.parametrize("num_photons", [128, 255, 512])
+    def test_coherent_state_along_its_mean_at_large_n(self, num_photons):
+        # the true variance along the mean is 0; its round-off reaches about
+        # 3 eps (s+1)^2 below zero, beyond an absolute 1e-12 from N ~ 128 on
+        space = build_spin_space(num_photons)
+        rng = np.random.default_rng(1000 + num_photons)
+        for _ in range(20):
+            theta, phi = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+            state = coherent_state(space, theta, phi)
+            direction = squeezing_report(state).frame.n3
+            assert qfi_pure(state, direction) == pytest.approx(0.0, abs=1e-8)
+
     @pytest.mark.parametrize("num_photons", [1, 3, 16, 128])
     def test_equals_dense_operator_route(self, num_photons):
         # the banded generator reproduces 4 variance(d.S) of the dense sum exactly

@@ -22,9 +22,10 @@ from stokes_squeeze import (
     variance,
     vpp_apply,
 )
-from stokes_squeeze.squeezing import bloch_frame, _transverse_operators
+from stokes_squeeze.squeezing import bloch_frame
 from stokes_squeeze.spin_core import HermitianOperator, _stokes_matrices
 from stokes_squeeze.states import basis_state
+from stokes_squeeze.verify import _transverse_operators
 
 SQRT3 = math.sqrt(3.0)
 SPACE3 = build_spin_space(3)

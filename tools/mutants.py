@@ -1,0 +1,145 @@
+"""Mutation gate: each listed source mutation must fail the tier-1 suite.
+
+Every mutant is a fresh copy of `src/`, `tests/` and `bench/` (read by
+`tests/test_golden.py` for the recorded digests) in a temporary directory,
+with one textual edit applied to one source file.  On each copy the script
+runs the tier-1 suite and `stokes-squeeze verify`, and records
+
+* the tests that fail on the mutant but not on the unmutated copy (the suite
+  has a deliberate failure, acceptance 04, which never counts as a kill), and
+* the names of the `verify` checks that print FAIL, or the error it exits with.
+
+It prints one table row per mutant and exits 1 if tier-1 passes on any of
+them, or if an edit no longer matches its source exactly once.  Standard
+library only; nothing outside the temporary directory is written.
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = "src/stokes_squeeze"
+
+#: (name, file, text, replacement): each text must occur exactly once
+MUTANTS = (
+    (
+        "beta-atan2-d2-d3",
+        "elements.py",
+        "beta = math.atan2(d[1], -d[2])",
+        "beta = math.atan2(d[1], d[2])",
+    ),
+    (
+        "alpha-negated",
+        "elements.py",
+        "_s1_phases(space, angle) * amps",
+        "_s1_phases(space, -angle) * amps",
+    ),
+    (
+        "d2-sign-flipped",
+        "spin_core.py",
+        "band = d[0] * b1 + d[1] * b2 + d[2] * b3",
+        "band = d[0] * b1 - d[1] * b2 + d[2] * b3",
+    ),
+    (
+        "band-hermiticity-removed",
+        "spin_core.py",
+        "    if not defect <= HERMITICITY_TOL:\n        raise",
+        "    if False:\n        raise",
+    ),
+    (
+        "v-minus-scaled-0.999",
+        "squeezing.py",
+        "v_minus = (ellipse.C - spread) / 2.0",
+        "v_minus = 0.999 * (ellipse.C - spread) / 2.0",
+    ),
+    (
+        "ladder-coefficient-perturbed",
+        "spin_core.py",
+        "mat[k - 1, k] = np.sqrt((space.spin - n) * (space.spin + n + 1))",
+        "mat[k - 1, k] = np.sqrt((space.spin - n) * (space.spin + n + 1))"
+        " + (1e-6 if k == 1 else 0.0)",
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    for part in ("src", "tests", "bench"):
+        shutil.copytree(
+            ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
+        )
+
+
+def _mutate(dest: Path, filename: str, text: str, replacement: str) -> None:
+    path = dest / PACKAGE / filename
+    source = path.read_text()
+    count = source.count(text)
+    if count != 1:
+        raise SystemExit(f"mutation text occurs {count} times in {filename}: {text!r}")
+    path.write_text(source.replace(text, replacement))
+
+
+def _run(dest: Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], cwd=dest, env=env, capture_output=True, text=True
+    )
+
+
+def _failing_tests(dest: Path) -> set[str]:
+    proc = _run(
+        dest, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+        "--continue-on-collection-errors", "tests",
+    )
+    failing = set()
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            failing.add(line.split(" ", 1)[1].split(" - ", 1)[0])
+    if proc.returncode not in (0, 1) and not failing:
+        failing.add(f"pytest exit {proc.returncode}")
+    return failing
+
+
+def _verify_failures(dest: Path) -> str:
+    proc = _run(dest, "-m", "stokes_squeeze.cli", "verify")
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    if proc.returncode not in (0, 1) or (proc.returncode == 1 and not failed):
+        return (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+    return ", ".join(failed) or "none"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "unmutated"
+        _copy_tree(base)
+        baseline = _failing_tests(base)
+        print(f"unmutated: tier-1 failures {sorted(baseline) or 'none'}; "
+              f"verify FAIL: {_verify_failures(base)}")
+        print("| mutant | tier-1 | new failing tests | verify FAIL |")
+        print("|---|---|---|---|")
+        survivors = []
+        for name, filename, text, replacement in MUTANTS:
+            dest = Path(tmp) / name
+            _copy_tree(dest)
+            _mutate(dest, filename, text, replacement)
+            new = _failing_tests(dest) - baseline
+            if not new:
+                survivors.append(name)
+            verdict = "killed" if new else "SURVIVED"
+            print(f"| {name} | {verdict} | {len(new)} | {_verify_failures(dest)} |", flush=True)
+    if survivors:
+        print(f"tier-1 passes on: {', '.join(survivors)}")
+        return 1
+    print(f"tier-1 kills all {len(MUTANTS)} mutants")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
