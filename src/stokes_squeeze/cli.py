@@ -5,9 +5,7 @@ Output files are byte-identical across runs for identical invocations; CSV
 renders real numbers with 12 significant digits and an unbounded zeta^2 as an
 empty field.  The husimi CSV is streamed one theta row per `%` format call;
 its grid is bounded by `husimi.MAX_GRID_ENTRIES` (2^21 entries per array).
-Every float argument must be finite.  Sweeps run serially;
-STOKES_SQUEEZE_THREADS is still validated (a positive integer, otherwise the
-sweep fails) but no longer changes anything.
+Every float argument must be finite.  Sweeps run serially.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -44,17 +41,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return format(float(value), ".12g")
-
-
-def _check_thread_env() -> None:
-    """Validate STOKES_SQUEEZE_THREADS; a valid value has no effect."""
-    raw = os.environ.get("STOKES_SQUEEZE_THREADS", "1")
-    try:
-        valid = int(raw) >= 1
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(f"STOKES_SQUEEZE_THREADS must be a positive integer, got {raw!r}")
 
 
 def _check_finite(args) -> None:
@@ -162,7 +148,6 @@ def _meta(command: str, parameters: dict, space: SpinSpace) -> dict:
 
 def cmd_sweep(args) -> int:
     samples = sweep_samples(args.t_min, args.t_max, args.steps)
-    _check_thread_env()
     records = [sweep_record(t_ratio) for t_ratio in samples]
     if args.format == "csv":
         lines = [",".join(SWEEP_FIELDS)]

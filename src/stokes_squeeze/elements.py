@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_core import (
+    CACHED_SIZES,
     PolarizationState,
     SpinSpace,
     _s1_phases,
@@ -99,7 +100,7 @@ def vpp_success_probability(state: PolarizationState, t_ratio: float) -> float:
     return float(np.sum(np.abs(weights * state.amplitudes) ** 2))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_SIZES)
 def _qwp_matrix(num_photons: int) -> np.ndarray:
     space = SpinSpace(num_photons)
     mat = hermitian_exponential(stokes_operator(space, 2), 1j * np.pi / 2)

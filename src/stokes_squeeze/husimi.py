@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import PolarizationState
+from .spin_core import CACHED_SIZES, PolarizationState
 from .states import coherent_state_closed_form
 
 THETA_SCHEMES = ("midpoint", "endpoint")
@@ -25,7 +25,7 @@ THETA_SCHEMES = ("midpoint", "endpoint")
 MAX_GRID_ENTRIES = 2**21
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_SIZES)
 def _chebyshev_weights(n: int) -> np.ndarray:
     """Quadrature weights for integral_{-1}^{1} f(p) dp at p_k = cos(theta_k),
     theta_k = (k + 1/2) pi / n.

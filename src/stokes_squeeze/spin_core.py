@@ -3,15 +3,20 @@
 N photons shared by a horizontal and a vertical polarization mode map onto a
 spin s = N/2.  The basis |s,n> = |s+n, s-n>_HV diagonalizes the population
 imbalance S1 and is ordered by descending n, so index 0 is |N,0>_HV and the
-last index is |0,N>_HV.  All operators are small dense complex matrices;
-every value is immutable after construction.
+last index is |0,N>_HV.  Every value is immutable after construction.
+
+Every Stokes and ladder array derives from the N ladder coefficients
+c = sqrt((s-n)(s+n+1)) of S+: `_stokes_band` computes the 3N+1 band entries
+of S1, S2 and S3 from c, `_stokes_matrices` writes them into dense read-only
+matrices, and `stokes_operator` wraps those without a copy (S0 = s I is built
+on request).  Size-keyed caches keep at most CACHED_SIZES entries each.
 
 SU(2) rotations never exponentiate a dense generator.  S1 is diagonal, so
 exp(-i x S1) is a vector of phases, and
 exp(-i x S2) = V diag(e^{-i x (k - s)}) V^T comes from one eigendecomposition
 of the real symmetric S2 per photon number, cached and validated when it is
 first built.  After that one O(N^3) `eigh`,
-each factor costs O(N^2), and V keeps 8 (N+1)^2 bytes resident per N.
+each factor costs O(N^2), and V keeps 8 (N+1)^2 bytes resident per cached N.
 `hermitian_exponential` stays as the dense route the tests compare against.
 
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
@@ -40,6 +45,9 @@ VARIANCE_CLAMP = 1e-12
 #: c eps of the variance clamp window max(VARIANCE_CLAMP, c eps (s+1)^2);
 #: c = 16 keeps the window at VARIANCE_CLAMP up to N = 31
 VARIANCE_ROUNDOFF = 16 * np.finfo(float).eps
+#: entries each size-keyed cache keeps (photon numbers, or grid sizes in
+#: `husimi`); 16 covers N = 0..12 and three large sizes without eviction
+CACHED_SIZES = 16
 
 
 class SpaceMismatchError(ValueError):
@@ -166,48 +174,53 @@ class LadderOperator:
         object.__setattr__(self, "matrix", _readonly(mat))
 
 
-@functools.lru_cache(maxsize=None)
-def _ladder_plus_matrix(num_photons: int) -> np.ndarray:
-    """Matrix of S+ with elements S+|s,n> = sqrt((s-n)(s+n+1)) |s,n+1>."""
-    space = SpinSpace(num_photons)
-    dim = space.dimension
-    mat = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):          # |s,n+1> sits one index above |s,n>
-        n = space.n_values[k]
-        mat[k - 1, k] = np.sqrt((space.spin - n) * (space.spin + n + 1))
-    return _readonly(mat)
+def _ladder_coefficients(space: SpinSpace) -> np.ndarray:
+    """c = sqrt((s-n)(s+n+1)) of S+|s,n> = c |s,n+1>, for n = s-1 down to -s.
+
+    Entry k - 1 belongs to the basis pair (k - 1, k): |s,n+1> sits one index
+    above |s,n>.  Every Stokes and ladder array is built from these N numbers.
+    """
+    n = space.n_values[1:]
+    return np.sqrt((space.spin - n) * (space.spin + n + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
-    """(S0, S1, S2, S3) on the spin-N/2 space, each read-only."""
-    space = SpinSpace(num_photons)
-    sp = _ladder_plus_matrix(num_photons)
-    sm = sp.conj().T
-    s0 = space.spin * np.eye(space.dimension, dtype=complex)
-    s1 = np.diag(space.n_values).astype(complex)
-    s2 = (sp + sm) / 2
-    s3 = (sp - sm) / 2j
-    return tuple(_readonly(m) for m in (s0, s1, s2, s3))
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_SIZES)
 def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
     """(flat indices, mirror, S1, S2, S3 entries) on the three diagonals.
 
     Flat indices point into the (N+1)^2 matrix and come in three runs: the
     main diagonal (N+1 entries), then the upper and the lower diagonal (N
     each).  `mirror[i]` is the position of the transposed entry of entry i.
-    The entries are copied from `_stokes_matrices`; every array is read-only.
+    S1 holds n, S2 = (S+ + S-)/2 holds c/2 and S3 = (S+ - S-)/(2i) holds
+    +-c/(2i), each as the dense (S+ +- S-) arithmetic evaluates it there,
+    signed zeros included.  Every array is read-only.
     """
-    dim = num_photons + 1
+    space = SpinSpace(num_photons)
+    dim = space.dimension
     diagonal = np.arange(dim) * (dim + 1)
     flat = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[:-1] + dim])
     runs = np.arange(len(flat))
     mirror = np.concatenate([runs[:dim], runs[2 * dim - 1 :], runs[dim : 2 * dim - 1]])
-    _, s1, s2, s3 = _stokes_matrices(num_photons)
-    entries = (m.ravel()[flat] for m in (s1, s2, s3))
-    return tuple(_readonly(a) for a in (flat, mirror, *entries))
+    cc = _ladder_coefficients(space).astype(complex)
+    zeros = np.zeros(dim, dtype=complex)
+    s1 = np.concatenate([space.n_values.astype(complex), zeros[1:], zeros[1:]])
+    s2 = np.concatenate([zeros, cc / 2, cc / 2])
+    s3 = np.concatenate([zeros, cc / 2j, (0 - cc.conj()) / 2j])
+    return tuple(_readonly(a) for a in (flat, mirror, s1, s2, s3))
+
+
+def _band_matrix(num_photons: int, flat: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Zero-filled (N+1)^2 complex matrix holding `band` at `flat`."""
+    mat = np.zeros((num_photons + 1, num_photons + 1), dtype=complex)
+    np.put(mat, flat, band)
+    return mat
+
+
+@functools.lru_cache(maxsize=CACHED_SIZES)
+def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
+    """(S1, S2, S3) on the spin-N/2 space, dense and read-only, from the band."""
+    flat, _, *bands = _stokes_band(num_photons)
+    return tuple(_readonly(_band_matrix(num_photons, flat, band)) for band in bands)
 
 
 def _stokes_combination(space: SpinSpace, d) -> np.ndarray:
@@ -223,30 +236,25 @@ def _stokes_combination(space: SpinSpace, d) -> np.ndarray:
     defect = np.abs(band - band[mirror].conj()).max()
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
-    np.put(mat, flat, band)
-    return mat
-
-
-@functools.lru_cache(maxsize=None)
-def _stokes_operator(num_photons: int, which: int) -> HermitianOperator:
-    """One validated operator per (N, axis), sharing the cached matrix."""
-    return HermitianOperator(SpinSpace(num_photons), _stokes_matrices(num_photons)[which])
+    return _band_matrix(space.num_photons, flat, band)
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
     """Stokes operator S0, S1, S2 or S3 on `space`.
 
     S1 is diagonal with entries n; S2 = (S+ + S-)/2 and S3 = (S+ - S-)/(2i)
-    come from the ladder matrix elements; S0 = s * identity.  The operator is
-    built and checked for Hermiticity once per (N, axis) and then reused.
+    come from the ladder coefficients; S0 = s * identity is built on request.
+    S1..S3 share the cached read-only matrix of `_stokes_matrices`, which is
+    not copied but is checked for Hermiticity on every call.
     """
     if which not in (0, 1, 2, 3):
         raise ValueError(f"Stokes axis must be 0, 1, 2 or 3, got {which}")
-    return _stokes_operator(space.num_photons, which)
+    if which == 0:
+        return HermitianOperator(space, space.spin * np.eye(space.dimension, dtype=complex))
+    return HermitianOperator(space, _stokes_matrices(space.num_photons)[which - 1])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_SIZES)
 def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues k - s in ascending order, V) of S2, with V real orthogonal.
 
@@ -255,7 +263,7 @@ def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
     equal k - s, both within HERMITICITY_TOL.  The exact values k - s are
     returned.
     """
-    s2 = _stokes_matrices(num_photons)[2].real
+    s2 = _stokes_matrices(num_photons)[1].real
     eigvals, eigvecs = np.linalg.eigh(s2)
     dim = num_photons + 1
     exact = np.arange(dim) - num_photons / 2
@@ -296,7 +304,7 @@ def ladder_operator(space: SpinSpace, sign: int) -> LadderOperator:
     """Raising (+1) or lowering (-1) operator S+- = S2 +- i S3."""
     if sign not in (+1, -1):
         raise ValueError(f"ladder sign must be +1 or -1, got {sign}")
-    sp = _ladder_plus_matrix(space.num_photons)
+    sp = np.diag(_ladder_coefficients(space), k=1).astype(complex)
     return LadderOperator(space, sp if sign == +1 else sp.conj().T)
 
 
@@ -319,7 +327,11 @@ def _require_same_space(state: PolarizationState, op) -> None:
 def expectation(state: PolarizationState, op: HermitianOperator) -> float:
     """<psi|O|psi> for Hermitian O; the residual imaginary part must round off."""
     _require_same_space(state, op)
-    raw = np.vdot(state.amplitudes, op.matrix @ state.amplitudes)
+    return _real_expectation(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+
+
+def _real_expectation(raw: complex) -> float:
+    """Real part of a Hermitian expectation; the imaginary part must round off."""
     if abs(raw.imag) >= IMAG_TOL:
         raise ArithmeticError(
             f"expectation of a Hermitian operator has imaginary part {raw.imag:.3e}"
@@ -342,12 +354,8 @@ def variance(state: PolarizationState, op: HermitianOperator) -> float:
 
 def _image_variance(amps: np.ndarray, image: np.ndarray) -> float:
     """`variance` from the amplitudes and their image under the operator."""
-    mean = np.vdot(amps, image)
-    if abs(mean.imag) >= IMAG_TOL:
-        raise ArithmeticError(
-            f"expectation of a Hermitian operator has imaginary part {mean.imag:.3e}"
-        )
-    var = np.vdot(image, image).real - mean.real**2
+    mean = _real_expectation(np.vdot(amps, image))
+    var = np.vdot(image, image).real - mean**2
     if var < 0.0:
         # <O^2> and <O>^2 are each ~s^2, so their difference carries a few
         # ulps of s^2 of round-off; (amps.size + 1) / 2 is s + 1

@@ -29,10 +29,10 @@ import numpy as np
 from .spin_core import (
     PolarizationState,
     _image_variance,
+    _real_expectation,
     _stokes_combination,
+    _stokes_matrices,
     _unit_direction,
-    expectation,
-    stokes_operator,
 )
 from .states import triphoton_amplitudes
 
@@ -136,9 +136,8 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    comps = np.array(
-        [expectation(state, stokes_operator(state.space, i)) for i in (1, 2, 3)]
-    )
+    amps, stokes = state.amplitudes, _stokes_matrices(state.space.num_photons)
+    comps = np.array([_real_expectation(np.vdot(amps, s @ amps)) for s in stokes])
     length = float(np.linalg.norm(comps))
     if length > state.space.spin + 1e-12:
         raise ArithmeticError(

@@ -29,7 +29,6 @@ from .husimi import SphereGrid, q_grid, q_value
 from .spin_core import (
     HermitianOperator,
     PolarizationState,
-    _ladder_plus_matrix,
     _stokes_combination,
     build_spin_space,
     hermitian_exponential,
@@ -213,7 +212,7 @@ class _Fixtures:
         stokes = []
         for num in range(0, 13):
             space = build_spin_space(num)
-            raising = np.array(_ladder_plus_matrix(num))
+            raising = np.array(ladder_operator(space, +1).matrix)
             if self.ladder_perturbation and space.dimension >= 2:
                 raising[0, 1] += self.ladder_perturbation
             lowering = raising.conj().T
@@ -613,11 +612,15 @@ CHECKS = (
 def run_checks(ladder_perturbation: float = 0.0, seed: int = 20260809) -> list[CheckResult]:
     """Run every check of `CHECKS` in order; `ladder_perturbation` is a
     harness hook that corrupts the ladder coefficients inside the algebra
-    checks."""
+    checks.  A check that raises ArithmeticError or ValueError fails with
+    detail `error: <message>`, and the remaining checks still run."""
     fixtures = _Fixtures(ladder_perturbation)
     results = []
     for name, offset, check in CHECKS:
         rng = None if offset is None else np.random.default_rng(seed + offset)
-        passed, detail = check(fixtures, rng)
+        try:
+            passed, detail = check(fixtures, rng)
+        except (ArithmeticError, ValueError) as exc:
+            passed, detail = False, f"error: {exc}"
         results.append(CheckResult(name, bool(passed), detail))
     return results

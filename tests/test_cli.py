@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stokes_squeeze import cli
+from stokes_squeeze import cli, verify
 from stokes_squeeze.cli import SWEEP_FIELDS, _fmt, main, sweep_samples
 from stokes_squeeze.husimi import QGrid, q_grid
 
@@ -122,10 +122,6 @@ class TestSweep:
         monkeypatch.setenv("STOKES_SQUEEZE_THREADS", "4")
         assert main(["sweep", "--steps", "40", "--output", str(threaded)]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STOKES_SQUEEZE_THREADS", "zero")
-        assert main(["sweep", "--steps", "5", "--output", str(tmp_path / "x.csv")]) == 1
 
     def test_json_schema(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -386,3 +382,21 @@ class TestVerify:
         assert main(["verify", "--perturb-ladder", "1e-6"]) == 1
         text = capsys.readouterr().out
         assert "FAIL  su2-commutators" in text
+
+    def test_raising_dependency_fails_its_checks_only(self, capsys, monkeypatch):
+        # every check still prints its row; the ones that hit the error FAIL
+        def broken(*args, **kwargs):
+            raise ArithmeticError("S2 eigenvalues deviate from k - s by 1.000e-09")
+
+        monkeypatch.setattr(verify, "coherent_state", broken)
+        assert main(["verify"]) == 1
+        *rows, summary = capsys.readouterr().out.splitlines()
+        assert len(rows) == 25
+        assert [row.split()[1] for row in rows] == [check.name for check in verify.CHECKS]
+        failed = [row for row in rows if row.startswith("FAIL")]
+        assert [row.split()[1] for row in failed] == [
+            "coherent-closed-form", "husimi-normalization", "husimi-features",
+        ]
+        for row in failed:
+            assert row.endswith("error: S2 eigenvalues deviate from k - s by 1.000e-09")
+        assert summary == "22/25 checks passed"

@@ -267,7 +267,7 @@ class TestRotateAboutOracle:
     def test_matches_dense_exponential(self, num_photons):
         space = build_spin_space(num_photons)
         rng = np.random.default_rng(100 + num_photons)
-        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        s1, s2, s3 = _stokes_matrices(num_photons)
         axes = [
             (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),     # the poles, where theta = 0 or pi
             (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),      # the other basis axes

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,20 +110,87 @@ class TestStokesOperators:
             casimir, spin * (spin + 1) * np.eye(space.dimension), atol=1e-12
         )
 
-    def test_operator_cached_per_axis_without_copy(self):
-        # validated once per (N, axis); the cached matrix is shared, not copied
+    def test_operator_shares_cached_matrix_read_only(self):
+        # S1..S3 wrap the cached matrix without a copy; S0 is built per call
         space = build_spin_space(7)
-        for axis in (0, 1, 2, 3):
+        for axis in (1, 2, 3):
             op = stokes_operator(space, axis)
-            assert stokes_operator(build_spin_space(7), axis) is op
-            assert op.matrix is _stokes_matrices(7)[axis]
+            assert op.matrix is _stokes_matrices(7)[axis - 1]
             assert op.space == space
+        for axis in (0, 1, 2, 3):
+            matrix = stokes_operator(space, axis).matrix
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError):
             stokes_operator(build_spin_space(2), 4)
         with pytest.raises(ValueError):
             ladder_operator(build_spin_space(2), 0)
+
+
+def _dense_ladder_oracle(num_photons):
+    """(S+, S0, S1, S2, S3) from a dense S+ matrix, the original construction."""
+    space = build_spin_space(num_photons)
+    dim = space.dimension
+    sp = np.zeros((dim, dim), dtype=complex)
+    for k in range(1, dim):          # |s,n+1> sits one index above |s,n>
+        n = space.n_values[k]
+        sp[k - 1, k] = np.sqrt((space.spin - n) * (space.spin + n + 1))
+    sm = sp.conj().T
+    s0 = space.spin * np.eye(space.dimension, dtype=complex)
+    s1 = np.diag(space.n_values).astype(complex)
+    s2 = (sp + sm) / 2
+    s3 = (sp - sm) / 2j
+    return sp, s0, s1, s2, s3
+
+
+def _dense_band_oracle(num_photons):
+    """(flat, mirror, S1, S2, S3 entries), copied out of the dense oracle."""
+    dim = num_photons + 1
+    diagonal = np.arange(dim) * (dim + 1)
+    flat = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[:-1] + dim])
+    runs = np.arange(len(flat))
+    mirror = np.concatenate([runs[:dim], runs[2 * dim - 1 :], runs[dim : 2 * dim - 1]])
+    _, _, s1, s2, s3 = _dense_ladder_oracle(num_photons)
+    return (flat, mirror, *(m.ravel()[flat] for m in (s1, s2, s3)))
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    bits = (np.ascontiguousarray(a).view(np.uint64) for a in (actual, expected))
+    np.testing.assert_array_equal(*bits)
+
+
+class TestBandIsTheSource:
+    """Every Stokes array derived from the ladder band equals the dense
+    construction bit for bit, signed zeros included."""
+
+    SIZES = (0, 1, 2, 3, 8, 32, 128, 512)
+
+    @pytest.mark.parametrize("num_photons", SIZES)
+    def test_band_entries(self, num_photons):
+        for actual, expected in zip(
+            _stokes_band(num_photons), _dense_band_oracle(num_photons), strict=True
+        ):
+            _assert_bitwise(actual, expected)
+
+    @pytest.mark.parametrize("num_photons", SIZES)
+    def test_dense_matrices(self, num_photons):
+        _, _, *expected = _dense_ladder_oracle(num_photons)
+        for actual, oracle in zip(_stokes_matrices(num_photons), expected, strict=True):
+            _assert_bitwise(actual, oracle)
+            assert not actual.flags.writeable
+
+    @pytest.mark.parametrize("num_photons", SIZES)
+    def test_ladder_and_stokes_operators(self, num_photons):
+        space = build_spin_space(num_photons)
+        sp, *stokes = _dense_ladder_oracle(num_photons)
+        _assert_bitwise(ladder_operator(space, +1).matrix, sp)
+        _assert_bitwise(ladder_operator(space, -1).matrix, sp.conj().T)
+        for axis, oracle in enumerate(stokes):
+            _assert_bitwise(stokes_operator(space, axis).matrix, oracle)
 
 
 class TestExpectationVariance:
@@ -221,7 +293,7 @@ class TestS2Eigenbasis:
     @pytest.mark.parametrize("num_photons", [0, 1, 4, 33])
     def test_diagonalizes_s2(self, num_photons):
         eigvals, eigvecs = _s2_eigenbasis(num_photons)
-        s2 = _stokes_matrices(num_photons)[2]
+        s2 = _stokes_matrices(num_photons)[1]
         spin = num_photons / 2
         np.testing.assert_array_equal(eigvals, np.arange(num_photons + 1) - spin)
         np.testing.assert_allclose(
@@ -276,7 +348,7 @@ class TestStokesCombination:
     @pytest.mark.parametrize("num_photons", [1, 2, 3, 8, 32, 128, 512])
     def test_product_bitwise_equals_dense(self, num_photons):
         space = build_spin_space(num_photons)
-        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        s1, s2, s3 = _stokes_matrices(num_photons)
         rng = np.random.default_rng(num_photons)
         for d in COMBINATION_DIRECTIONS:
             dense = d[0] * s1 + d[1] * s2 + d[2] * s3
@@ -290,7 +362,7 @@ class TestStokesCombination:
     @pytest.mark.parametrize("num_photons", [0, 1, 5, 64])
     def test_band_entries_equal_dense_and_rest_zero(self, num_photons):
         space = build_spin_space(num_photons)
-        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        s1, s2, s3 = _stokes_matrices(num_photons)
         for d in COMBINATION_DIRECTIONS:
             banded = _stokes_combination(space, d)
             dense = d[0] * s1 + d[1] * s2 + d[2] * s3
@@ -380,3 +452,31 @@ class TestValidation:
         op = stokes_operator(build_spin_space(2), 2)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 1.0
+
+
+class TestBoundedMemory:
+    #: peak RSS of a process that reports once on each N = 1..200; numpy alone
+    #: takes about 30 MB, and caches keeping every N reached 259 MB
+    RSS_BOUND_MB = 128
+
+    def test_report_loop_stays_under_rss_bound(self):
+        # VmHWM is the peak of the child's own address space; its ru_maxrss
+        # would also count the test process it was spawned from, because
+        # Linux carries the peak of the pre-exec image across exec
+        script = (
+            "from stokes_squeeze import noon_state, squeezing_report\n"
+            "for n in range(1, 201):\n"
+            "    squeezing_report(noon_state(n, 0.3))\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(l.split()[1] for l in status if l.startswith('VmHWM:')))\n"
+        )
+        src = str(Path(spin_core.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert int(proc.stdout) / 1024 < self.RSS_BOUND_MB  # VmHWM is in kB

@@ -309,7 +309,7 @@ class TestQfiPure:
     def test_equals_dense_operator_route(self, num_photons):
         # the banded generator reproduces 4 variance(d.S) of the dense sum exactly
         space = build_spin_space(num_photons)
-        _, s1, s2, s3 = _stokes_matrices(num_photons)
+        s1, s2, s3 = _stokes_matrices(num_photons)
         for _ in range(5):
             state = random_state(space, RNG)
             d = RNG.normal(size=3)

@@ -63,9 +63,15 @@ MUTANTS = (
     (
         "ladder-coefficient-perturbed",
         "spin_core.py",
-        "mat[k - 1, k] = np.sqrt((space.spin - n) * (space.spin + n + 1))",
-        "mat[k - 1, k] = np.sqrt((space.spin - n) * (space.spin + n + 1))"
-        " + (1e-6 if k == 1 else 0.0)",
+        "return np.sqrt((space.spin - n) * (space.spin + n + 1))",
+        "return np.sqrt((space.spin - n) * (space.spin + n + 1))"
+        " + 1e-6 * (np.arange(n.size) == 0)",
+    ),
+    (
+        "s3-band-sign-flipped",
+        "spin_core.py",
+        "s3 = np.concatenate(",
+        "s3 = -np.concatenate(",
     ),
 )
 
