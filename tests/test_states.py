@@ -106,6 +106,29 @@ class TestCoherentClosedForm:
                 grown = coherent_state(space, theta, phi)
                 assert fidelity(closed, grown) > 1 - 1e-12
 
+    @pytest.mark.parametrize("num_photons", [0, 1, 2, 3, 8, 32, 128, 512])
+    def test_binomial_amplitudes_pinned(self, num_photons):
+        # an in-test copy of the binomial expression, bit for bit
+        space = build_spin_space(num_photons)
+        rng = np.random.default_rng(300 + num_photons)
+        angles = [(0.0, 0.7), (np.pi, 0.7), (np.pi / 2, np.pi / 2)]
+        angles += [(rng.uniform(0, np.pi), rng.uniform(-7, 7)) for _ in range(4)]
+        k = np.arange(num_photons + 1)
+        binom = np.array([math.comb(num_photons, int(j)) for j in k], dtype=float)
+        for theta, phi in angles:
+            amps = (
+                np.sqrt(binom)
+                * np.cos(theta / 2) ** (num_photons - k)
+                * np.sin(theta / 2) ** k
+                * np.exp(1j * k * phi)
+            )
+            expected = amps / np.linalg.norm(amps)
+            np.testing.assert_array_equal(
+                coherent_state_closed_form(space, theta, phi).amplitudes.view(np.uint64),
+                expected.view(np.uint64),
+                err_msg=f"theta {theta}, phi {phi}",
+            )
+
 
 class TestTriphotonRaw:
     def test_t_zero_is_all_horizontal(self):
