@@ -111,29 +111,25 @@ def report_to_dict(report: SqueezingReport) -> dict:
     }
 
 
-def _report_lines(report: SqueezingReport) -> list[str]:
-    zeta = "unbounded" if report.zeta2_unbounded else _fmt(report.zeta2)
-    xi_db = decibels(report.xi2)
-    chi_db = decibels(report.chi2)
-    return [
-        f"mean <S>   = ({_fmt(report.mean.components[0])}, "
-        f"{_fmt(report.mean.components[1])}, {_fmt(report.mean.components[2])})"
-        f"   |<S>| = {_fmt(report.mean.length)}",
-        f"frame      theta = {_fmt(report.frame.theta)}, phi = {_fmt(report.frame.phi)}, "
-        f"degenerate = {_fmt(report.frame.degenerate)}",
-        f"ellipse    A = {_fmt(report.ellipse.A)}, B = {_fmt(report.ellipse.B)}, "
-        f"C = {_fmt(report.ellipse.C)}, gamma_opt = {_fmt(report.ellipse.gamma_opt)}, "
-        f"isotropic = {_fmt(report.ellipse.isotropic)}",
-        f"v_minus    = {_fmt(report.v_minus)}",
-        f"v_plus     = {_fmt(report.v_plus)}",
-        f"xi2        = {_fmt(report.xi2)}"
-        + (f" ({_fmt(xi_db)} dB)" if xi_db is not None else ""),
-        f"zeta2      = {zeta}",
-        f"chi2       = {_fmt(report.chi2)}"
-        + (f" ({_fmt(chi_db)} dB)" if chi_db is not None else ""),
-        f"qfi        = {_fmt(report.qfi)}",
-        f"snl        = {_fmt(report.snl)}",
+def _report_lines(fields: dict) -> list[str]:
+    """Text lines of a report, rendered from its `report_to_dict` fields."""
+
+    def pairs(block: dict, names) -> str:
+        return ", ".join(f"{name} = {_fmt(block[name])}" for name in names)
+
+    frame, ellipse = fields["frame"], fields["ellipse"]
+    lines = [
+        f"mean <S>   = ({', '.join(map(_fmt, fields['mean']))})"
+        f"   |<S>| = {_fmt(fields['mean_length'])}",
+        f"frame      {pairs(frame, ('theta', 'phi', 'degenerate'))}",
+        f"ellipse    {pairs(ellipse, ellipse)}",
     ]
+    for name in ("v_minus", "v_plus", "xi2", "zeta2", "chi2", "qfi", "snl"):
+        text = "unbounded" if fields.get(f"{name}_unbounded") else _fmt(fields[name])
+        if fields.get(f"{name}_db") is not None:
+            text += f" ({_fmt(fields[f'{name}_db'])} dB)"
+        lines.append(f"{name:<10} = {text}")
+    return lines
 
 
 def _write_text(path: str, text: str) -> None:
@@ -166,18 +162,18 @@ def _print_report(args, parameters, state, title, text_lines=(), json_fields=Non
     The text form is `title`, the spin line, `text_lines` and the report lines;
     the JSON form is the meta block, `json_fields` and the report.
     """
-    space, report = state.space, squeezing_report(state)
+    space, fields = state.space, report_to_dict(squeezing_report(state))
     if args.format == "json":
         payload = {
             "meta": _meta(args.command, parameters, space),
             **(json_fields or {}),
-            "report": report_to_dict(report),
+            "report": fields,
         }
         print(json.dumps(payload, indent=2))
     else:
         lines = [title, f"spin s = {_fmt(space.spin)}, dimension {space.dimension}"]
         lines.extend(text_lines)
-        lines.extend(_report_lines(report))
+        lines.extend(_report_lines(fields))
         print("\n".join(lines))
     return 0
 

@@ -5,28 +5,26 @@ attenuation followed by post-selection; the quarter-wave plate (QWP) and the
 generic axis rotation are unitary.  All functions return fresh states and
 never mutate their input.
 
-Rotations use the Euler form: S1 phases and the cached S2 eigenbasis of
-`spin_core`, O(N^2) per call after one `eigh` per photon number.
+Every unitary goes through the cached S2 eigenbasis of `spin_core`, O(N^2)
+per call after one `eigh` per photon number: the QWP is the S2 rotation by
+-pi/2, and a rotation about any axis is its Euler form in S1 phases and S2
+rotations.  No dense exponential is built here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin_core import (
-    CACHED_SIZES,
     PolarizationState,
     SpinSpace,
     _s1_phases,
     _s2_rotate,
     _unit_direction,
     normalized_state,
-    stokes_operator,
-    hermitian_exponential,
 )
 
 
@@ -100,17 +98,9 @@ def vpp_success_probability(state: PolarizationState, t_ratio: float) -> float:
     return float(np.sum(np.abs(weights * state.amplitudes) ** 2))
 
 
-@functools.lru_cache(maxsize=CACHED_SIZES)
-def _qwp_matrix(num_photons: int) -> np.ndarray:
-    space = SpinSpace(num_photons)
-    mat = hermitian_exponential(stokes_operator(space, 2), 1j * np.pi / 2)
-    mat.setflags(write=False)
-    return mat
-
-
 def qwp_apply(state: PolarizationState) -> PolarizationState:
-    """Quarter-wave plate: the unitary exp(i (pi/2) S2)."""
-    rotated = _qwp_matrix(state.space.num_photons) @ state.amplitudes
+    """Quarter-wave plate: the unitary exp(i (pi/2) S2), an S2 rotation by -pi/2."""
+    rotated = _s2_rotate(state.space, -np.pi / 2, state.amplitudes)
     return normalized_state(state.space, rotated)
 
 

@@ -9,13 +9,12 @@ cell midpoints or endpoints) and phi uniformly on [0, 2pi).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin_core import CACHED_SIZES, PolarizationState
-from .states import coherent_state_closed_form
+from .states import _binomial_profile, coherent_state_closed_form
 
 THETA_SCHEMES = ("midpoint", "endpoint")
 
@@ -124,19 +123,12 @@ def q_value(state: PolarizationState, theta: float, phi: float) -> float:
     return float(min(1.0, abs(overlap) ** 2))
 
 
-def _coherent_theta_profile(num_photons: int, thetas: np.ndarray) -> np.ndarray:
-    """Real factors b_k(theta) of the coherent amplitudes, shape (n_theta, N+1)."""
-    k = np.arange(num_photons + 1)
-    binom = np.array([math.comb(num_photons, int(j)) for j in k], dtype=float)
-    half = thetas[:, None] / 2.0
-    return np.sqrt(binom)[None, :] * np.cos(half) ** (num_photons - k[None, :]) * np.sin(half) ** k[None, :]
-
-
 def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
     """Dense Husimi evaluation over a sphere grid.
 
-    The coherent amplitudes factor as b_k(theta) e^{i k phi}, so each theta
-    row is a short Fourier sum evaluated for all phi at once.
+    The coherent amplitudes factor as b_k(theta) e^{i k phi}, with b the
+    binomial profile that `coherent_state_closed_form` also uses, so each
+    theta row is a short Fourier sum evaluated for all phi at once.
     """
     num = state.space.num_photons
     entries = max(grid.n_theta, grid.n_phi) * (num + 1)
@@ -145,7 +137,7 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
             f"{grid.n_theta} x {grid.n_phi} grid at N = {num} needs {entries} coefficients "
             f"per array, above the bound MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}"
         )
-    profile = _coherent_theta_profile(num, grid.thetas)
+    profile = _binomial_profile(num, grid.thetas)
     k = np.arange(num + 1)
     phases = np.exp(-1j * np.outer(grid.phis, k))
     overlaps = (profile * state.amplitudes[None, :]) @ phases.T

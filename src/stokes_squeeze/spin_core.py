@@ -11,13 +11,13 @@ of S1, S2 and S3 from c, `_stokes_matrices` writes them into dense read-only
 matrices, and `stokes_operator` wraps those without a copy (S0 = s I is built
 on request).  Size-keyed caches keep at most CACHED_SIZES entries each.
 
-SU(2) rotations never exponentiate a dense generator.  S1 is diagonal, so
-exp(-i x S1) is a vector of phases, and
-exp(-i x S2) = V diag(e^{-i x (k - s)}) V^T comes from one eigendecomposition
-of the real symmetric S2 per photon number, cached and validated when it is
-first built.  After that one O(N^3) `eigh`,
-each factor costs O(N^2), and V keeps 8 (N+1)^2 bytes resident per cached N.
-`hermitian_exponential` stays as the dense route the tests compare against.
+SU(2) rotations, the wave plate and coherent states never exponentiate a
+dense generator.  S1 is diagonal, so exp(-i x S1) is a vector of phases, and
+exp(-i x S2) = V diag(e^{-i x (k - s)}) V^T comes from one `eigh` of the real
+tridiagonal S2 (c/2 off the diagonal) per photon number, cached and validated
+when it is first built.  After that, each factor costs O(N^2), and V keeps
+8 (N+1)^2 bytes per cached N.  `hermitian_exponential` stays as the dense
+route the tests compare against.
 
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination` writes
@@ -258,13 +258,13 @@ def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
 def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues k - s in ascending order, V) of S2, with V real orthogonal.
 
-    S2 is real symmetric, so one real `eigh` per N gives S2 = V diag(k - s) V^T.
-    The basis is validated here, once: V^T V = I and the computed eigenvalues
-    equal k - s, both within HERMITICITY_TOL.  The exact values k - s are
-    returned.
+    S2 is real tridiagonal, built from c alone, so one real `eigh` per N gives
+    S2 = V diag(k - s) V^T.  The basis is validated here, once: V^T V = I and
+    the computed eigenvalues equal k - s, both within HERMITICITY_TOL.  The
+    exact values k - s are returned.
     """
-    s2 = _stokes_matrices(num_photons)[1].real
-    eigvals, eigvecs = np.linalg.eigh(s2)
+    half = _ladder_coefficients(SpinSpace(num_photons)) / 2
+    eigvals, eigvecs = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
     dim = num_photons + 1
     exact = np.arange(dim) - num_photons / 2
     orthogonality = np.abs(eigvecs.T @ eigvecs - np.eye(dim)).max()

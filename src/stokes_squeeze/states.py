@@ -8,7 +8,8 @@ amplitude-wise, since optical transformations fix them only up to a global
 phase.
 
 `coherent_state` is one O(N^2) product with the cached S2 eigenbasis of
-`spin_core` (one `eigh` per photon number), not a dense exponential.
+`spin_core` (one `eigh` per photon number), not a dense exponential.  Its
+oracle is the binomial expansion of `_binomial_profile`, shared with `husimi`.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def coherent_state(space: SpinSpace, theta: float, phi: float) -> PolarizationSt
     return normalized_state(space, phases * column)
 
 
+def _binomial_profile(num_photons: int, thetas) -> np.ndarray:
+    """Real factors b_k(theta) of the coherent amplitudes b_k(theta) e^{i k phi}
+    (Arecchi et al., PRA 6, 2211 (1972)), shape thetas.shape + (N+1,)."""
+    k = np.arange(num_photons + 1)
+    binom = np.array([math.comb(num_photons, int(j)) for j in k], dtype=float)
+    half = np.asarray(thetas, dtype=float)[..., None] / 2.0
+    return np.sqrt(binom) * np.cos(half) ** (num_photons - k) * np.sin(half) ** k
+
+
 def coherent_state_closed_form(
     space: SpinSpace, theta: float, phi: float
 ) -> PolarizationState:
@@ -71,15 +81,8 @@ def coherent_state_closed_form(
         sqrt(C(2s, k)) * cos(theta/2)^(2s-k) * sin(theta/2)^k * exp(i k phi)
     Independent of the exponential construction; used to cross-validate it.
     """
-    big_n = space.num_photons
     k = np.arange(space.dimension)
-    binom = np.array([math.comb(big_n, int(j)) for j in k], dtype=float)
-    amps = (
-        np.sqrt(binom)
-        * np.cos(theta / 2) ** (big_n - k)
-        * np.sin(theta / 2) ** k
-        * np.exp(1j * k * phi)
-    )
+    amps = _binomial_profile(space.num_photons, theta) * np.exp(1j * k * phi)
     return normalized_state(space, amps)
 
 

@@ -12,7 +12,7 @@ fresh generator seeded with `seed + offset`; an offset of None means the check
 draws nothing and gets no generator.  `run_checks`, `stokes-squeeze verify`
 and the tests all read this table.  Inputs read by several checks are built
 by `_Fixtures` once per `run_checks` call, on first use, never at import: the
-200-point triphoton family pass and the ladder-rebuilt Stokes matrices.
+200-point triphoton family pass and the pipeline's Stokes matrices.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .elements import qwp_apply, rotate, vpp_apply
+from .elements import qwp_apply, rotate_about, vpp_apply
 from .husimi import SphereGrid, q_grid, q_value
 from .spin_core import (
     HermitianOperator,
     PolarizationState,
     _stokes_combination,
+    _stokes_matrices,
     build_spin_space,
     hermitian_exponential,
     ladder_operator,
@@ -175,6 +176,12 @@ def scan_transverse_variance(
     }
 
 
+def rodrigues(vector: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
+    """Right-handed rotation of `vector` about the unit `axis` by `angle`."""
+    cos, sin = math.cos(angle), math.sin(angle)
+    return vector * cos + np.cross(axis, vector) * sin + axis * np.dot(axis, vector) * (1.0 - cos)
+
+
 def angle_mod_pi_distance(a: float, b: float) -> float:
     """Distance between two angles identified mod pi."""
     d = (a - b) % math.pi
@@ -204,20 +211,19 @@ class _Fixtures:
 
     @functools.cached_property
     def ladder_stokes(self) -> list:
-        """(S1, S2, S3) for N = 0..12, rebuilt from the raising operator.
+        """The pipeline's (S1, S2, S3) of `_stokes_matrices` for N = 0..12.
 
-        The perturbation is added to the first ladder coefficient: a harness
-        hook that confirms a wrong coefficient is caught by the algebra checks.
+        A harness hook adds the perturbation to the first ladder coefficient
+        of S+ = S2 + i S3, on copies, to confirm the algebra checks catch it.
         """
         stokes = []
         for num in range(0, 13):
-            space = build_spin_space(num)
-            raising = np.array(ladder_operator(space, +1).matrix)
-            if self.ladder_perturbation and space.dimension >= 2:
-                raising[0, 1] += self.ladder_perturbation
-            lowering = raising.conj().T
-            s1 = np.diag(space.n_values).astype(complex)
-            stokes.append((s1, (raising + lowering) / 2.0, (raising - lowering) / 2j))
+            s1, s2, s3 = _stokes_matrices(num)
+            if self.ladder_perturbation and num >= 1:
+                bump = np.zeros_like(s2)  # S+ gains it at (0, 1), S- at (1, 0)
+                bump[0, 1] = self.ladder_perturbation
+                s2, s3 = s2 + (bump + bump.T) / 2.0, s3 + (bump - bump.T) / 2j
+            stokes.append((s1, s2, s3))
         return stokes
 
 
@@ -556,14 +562,22 @@ def _husimi_features(fx, rng):
 
 
 def _husimi_rotation(fx, rng):
+    # Q(R psi; R n) = Q(psi; n) for rotate_about's right-handed R, random axes
     worst = 0.0
     for state in _random_states(rng, 5):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
         alpha = rng.uniform(0.0, 2.0 * np.pi)
-        rotated = rotate(state, 1, alpha)  # shifts the azimuth by +alpha
+        rotated = rotate_about(state, axis, alpha)
         for _ in range(20):
-            theta = rng.uniform(0.0, np.pi)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            defect = abs(q_value(rotated, theta, phi) - q_value(state, theta, phi - alpha))
+            theta, phi = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+            point = np.array(
+                [math.cos(theta), math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)]
+            )
+            moved = rodrigues(point, axis, alpha)
+            moved_theta = math.atan2(math.hypot(moved[1], moved[2]), moved[0])
+            moved_phi = math.atan2(moved[2], moved[1])
+            defect = abs(q_value(rotated, moved_theta, moved_phi) - q_value(state, theta, phi))
             worst = max(worst, defect)
     return worst < 1e-10, f"max |Q drift| = {worst:.3e}"
 

@@ -13,13 +13,13 @@ from stokes_squeeze import (
     qwp_apply,
     rotate,
     rotate_about,
+    stokes_operator,
     triphoton_raw,
     triphoton_seed,
     triphoton_state,
     vpp_apply,
     vpp_success_probability,
 )
-from stokes_squeeze.elements import _qwp_matrix
 from stokes_squeeze.spin_core import _stokes_matrices, normalized_state
 from stokes_squeeze.states import basis_state, coherent_state, fock_superposition
 from stokes_squeeze.verify import random_state
@@ -169,6 +169,18 @@ class TestQwp:
             state = random_state(SPACE3, RNG)
             assert abs(np.linalg.norm(qwp_apply(state).amplitudes) - 1) < 1e-12
 
+    @pytest.mark.parametrize("num_photons", [1, 2, 3, 8, 64, 512])
+    def test_matches_dense_exponential(self, num_photons):
+        space = build_spin_space(num_photons)
+        state = random_state(space, np.random.default_rng(400 + num_photons))
+        dense = hermitian_exponential(stokes_operator(space, 2), 1j * np.pi / 2)
+        np.testing.assert_allclose(
+            qwp_apply(state).amplitudes,
+            dense @ state.amplitudes,
+            rtol=0.0,
+            atol=oracle_tol(num_photons),
+        )
+
 
 class TestRotate:
     def test_zero_angle_is_identity(self):
@@ -214,10 +226,6 @@ class TestRotate:
         state = random_state(SPACE3, RNG)
         with pytest.raises(ValueError, match="direction must be a unit 3-vector"):
             rotate_about(state, direction, 0.7)
-
-    def test_qwp_matrix_is_unitary(self):
-        mat = _qwp_matrix(3)
-        np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-13)
 
 
 class TestElementDescriptor:

@@ -22,7 +22,7 @@ from stokes_squeeze import (  # noqa: E402
     stokes_operator,
 )
 from stokes_squeeze.squeezing import DEGENERACY_TOL, MeanPolarization  # noqa: E402
-from stokes_squeeze.verify import random_state  # noqa: E402
+from stokes_squeeze.verify import random_state, rodrigues  # noqa: E402
 
 BASIS_AXES = [
     tuple(sign * float(i == axis) for i in range(3)) for axis in range(3) for sign in (1, -1)
@@ -44,15 +44,6 @@ def _state(num_photons, seed):
     return random_state(space, np.random.default_rng(seed))
 
 
-def _rodrigues(vector, axis, angle):
-    """Right-handed rotation of `vector` about the unit `axis` by `angle`."""
-    return (
-        vector * math.cos(angle)
-        + np.cross(axis, vector) * math.sin(angle)
-        + axis * np.dot(axis, vector) * (1.0 - math.cos(angle))
-    )
-
-
 @given(photon_numbers, seeds, axes, angles)
 def test_inverse_rotation_restores_state(num_photons, seed, axis, angle):
     state = _state(num_photons, seed)
@@ -70,7 +61,7 @@ def test_mean_polarization_rotates_rigidly(num_photons, seed, axis, angle):
     after = mean_polarization(rotate_about(state, axis, angle)).components
     spin = num_photons / 2
     np.testing.assert_allclose(
-        after, _rodrigues(before, axis, angle), rtol=0, atol=1e-12 * (1 + spin)
+        after, rodrigues(before, axis, angle), rtol=0, atol=1e-12 * (1 + spin)
     )
 
 
@@ -96,7 +87,7 @@ def test_husimi_q_is_rotation_covariant(num_photons, seed, axis, angle, theta, p
     point = np.array(
         [math.cos(theta), math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)]
     )
-    moved = _rodrigues(point, axis, angle)
+    moved = rodrigues(point, axis, angle)
     # atan2 keeps the polar angle well conditioned at the poles, unlike acos
     moved_theta = math.atan2(math.hypot(moved[1], moved[2]), moved[0])
     moved_phi = math.atan2(moved[2], moved[1])

@@ -15,6 +15,7 @@ from stokes_squeeze import (
     hermitian_exponential,
     ladder_operator,
     normalized_state,
+    rotate_about,
     spin_core,
     stokes_operator,
     variance,
@@ -26,7 +27,7 @@ from stokes_squeeze.spin_core import (
     _stokes_combination,
     _stokes_matrices,
 )
-from stokes_squeeze.states import basis_state, triphoton_state
+from stokes_squeeze.states import basis_state, coherent_state, triphoton_state
 from stokes_squeeze.verify import random_state
 
 RNG = np.random.default_rng(11)
@@ -307,6 +308,16 @@ class TestS2Eigenbasis:
         hits = _s2_eigenbasis.cache_info().hits
         assert _s2_eigenbasis(19) is first
         assert _s2_eigenbasis.cache_info().hits == hits + 1
+
+    def test_built_without_dense_stokes_matrices(self):
+        # S2 comes from the ladder coefficients, so a coherent state and a
+        # rotation at a new N add no dense (S1, S2, S3) to the cache
+        _s2_eigenbasis.cache_clear()
+        _stokes_matrices.cache_clear()
+        before = _stokes_matrices.cache_info().currsize
+        state = coherent_state(build_spin_space(45), 0.8, 2.1)
+        rotate_about(state, _unit([1.0, -2.0, 0.5]), 0.9)
+        assert _stokes_matrices.cache_info().currsize == before
 
     def test_non_orthogonal_basis_rejected(self, monkeypatch):
         eigh = np.linalg.eigh

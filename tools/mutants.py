@@ -73,6 +73,18 @@ MUTANTS = (
         "s3 = np.concatenate(",
         "s3 = -np.concatenate(",
     ),
+    (
+        "qwp-angle-sign-flipped",
+        "elements.py",
+        "_s2_rotate(state.space, -np.pi / 2, state.amplitudes)",
+        "_s2_rotate(state.space, np.pi / 2, state.amplitudes)",
+    ),
+    (
+        "profile-exponents-swapped",
+        "states.py",
+        "np.cos(half) ** (num_photons - k) * np.sin(half) ** k",
+        "np.cos(half) ** k * np.sin(half) ** (num_photons - k)",
+    ),
 )
 
 
