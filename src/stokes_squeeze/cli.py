@@ -20,11 +20,14 @@ import numpy as np
 from .elements import vpp_success_probability
 from .husimi import SphereGrid, q_grid
 from .spin_core import SpinSpace
-from .squeezing import SqueezingReport, decibels, squeezing_report
-from .states import TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_seed, triphoton_state
+from .squeezing import SqueezingReport, decibels, squeezing_report, squeezing_reports
+from .states import (
+    TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_seed, triphoton_state,
+    triphoton_state_rows,
+)
 from .verify import CHECKS, run_checks
 
-#: sweep columns, in CSV and JSON order; sweep_record builds one row keyed by them
+#: sweep columns, in CSV and JSON order; sweep_records builds rows keyed by them
 SWEEP_FIELDS = (
     "T", "c2", "c3", "mean_s1", "mean_s2", "mean_s3", "v_minus", "v_plus", "xi2", "chi2",
     "zeta2", "zeta2_unbounded", "xi2_db", "chi2_db", "vpp_success_probability",
@@ -65,17 +68,24 @@ def sweep_samples(t_min: float, t_max: float, steps: int) -> list[float]:
     return sorted(samples)
 
 
-def sweep_record(t_ratio: float) -> dict:
-    """One sweep row, keyed by SWEEP_FIELDS: the triphoton report at one ratio T."""
-    c2, c3 = triphoton_amplitudes(t_ratio)
-    report = squeezing_report(triphoton_state(t_ratio))
-    values = (
-        t_ratio, c2, c3, *report.mean.components, report.v_minus, report.v_plus,
-        report.xi2, report.chi2, report.zeta2, report.zeta2_unbounded,
-        decibels(report.xi2), decibels(report.chi2),
-        vpp_success_probability(triphoton_seed(), t_ratio),
-    )
-    return dict(zip(SWEEP_FIELDS, values, strict=True))
+def sweep_records(samples) -> list[dict]:
+    """Sweep rows keyed by SWEEP_FIELDS: the triphoton report at each ratio T.
+
+    All reports come from one stacked `squeezing_reports` call.
+    """
+    reports = squeezing_reports(TRIPHOTON_SPACE, triphoton_state_rows(samples))
+    seed = triphoton_seed()
+    records = []
+    for t_ratio, report in zip(samples, reports, strict=True):
+        c2, c3 = triphoton_amplitudes(t_ratio)
+        values = (
+            t_ratio, c2, c3, *report.mean.components, report.v_minus, report.v_plus,
+            report.xi2, report.chi2, report.zeta2, report.zeta2_unbounded,
+            decibels(report.xi2), decibels(report.chi2),
+            vpp_success_probability(seed, t_ratio),
+        )
+        records.append(dict(zip(SWEEP_FIELDS, values, strict=True)))
+    return records
 
 
 def report_to_dict(report: SqueezingReport) -> dict:
@@ -144,7 +154,7 @@ def _meta(command: str, parameters: dict, space: SpinSpace) -> dict:
 
 def cmd_sweep(args) -> int:
     samples = sweep_samples(args.t_min, args.t_max, args.steps)
-    records = [sweep_record(t_ratio) for t_ratio in samples]
+    records = sweep_records(samples)
     if args.format == "csv":
         lines = [",".join(SWEEP_FIELDS)]
         lines.extend(",".join(_fmt(value) for value in record.values()) for record in records)

@@ -27,6 +27,17 @@ matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N)
 matvec would be cheaper, but it accumulates in another order than BLAS (which
 fuses multiply-adds) and moves the low bits of published sweep values, so it
 needs the golden outputs re-recorded first.
+
+Many states on one space are handled as a stack: rows of amplitudes, shape
+(B, N+1), and, for B directions of shape (B, 3), a (B, N+1, N+1) stack of
+combinations.  numpy's `matmul` runs one BLAS call per stack item with the
+arguments a single call would use, so a stacked `mats @ amps[..., None]` is
+the `zgemv` of `mat @ amps` row by row, `amps.conj()[:, None, :] @
+img[:, :, None]` is the `zdotc` of `np.vdot`, and two stacked real dots of
+the real and imaginary parts are the `ddot`s of `np.linalg.norm`: bit for bit
+the per-state values.  `einsum` and `sum` reduce in another order and are
+not used there.  `_apply` and `_vdots` make these calls for a stack and the
+plain `mat @ amps` and `np.vdot` for one state's 1-D amplitudes.
 """
 
 from __future__ import annotations
@@ -121,6 +132,63 @@ class PolarizationState:
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each row of a complex (B, N+1) stack, bit for bit.
+
+    The norm of a complex vector is sqrt(re.re + im.im), each a strided BLAS
+    dot; the stacked products below make the same two calls per row.
+    """
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _apply(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """`mats @ amps` for one state, `amps` of shape (N+1,), or row by row for
+    a stack of shape (B, N+1), with `mats` one matrix or a (B, N+1, N+1)
+    stack: one BLAS `zgemv` per row either way, with the same arguments."""
+    if amps.ndim == 1:
+        return mats @ amps
+    return (mats @ amps[:, :, None])[:, :, 0]
+
+
+def _vdots(a: np.ndarray, b: np.ndarray):
+    """`np.vdot(a, b)` for one state, or of each row pair of two (B, N+1)
+    stacks: one BLAS dot per row, with the conjugate taken first, as
+    `np.vdot` makes it."""
+    if a.ndim == 1:
+        return np.vdot(a, b)
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _normalized_rows(space: SpinSpace, rows) -> np.ndarray:
+    """Normalize a (B, N+1) stack of raw amplitude rows, read-only.
+
+    Each row is divided by its norm and checked as `normalized_state` and
+    `PolarizationState` do it, with the same values and messages; the result
+    is a stack of valid states' amplitudes.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != space.dimension:
+        raise ValueError(
+            f"amplitude rows have shape {rows.shape}, expected (B, {space.dimension})"
+        )
+    norms = _row_norms(rows)
+    if not norms.all():
+        raise ValueError("cannot normalize a zero amplitude vector")
+    unit = rows / norms[:, None]
+    _require_unit_rows(unit)
+    return _readonly(unit)
+
+
+def _require_unit_rows(rows: np.ndarray) -> None:
+    """Raise as `PolarizationState` does unless every row has norm 1 within NORM_TOL."""
+    norms = _row_norms(rows)
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # also flags a NaN norm
+    if off.any():
+        norm = norms[off][0]
+        raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+
+
 def normalized_state(space: SpinSpace, amplitudes) -> PolarizationState:
     """Normalize a raw amplitude vector and wrap it as a PolarizationState."""
     amps = np.asarray(amplitudes, dtype=complex)
@@ -209,10 +277,19 @@ def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
     return tuple(_readonly(a) for a in (flat, mirror, s1, s2, s3))
 
 
-def _band_matrix(num_photons: int, flat: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """Zero-filled (N+1)^2 complex matrix holding `band` at `flat`."""
-    mat = np.zeros((num_photons + 1, num_photons + 1), dtype=complex)
-    np.put(mat, flat, band)
+def _band_matrix(
+    num_photons: int, flat: np.ndarray, band: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Zero-filled complex matrix holding `band` at `flat`, shape (N+1, N+1),
+    or one such matrix per row of a stacked band, shape (B, N+1, N+1).
+
+    `out`, a matrix of that shape that is zero off `flat`, is overwritten
+    in place instead of filling a fresh one with zeros.
+    """
+    dim = num_photons + 1
+    stack = band.shape[:-1]
+    mat = np.zeros(stack + (dim, dim), dtype=complex) if out is None else out
+    mat.reshape(stack + (dim * dim,))[..., flat] = band
     return mat
 
 
@@ -223,20 +300,31 @@ def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
     return tuple(_readonly(_band_matrix(num_photons, flat, band)) for band in bands)
 
 
-def _stokes_combination(space: SpinSpace, d) -> np.ndarray:
+def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of d[0] S1 + d[1] S2 + d[2] S3, built on its three diagonals.
 
+    `d` is one direction, shape (3,), or a stack of B directions, shape
+    (B, 3), which gives a (B, N+1, N+1) stack of matrices, one per row.
     Every band entry is the same expression, in the same operand order, as in
     the dense sum, so it is bitwise equal to it; entries off the band are +0.
-    Hermiticity is checked on the band alone, within HERMITICITY_TOL, and
-    measures the same defect max |M - M^H| as a check of the dense matrix.
+    Hermiticity is checked on the band alone, within HERMITICITY_TOL: the
+    worst row's defect is the same max |M - M^H| as a check of its dense
+    matrix, so one non-Hermitian row refuses the whole stack.
+
+    `out`, a combination this function returned before for the same space
+    and stack shape, is overwritten with the new band: it is zero off the
+    band, so the result is the matrix a fresh call gives, without a second
+    (N+1)^2 zero fill.
     """
     flat, mirror, b1, b2, b3 = _stokes_band(space.num_photons)
-    band = d[0] * b1 + d[1] * b2 + d[2] * b3
-    defect = np.abs(band - band[mirror].conj()).max()
+    # one direction gives scalar coefficients, a stack (B, 1) columns
+    d = np.asarray(d)
+    d1, d2, d3 = (d[0], d[1], d[2]) if d.ndim == 1 else d.T[:, :, None]
+    band = d1 * b1 + d2 * b2 + d3 * b3
+    defect = np.abs(band - np.take(band, mirror, axis=-1).conj()).max()
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return _band_matrix(space.num_photons, flat, band)
+    return _band_matrix(space.num_photons, flat, band, out)
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
@@ -330,11 +418,14 @@ def expectation(state: PolarizationState, op: HermitianOperator) -> float:
     return _real_expectation(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 
-def _real_expectation(raw: complex) -> float:
-    """Real part of a Hermitian expectation; the imaginary part must round off."""
-    if abs(raw.imag) >= IMAG_TOL:
+def _real_expectation(raw):
+    """Real part of a Hermitian expectation, or of an array of them; every
+    imaginary part must round off (the first one that does not is reported)."""
+    off = abs(raw.imag) >= IMAG_TOL
+    if np.count_nonzero(off):
+        imag = np.extract(off, raw.imag)[0]
         raise ArithmeticError(
-            f"expectation of a Hermitian operator has imaginary part {raw.imag:.3e}"
+            f"expectation of a Hermitian operator has imaginary part {imag:.3e}"
         )
     return raw.real
 

@@ -17,6 +17,20 @@ The transverse operators n.S and the QFI generator d.S are built on their
 three diagonals (`spin_core._stokes_combination`, O(N) with an O(N)
 Hermiticity check) and applied by one BLAS matrix-vector product, which keeps
 every published value bit for bit as the dense sum gave it.
+
+`squeezing_reports` runs the pipeline on a stack of states on one space,
+`amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and
+`variance_ellipse` are its one-row case: the same stage functions, given one
+state's amplitudes of shape (N+1,) instead of a (rows, N+1) chunk.  The mean
+applies each cached S1..S3 to every row in one stacked product, and the
+ellipse builds the combinations n1.S, then n2.S over it, for all rows at
+once.  Every stacked product and dot is the same BLAS call per row as the
+single-state one (`spin_core._apply` and `_vdots`), so each report is bit for
+bit what the row alone gives.  The frame and the scalar tail (snap, atan2,
+V-+, xi^2, zeta^2, chi^2) stay per row, in the same float expressions.
+Stacks go through in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows, so a
+stacked matrix never exceeds CHUNK_ENTRIES entries, or one matrix from
+N = 255 on.
 """
 
 from __future__ import annotations
@@ -28,11 +42,15 @@ import numpy as np
 
 from .spin_core import (
     PolarizationState,
+    SpinSpace,
     _image_variance,
     _real_expectation,
+    _apply,
+    _require_unit_rows,
     _stokes_combination,
     _stokes_matrices,
     _unit_direction,
+    _vdots,
 )
 from .states import triphoton_amplitudes
 
@@ -47,6 +65,11 @@ MOMENT_SNAP = 1e-12
 #: analysis frame used when the mean polarization vanishes; continues the
 #: triphoton family's frame through the NOON point
 DEFAULT_FALLBACK_ANGLES = (math.pi / 2, math.pi / 2)
+
+#: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
+#: holds max(1, CHUNK_ENTRIES // (N+1)^2) states, 4096 at N = 3 and one from
+#: N = 255 on, where a report allocates as a single-state one does
+CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +159,34 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    amps, stokes = state.amplitudes, _stokes_matrices(state.space.num_photons)
-    comps = np.array([_real_expectation(np.vdot(amps, s @ amps)) for s in stokes])
-    length = float(np.linalg.norm(comps))
-    if length > state.space.spin + 1e-12:
+    return _mean_polarizations(state.space, state.amplitudes)[0]
+
+
+def _mean_polarizations(space: SpinSpace, amps: np.ndarray) -> list[MeanPolarization]:
+    """`mean_polarization` of one state, `amps` of shape (N+1,), or of each
+    row of a (B, N+1) stack, as a list."""
+    # one cached matrix at a time, applied to every row; the three are never
+    # stacked into one array
+    stokes = _stokes_matrices(space.num_photons)
+    raw = np.array([_vdots(amps, _apply(s, amps)) for s in stokes]).T
+    comps = np.ascontiguousarray(_real_expectation(raw))
+    lengths = np.sqrt(_vdots(comps, comps))
+    over = lengths > space.spin + 1e-12
+    if np.count_nonzero(over):
         raise ArithmeticError(
-            f"mean polarization length {length} exceeds the spin {state.space.spin}"
+            f"mean polarization length {np.extract(over, lengths)[0]} exceeds the spin "
+            f"{space.spin}"
         )
-    radius = float(np.hypot(comps[1], comps[2]))
+    radii = np.hypot(comps[..., 1], comps[..., 2])
     comps.setflags(write=False)
-    return MeanPolarization(comps, length, radius)
+    rows = _per_row(lengths.tolist(), radii.tolist(), comps)
+    return [MeanPolarization(row, length, radius) for length, radius, row in rows]
+
+
+def _per_row(first, *rest):
+    """Per-state tuples of values: one tuple when `first` is one state's
+    scalar, else the rows of a stack's columns."""
+    return zip(first, *rest) if isinstance(first, (list, np.ndarray)) else [(first, *rest)]
 
 
 def _frame_from_angles(theta: float, phi: float, degenerate: bool) -> BlochFrame:
@@ -185,15 +226,29 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
 
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
-    # one matrix alive at a time: at N = 512 a second 4 MB buffer is mapped
-    # fresh and page-faulted on every call, which more than doubles the cost
-    image1 = _stokes_combination(state.space, frame.n1) @ state.amplitudes
-    image2 = _stokes_combination(state.space, frame.n2) @ state.amplitudes
-    sq1 = np.vdot(image1, image1).real
-    sq2 = np.vdot(image2, image2).real
-    a = sq1 - sq2
-    b = 2.0 * np.vdot(image1, image2).real
-    c = sq1 + sq2
+    return _variance_ellipses(state.space, state.amplitudes, [frame])[0]
+
+
+def _variance_ellipses(space: SpinSpace, amps: np.ndarray, frames) -> list[VarianceEllipse]:
+    """`variance_ellipse` of one state, `amps` of shape (N+1,), or of each row
+    of a (B, N+1) stack, row i in frames[i], as a list."""
+    if amps.ndim == 1:
+        n1, n2 = frames[0].n1, frames[0].n2
+    else:
+        n1, n2 = np.array([frame.n1 for frame in frames]), np.array([frame.n2 for frame in frames])
+    # one matrix (or stack) alive at a time, n2.S written over n1.S: at
+    # N = 512 a second 4 MB buffer is mapped fresh and page-faulted on every
+    # call, which more than doubles the cost
+    mats = _stokes_combination(space, n1)
+    image1 = _apply(mats, amps)
+    image2 = _apply(_stokes_combination(space, n2, out=mats), amps)
+    sq1 = _vdots(image1, image1).real
+    sq2 = _vdots(image2, image2).real
+    moments = _per_row(sq1 - sq2, 2.0 * _vdots(image1, image2).real, sq1 + sq2)
+    return [_ellipse_from_moments(a, b, c) for a, b, c in moments]
+
+
+def _ellipse_from_moments(a: float, b: float, c: float) -> VarianceEllipse:
     # exact-zero moments survive as +-1e-16 noise; snap them so atan2 picks a
     # deterministic branch (the family's B = 0, A < 0 must give gamma_opt = pi)
     snap = MOMENT_SNAP * max(1.0, c)
@@ -224,12 +279,47 @@ def squeezing_report(
     state: PolarizationState, fallback_frame: tuple[float, float] | None = None
 ) -> SqueezingReport:
     """Full analysis pipeline: mean -> frame -> ellipse -> V-+ -> figures of merit."""
-    spin = state.space.spin
+    return _reports(state.space, [state.amplitudes], fallback_frame)[0]
+
+
+def squeezing_reports(
+    space: SpinSpace, amplitudes, fallback_frame: tuple[float, float] | None = None
+) -> list[SqueezingReport]:
+    """`squeezing_report` of every row of a (B, N+1) stack of states on `space`.
+
+    Each row must be a unit amplitude vector, within NORM_TOL as
+    PolarizationState requires.  Report i is bit for bit the report of row i
+    alone, for any B.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != space.dimension:
+        raise ValueError(
+            f"amplitude rows have shape {amps.shape}, expected (B, {space.dimension})"
+        )
+    _require_unit_rows(amps)
+    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
+    return _reports(space, [amps[i : i + rows] for i in range(0, len(amps), rows)], fallback_frame)
+
+
+def _reports(space: SpinSpace, chunks, fallback_frame) -> list[SqueezingReport]:
+    """Reports of each chunk in turn: one state's amplitudes, shape (N+1,), or
+    a (rows, N+1) stack of them."""
+    spin = space.spin
     if spin == 0:
         raise ValueError("squeezing analysis needs at least one photon")
-    mean = mean_polarization(state)
-    frame = bloch_frame(mean, fallback_frame)
-    ellipse = variance_ellipse(state, frame)
+    reports = []
+    for amps in chunks:
+        means = _mean_polarizations(space, amps)
+        frames = [bloch_frame(mean, fallback_frame) for mean in means]
+        ellipses = _variance_ellipses(space, amps, frames)
+        reports.extend(map(_report, [spin] * len(means), means, frames, ellipses))
+    return reports
+
+
+def _report(
+    spin: float, mean: MeanPolarization, frame: BlochFrame, ellipse: VarianceEllipse
+) -> SqueezingReport:
+    """Figures of merit of one state from its mean, frame and ellipse."""
     v_minus, v_plus = extremal_variances(ellipse)
     xi2 = 2.0 * v_minus / spin
     if mean.length > DEGENERACY_TOL:

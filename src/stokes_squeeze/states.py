@@ -22,6 +22,7 @@ import numpy as np
 from .spin_core import (
     PolarizationState,
     SpinSpace,
+    _normalized_rows,
     _real_matvec,
     _s2_eigenbasis,
     build_spin_space,
@@ -65,11 +66,37 @@ def coherent_state(space: SpinSpace, theta: float, phi: float) -> PolarizationSt
 
 def _binomial_profile(num_photons: int, thetas) -> np.ndarray:
     """Real factors b_k(theta) of the coherent amplitudes b_k(theta) e^{i k phi}
-    (Arecchi et al., PRA 6, 2211 (1972)), shape thetas.shape + (N+1,)."""
+    (Arecchi et al., PRA 6, 2211 (1972)), shape thetas.shape + (N+1,).
+
+    b_k = sqrt(C(N,k)) cos(theta/2)^(N-k) sin(theta/2)^k.  From N = 1030 on,
+    the middle C(N,k) exceed the float range; only those entries are taken in
+    log space, exp(log C / 2 + (N-k) log|cos| + k log|sin|) with the sign of
+    the product, so every other entry is the product as written, and a pole
+    (sin or cos exactly 0) still gives an exact zero.
+    """
+    binom, huge = [], []
+    for j in range(num_photons + 1):
+        try:
+            binom.append(float(math.comb(num_photons, j)))
+        except OverflowError:
+            binom.append(0.0)
+            huge.append(j)
     k = np.arange(num_photons + 1)
-    binom = np.array([math.comb(num_photons, int(j)) for j in k], dtype=float)
     half = np.asarray(thetas, dtype=float)[..., None] / 2.0
-    return np.sqrt(binom) * np.cos(half) ** (num_photons - k) * np.sin(half) ** k
+    cos, sin = np.cos(half), np.sin(half)
+    profile = np.sqrt(binom) * cos ** (num_photons - k) * sin**k
+    if huge:
+        k = np.array(huge)
+        log_binom = np.array([math.log(math.comb(num_photons, j)) for j in huge])
+        with np.errstate(divide="ignore"):
+            logs = (
+                log_binom / 2.0
+                + (num_photons - k) * np.log(np.abs(cos))
+                + k * np.log(np.abs(sin))
+            )
+        signs = np.sign(cos) ** (num_photons - k) * np.sign(sin) ** k
+        profile[..., k] = signs * np.exp(logs)
+    return profile
 
 
 def coherent_state_closed_form(
@@ -127,15 +154,30 @@ def triphoton_raw(t_ratio: float) -> PolarizationState:
     return normalized_state(TRIPHOTON_SPACE, amps)
 
 
+def _triphoton_row(t_ratio: float) -> list[complex]:
+    """Unnormalized amplitudes (c3, i c2, -c2, -i c3) of `triphoton_state`."""
+    c2, c3 = triphoton_amplitudes(t_ratio)
+    return [c3, 1j * c2, -c2, -1j * c3]
+
+
 def triphoton_state(t_ratio: float) -> PolarizationState:
     """Post-QWP triphoton state c2(i|2,1> - |1,2>) + c3(|3,0> - i|0,3>).
 
     Equals the quarter-wave plate applied to triphoton_raw(T) up to a global
     phase (empirically the phase is exactly 1 in this basis convention).
     """
-    c2, c3 = triphoton_amplitudes(t_ratio)
-    amps = np.array([c3, 1j * c2, -c2, -1j * c3], dtype=complex)
-    return normalized_state(TRIPHOTON_SPACE, amps)
+    return normalized_state(TRIPHOTON_SPACE, np.array(_triphoton_row(t_ratio), dtype=complex))
+
+
+def triphoton_state_rows(t_ratios) -> np.ndarray:
+    """Amplitudes of `triphoton_state(T)` for each T, stacked as (B, 4) rows.
+
+    Row i is bit for bit triphoton_state(t_ratios[i]).amplitudes: each row is
+    built from the same expressions, then normalized and checked as
+    `normalized_state` does it.
+    """
+    rows = np.array([_triphoton_row(t) for t in t_ratios], dtype=complex)
+    return _normalized_rows(TRIPHOTON_SPACE, rows.reshape(-1, TRIPHOTON_SPACE.dimension))
 
 
 def noon_state(num_photons: int, noon_phase: float = 0.0) -> PolarizationState:

@@ -248,8 +248,12 @@ def test_non_finite_argument_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_arithmetic_failure_reported(tmp_path, capsys):
-    # the binomial weights of N = 1100 overflow a float inside the library
+def test_arithmetic_failure_reported(tmp_path, capsys, monkeypatch):
+    # an overflow raised inside the library is reported, not a traceback
+    def overflowing(state, grid):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(cli, "q_grid", overflowing)
     out = tmp_path / "big.csv"
     argv = ["husimi", "--N", "1100", "--n-theta", "3", "--n-phi", "3", "--output", str(out)]
     assert main(argv) != 0
@@ -258,6 +262,16 @@ def test_arithmetic_failure_reported(tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_husimi_beyond_float_binomials(tmp_path):
+    # the middle binomial weights of N = 1100 exceed the float range
+    out = tmp_path / "big.csv"
+    argv = ["husimi", "--N", "1100", "--n-theta", "3", "--n-phi", "3", "--output", str(out)]
+    assert main(argv) == 0
+    q = [float(row["Q"]) for row in _rows(out.read_text())[1]]
+    # the NOON state is half |N,0> (north pole) and half |0,N> (south pole)
+    assert q == pytest.approx([0.5] * 3 + [0.0] * 3 + [0.5] * 3, abs=1e-12)
 
 
 class TestHusimi:

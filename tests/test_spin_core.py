@@ -421,6 +421,23 @@ class TestStokesCombination:
         self._perturbed_band(monkeypatch, 1, 1, 1e-14)
         _stokes_combination(build_spin_space(4), _unit([0.2, 0.9, 0.3]))
 
+    @pytest.mark.parametrize("num_photons", [0, 1, 3, 32])
+    def test_stack_bitwise_equals_single_combinations(self, num_photons):
+        space = build_spin_space(num_photons)
+        stack = _stokes_combination(space, np.array(COMBINATION_DIRECTIONS))
+        assert stack.shape == (len(COMBINATION_DIRECTIONS),) + (num_photons + 1,) * 2
+        for d, mat in zip(COMBINATION_DIRECTIONS, stack):
+            np.testing.assert_array_equal(
+                mat.view(np.uint64), _stokes_combination(space, d).view(np.uint64)
+            )
+
+    @pytest.mark.parametrize("bad", [(0.0, 1j, 0.0), (0.6, 0.0, 0.8j), (np.nan, 0.0, 1.0)])
+    def test_stack_with_one_non_hermitian_row_rejected(self, bad):
+        # a complex direction gives a band whose mirror is not its conjugate
+        directions = [_unit([0.2, 0.9, 0.3]), bad, (1.0, 0.0, 0.0)]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _stokes_combination(build_spin_space(4), directions)
+
 
 class TestValidation:
     def test_state_must_be_normalized(self):

@@ -20,13 +20,15 @@ from stokes_squeeze import (
     rotate_about,
     spin_core,
     squeezing_report,
+    squeezing_reports,
     triphoton_amplitudes,
     triphoton_state,
+    triphoton_state_rows,
     variance,
     variance_ellipse,
 )
 from stokes_squeeze.spin_core import _stokes_matrices
-from stokes_squeeze.squeezing import BlochFrame, MeanPolarization
+from stokes_squeeze.squeezing import CHUNK_ENTRIES, BlochFrame, MeanPolarization
 from stokes_squeeze.verify import (
     angle_mod_pi_distance,
     random_state,
@@ -35,6 +37,19 @@ from stokes_squeeze.verify import (
 
 SQRT3 = math.sqrt(3.0)
 RNG = np.random.default_rng(5)
+
+
+def report_fields(report) -> list[tuple[str, str]]:
+    """(name, repr) of every field of a report; an array as its dtype and values."""
+    fields = []
+    for part in (report.mean, report.frame, report.ellipse, report):
+        for name, value in vars(part).items():
+            if name in ("mean", "frame", "ellipse"):
+                continue
+            if isinstance(value, np.ndarray):
+                value = (value.dtype, value.tolist())
+            fields.append((f"{type(part).__name__}.{name}", repr(value)))
+    return fields
 
 
 def _mean(vector) -> MeanPolarization:
@@ -267,6 +282,50 @@ class TestSqueezingReport:
                 assert spun_report.v_plus == pytest.approx(report.v_plus, abs=1e-10)
                 assert spun_report.xi2 == pytest.approx(report.xi2, abs=1e-10)
                 assert spun_report.chi2 == pytest.approx(report.chi2, abs=1e-10)
+
+
+class TestStackedReports:
+    """squeezing_reports is squeezing_report row by row, bit for bit."""
+
+    @pytest.mark.parametrize("num_photons, rows", [(127, 9), (255, 3)])
+    def test_equal_single_reports_across_chunk_boundaries(self, num_photons, rows):
+        # 4 rows per chunk at N = 127 and 1 at N = 255: both stacks end in a
+        # partial chunk after two full ones
+        assert CHUNK_ENTRIES // (num_photons + 1) ** 2 == {127: 4, 255: 1}[num_photons]
+        space = build_spin_space(num_photons)
+        rng = np.random.default_rng(num_photons)
+        states = [random_state(space, rng) for _ in range(rows - 1)]
+        states.append(noon_state(num_photons, 0.4))
+        stacked = squeezing_reports(space, [state.amplitudes for state in states])
+        assert len(stacked) == rows
+        for state, report in zip(states, stacked):
+            assert report_fields(report) == report_fields(squeezing_report(state))
+
+    def test_triphoton_sweep_equals_single_reports(self):
+        ts = list(np.linspace(0.0, 1.8, 181)) + [SQRT3, 7.25]
+        stacked = squeezing_reports(triphoton_state(0.0).space, triphoton_state_rows(ts))
+        for t, report in zip(ts, stacked, strict=True):
+            assert report_fields(report) == report_fields(squeezing_report(triphoton_state(t)))
+
+    def test_empty_stack(self):
+        assert squeezing_reports(build_spin_space(3), np.zeros((0, 4), dtype=complex)) == []
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 5), (1, 2, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        rows = np.full(shape, 0.5, dtype=complex)
+        with pytest.raises(ValueError, match="expected \\(B, 4\\)"):
+            squeezing_reports(build_spin_space(3), rows)
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 0.0, np.nan])
+    def test_non_unit_row_rejected(self, scale):
+        rows = triphoton_state_rows([0.0, 1.0, 1.5]).copy()
+        rows[1] *= scale
+        with pytest.raises(ValueError, match="state norm"):
+            squeezing_reports(build_spin_space(3), rows)
+
+    def test_vacuum_rejected(self):
+        with pytest.raises(ValueError, match="at least one photon"):
+            squeezing_reports(build_spin_space(0), [[1.0]])
 
 
 class TestQfiPure:

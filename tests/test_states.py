@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,18 +14,20 @@ from stokes_squeeze import (
     hermitian_exponential,
     mean_polarization,
     noon_state,
+    normalized_state,
     qwp_apply,
     stokes_operator,
     triphoton_amplitudes,
     triphoton_raw,
     triphoton_seed,
     triphoton_state,
+    triphoton_state_rows,
     variance,
     vpp_apply,
 )
 from stokes_squeeze.squeezing import bloch_frame
-from stokes_squeeze.spin_core import HermitianOperator, _stokes_matrices
-from stokes_squeeze.states import basis_state
+from stokes_squeeze.spin_core import HermitianOperator, _normalized_rows, _stokes_matrices
+from stokes_squeeze.states import _binomial_profile, basis_state
 from stokes_squeeze.verify import _transverse_operators
 
 SQRT3 = math.sqrt(3.0)
@@ -130,6 +133,22 @@ class TestCoherentClosedForm:
             )
 
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, np.pi / 2, 2.9, np.pi])
+    def test_matches_exponential_construction_beyond_float_binomials(self, theta):
+        # from N = 1030 on the middle C(N, k) overflow a float, and those
+        # entries are taken in log space
+        space = build_spin_space(1100)
+        closed = coherent_state_closed_form(space, theta, 0.4)
+        assert fidelity(closed, coherent_state(space, theta, 0.4)) > 1 - 1e-9
+
+    def test_log_space_entries_keep_exact_zeros_at_the_poles(self):
+        # at theta = 0 only k = 0 survives, so every log-space entry is +0
+        north, south = _binomial_profile(1100, [0.0, np.pi])
+        assert north[0] == 1.0 and not north[1:].any()
+        assert south[-1] == 1.0 and not south[:-20].any()
+        assert np.isfinite(south).all()
+
+
 class TestTriphotonRaw:
     def test_t_zero_is_all_horizontal(self):
         assert fidelity(triphoton_raw(0.0), basis_state(SPACE3, 1.5)) > 1 - 1e-12
@@ -191,6 +210,37 @@ class TestTriphotonState:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
             triphoton_state(-1.0)
+
+
+class TestTriphotonStateRows:
+    def test_rows_bitwise_equal_single_states(self):
+        ts = list(np.linspace(0.0, 1.8, 181)) + [1.0, SQRT3, 7.25, 1e-300]
+        rows = triphoton_state_rows(ts)
+        assert rows.shape == (len(ts), 4) and not rows.flags.writeable
+        for t, row in zip(ts, rows):
+            np.testing.assert_array_equal(
+                row.view(np.uint64), triphoton_state(t).amplitudes.view(np.uint64)
+            )
+
+    def test_empty_and_negative_ratios(self):
+        assert triphoton_state_rows([]).shape == (0, 4)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            triphoton_state_rows([1.0, -0.5])
+
+    def test_rows_normalized_and_checked_like_single_states(self):
+        raw = np.random.default_rng(4).normal(size=(5, 8)).view(complex)
+        for row, unit in zip(raw, _normalized_rows(SPACE3, raw)):
+            np.testing.assert_array_equal(
+                unit.view(np.uint64), normalized_state(SPACE3, row).amplitudes.view(np.uint64)
+            )
+        for bad in ([0.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError) as single:
+                    normalized_state(SPACE3, bad)
+                with pytest.raises(ValueError, match=re.escape(str(single.value))):
+                    _normalized_rows(SPACE3, [[1.0, 0.0, 0.0, 0.0], bad])
+        with pytest.raises(ValueError, match="expected \\(B, 4\\)"):
+            _normalized_rows(SPACE3, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestNoonState:

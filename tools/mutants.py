@@ -45,8 +45,8 @@ MUTANTS = (
     (
         "d2-sign-flipped",
         "spin_core.py",
-        "band = d[0] * b1 + d[1] * b2 + d[2] * b3",
-        "band = d[0] * b1 - d[1] * b2 + d[2] * b3",
+        "band = d1 * b1 + d2 * b2 + d3 * b3",
+        "band = d1 * b1 - d2 * b2 + d3 * b3",
     ),
     (
         "band-hermiticity-removed",
@@ -82,8 +82,15 @@ MUTANTS = (
     (
         "profile-exponents-swapped",
         "states.py",
-        "np.cos(half) ** (num_photons - k) * np.sin(half) ** k",
-        "np.cos(half) ** k * np.sin(half) ** (num_photons - k)",
+        "profile = np.sqrt(binom) * cos ** (num_photons - k) * sin**k",
+        "profile = np.sqrt(binom) * cos**k * sin ** (num_photons - k)",
+    ),
+    (
+        # a stack's n1 directions one row late: every one-row call is unchanged
+        "stacked-frames-shifted",
+        "squeezing.py",
+        "np.array([frame.n1 for frame in frames])",
+        "np.roll([frame.n1 for frame in frames], 1, axis=0)",
     ),
 )
 
