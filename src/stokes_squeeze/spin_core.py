@@ -167,17 +167,23 @@ def _normalized_rows(space: SpinSpace, rows) -> np.ndarray:
     `PolarizationState` do it, with the same values and messages; the result
     is a stack of valid states' amplitudes.
     """
-    rows = np.asarray(rows, dtype=complex)
-    if rows.ndim != 2 or rows.shape[1] != space.dimension:
-        raise ValueError(
-            f"amplitude rows have shape {rows.shape}, expected (B, {space.dimension})"
-        )
+    rows = _amplitude_rows(space, rows)
     norms = _row_norms(rows)
     if not norms.all():
         raise ValueError("cannot normalize a zero amplitude vector")
     unit = rows / norms[:, None]
     _require_unit_rows(unit)
     return _readonly(unit)
+
+
+def _amplitude_rows(space: SpinSpace, rows) -> np.ndarray:
+    """`rows` as a complex (B, N+1) array; any other shape is refused."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != space.dimension:
+        raise ValueError(
+            f"amplitude rows have shape {rows.shape}, expected (B, {space.dimension})"
+        )
+    return rows
 
 
 def _require_unit_rows(rows: np.ndarray) -> None:

@@ -45,6 +45,7 @@ from .spin_core import (
     SpinSpace,
     _image_variance,
     _real_expectation,
+    _amplitude_rows,
     _apply,
     _require_unit_rows,
     _stokes_combination,
@@ -291,11 +292,7 @@ def squeezing_reports(
     PolarizationState requires.  Report i is bit for bit the report of row i
     alone, for any B.
     """
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] != space.dimension:
-        raise ValueError(
-            f"amplitude rows have shape {amps.shape}, expected (B, {space.dimension})"
-        )
+    amps = _amplitude_rows(space, amplitudes)
     _require_unit_rows(amps)
     rows = max(1, CHUNK_ENTRIES // space.dimension**2)
     return _reports(space, [amps[i : i + rows] for i in range(0, len(amps), rows)], fallback_frame)
