@@ -6,7 +6,12 @@ import pytest
 
 from stokes_squeeze import cli, verify
 from stokes_squeeze.cli import SWEEP_FIELDS, _fmt, main, sweep_samples
+from stokes_squeeze.elements import vpp_success_probability
 from stokes_squeeze.husimi import QGrid, q_grid
+from stokes_squeeze.squeezing import decibels, squeezing_report
+from stokes_squeeze.states import (
+    TRIPHOTON_SPACE, triphoton_amplitudes, triphoton_seed, triphoton_state,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -85,6 +90,75 @@ def _per_cell_csv(result):
         for phi, q in zip(result.grid.phis, row.tolist()):
             lines.append(f"{_fmt(theta)},{_fmt(phi)},{_fmt(math.cos(theta))},{_fmt(q)}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _per_row_records(samples):
+    """Sweep records built one state and one report per T, keyed by SWEEP_FIELDS."""
+    records = []
+    for t_ratio in samples:
+        report = squeezing_report(triphoton_state(t_ratio))
+        values = (
+            t_ratio, *triphoton_amplitudes(t_ratio), *report.mean.components,
+            report.v_minus, report.v_plus, report.xi2, report.chi2, report.zeta2,
+            report.zeta2_unbounded, decibels(report.xi2), decibels(report.chi2),
+            vpp_success_probability(triphoton_seed(), t_ratio),
+        )
+        records.append(dict(zip(SWEEP_FIELDS, values, strict=True)))
+    return records
+
+
+def _per_cell_sweep(records, fmt, t_min, t_max, steps):
+    """The sweep file as the per-cell writers rendered it: `_fmt` on every CSV
+    cell, `json.dumps(indent=2)` of the whole JSON payload."""
+    if fmt == "csv":
+        lines = [",".join(SWEEP_FIELDS)]
+        lines.extend(",".join(_fmt(value) for value in record.values()) for record in records)
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    meta = {
+        "command": "sweep",
+        "parameters": {"t_min": t_min, "t_max": t_max, "steps": steps},
+        "spin": TRIPHOTON_SPACE.spin,
+        "dimension": TRIPHOTON_SPACE.dimension,
+    }
+    return (json.dumps({"meta": meta, "records": records}, indent=2) + "\n").encode("utf-8")
+
+
+def _sweep_file(tmp_path, fmt, t_min=None, t_max=None, steps=None):
+    """Run `sweep` (defaults where an argument is None); return the file's bytes."""
+    out = tmp_path / f"sweep.{fmt}"
+    argv = ["sweep", "--format", fmt, "--output", str(out)]
+    for flag, value in (("--t-min", t_min), ("--t-max", t_max), ("--steps", steps)):
+        if value is not None:
+            argv += [flag, repr(value)]
+    assert main(argv) == 0
+    return out.read_bytes()
+
+
+#: (t_min, t_max, steps) of the writer oracle tests; None keeps the default
+SWEEP_RANGES = [
+    (None, None, None), (0.0, 3.0, 400), (1.0, 1.001, 50), (0.0, 1.8, 2), (0.0, 2.5, 2001),
+]
+
+
+class TestSweepWriters:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bounds", SWEEP_RANGES, ids=str)
+    def test_matches_per_cell_writers(self, tmp_path, fmt, bounds):
+        t_min, t_max, steps = (
+            given if given is not None else default
+            for given, default in zip(bounds, (0.0, 1.8, 181))
+        )
+        records = _per_row_records(sweep_samples(t_min, t_max, steps))
+        blob = _sweep_file(tmp_path, fmt, *bounds)
+        assert blob == _per_cell_sweep(records, fmt, t_min, t_max, steps)
+
+    def test_landmark_rows_covered(self):
+        # T = 0, 1 and sqrt(3) appear, and zeta2 is unbounded (None) at sqrt(3) only
+        records = _per_row_records(sweep_samples(0.0, 3.0, 400))
+        by_t = {record["T"]: record for record in records}
+        assert {0.0, 1.0, SQRT3} <= by_t.keys()
+        assert by_t[SQRT3]["zeta2"] is None and by_t[SQRT3]["zeta2_unbounded"] is True
+        assert [r["T"] for r in records if r["zeta2"] is None] == [SQRT3]
 
 
 class TestSweep:
@@ -376,6 +450,72 @@ class TestHusimi:
             lines = blob.split(b"\n")
             assert lines[1].startswith(b"0,0,1,")
             assert lines[-2].startswith(f"{_fmt(math.pi)},".encode())
+
+
+class TestParserReuse:
+    """`main` may keep one parser for the whole process; every call still
+    parses its own arguments from the declared defaults."""
+
+    @staticmethod
+    def _parameters(capsys, argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["meta"]["parameters"]
+
+    def test_consecutive_calls_parse_independently(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        sweep = ["sweep", "--format", "json", "--output", str(out)]
+        assert main(sweep + ["--t-min", "0.5", "--t-max", "2.5", "--steps", "7"]) == 0
+        assert json.loads(out.read_text())["meta"]["parameters"] == {
+            "t_min": 0.5, "t_max": 2.5, "steps": 7,
+        }
+        noon = ["noon", "--format", "json", "--N"]
+        assert self._parameters(capsys, noon + ["5", "--noon-phase", "0.25"]) == {
+            "N": 5, "noon_phase": 0.25,
+        }
+        assert main(sweep) == 0
+        assert json.loads(out.read_text())["meta"]["parameters"] == {
+            "t_min": 0.0, "t_max": 1.8, "steps": 181,
+        }
+        assert self._parameters(capsys, noon + ["3"]) == {"N": 3, "noon_phase": 0.0}
+        assert self._parameters(capsys, ["state", "--T", "1", "--format", "json"]) == {"T": 1.0}
+        assert main(["state", "--T", "1"]) == 0
+        assert capsys.readouterr().out == STATE_T1_TEXT
+
+    @pytest.mark.parametrize("rejected", [
+        ["sweep", "--steps", "many", "--output", "x.csv"],
+        ["noon", "--format", "json"],
+        ["state", "--T", "1", "--format", "xml"],
+        ["husimi", "--T", "1", "--output", "x.csv", "--unknown"],
+        [],
+    ], ids=["bad-int", "missing-required", "bad-choice", "unknown-option", "no-command"])
+    def test_rejected_call_leaves_next_call_unaffected(self, capsys, rejected):
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(["state", "--T", "1"]) == 0
+        assert capsys.readouterr().out == STATE_T1_TEXT
+        assert self._parameters(capsys, ["noon", "--N", "3", "--format", "json"]) == {
+            "N": 3, "noon_phase": 0.0,
+        }
+
+    @staticmethod
+    def _help(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["", "sweep", "state", "husimi", "noon", "verify"],
+                             ids=lambda c: c or "top")
+    def test_help_text_unchanged(self, capsys, command):
+        argv = [command, "--help"] if command else ["--help"]
+        expected = self._help(cli.build_parser().parse_args, argv, capsys)
+        assert command in expected.splitlines()[0]
+        for _ in range(2):
+            assert self._help(main, argv, capsys) == expected
+            assert main(["noon", "--N", "2"]) == 0
+            capsys.readouterr()
 
 
 class TestVerify:

@@ -146,6 +146,42 @@ class TestVpp:
             )
 
 
+#: T values of the bitwise VPP tests: both exact zeros, the extremes of the
+#: float range, the landmarks and values on both sides of T = 1
+VPP_RATIOS = (0.0, -0.0, 1e-200, 0.3, 1.0, math.sqrt(3.0), 7.25, 1e200)
+VPP_GRID = np.concatenate([np.linspace(0.0, 3.0, 3001), np.linspace(0.0, 50.0, 1001)])
+
+
+def per_row_vpp_weights(space, t_ratio: float) -> np.ndarray:
+    """The VPP weights as the scalar route computed them, one T per call."""
+    k = np.arange(space.dimension, dtype=float)
+    if t_ratio == 0.0:
+        weights = np.zeros(space.dimension)
+        weights[0] = 1.0
+        return weights
+    exponent = k if t_ratio <= 1.0 else k - space.num_photons
+    return t_ratio**exponent
+
+
+def per_row_vpp_probability(state, t_ratio: float) -> float:
+    weights = per_row_vpp_weights(state.space, t_ratio)
+    return float(np.sum(np.abs(weights * state.amplitudes) ** 2))
+
+
+class TestVppBitwise:
+    @pytest.mark.parametrize("num_photons", [1, 3, 8, 64])
+    def test_success_probability_matches_per_row_expression(self, num_photons):
+        space = build_spin_space(num_photons)
+        states = [random_state(space, RNG)]
+        if num_photons == 3:
+            states.append(triphoton_seed())
+        for state in states:
+            for t_ratio in (*VPP_RATIOS, *VPP_GRID.tolist()):
+                value = vpp_success_probability(state, t_ratio)
+                assert type(value) is float
+                assert value.hex() == per_row_vpp_probability(state, t_ratio).hex(), t_ratio
+
+
 class TestQwp:
     def test_maps_raw_family_to_triphoton(self):
         for t in np.linspace(0.0, 1.8, 50):

@@ -1,7 +1,8 @@
 """Property tests on random states, N <= 64: SU(2) rotations, the
 covariance of the Husimi Q under them, the uncertainty bound of the
 squeezing report, the analysis frame, and stacked reports against
-single-state ones."""
+single-state ones; and `sweep` files over random ranges against the
+per-cell writers."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from stokes_squeeze import (  # noqa: E402
@@ -27,6 +28,8 @@ from stokes_squeeze import (  # noqa: E402
 )
 from stokes_squeeze.squeezing import DEGENERACY_TOL, MeanPolarization  # noqa: E402
 from stokes_squeeze.verify import random_state, rodrigues  # noqa: E402
+from stokes_squeeze.cli import sweep_samples  # noqa: E402
+from test_cli import _per_cell_sweep, _per_row_records, _sweep_file  # noqa: E402
 from test_squeezing import report_fields  # noqa: E402
 
 BASIS_AXES = [
@@ -187,3 +190,17 @@ def test_stacked_reports_equal_single_reports(num_photons, kinds, seed, fallback
     )
     single = [squeezing_report(state, fallback) for state in states]
     assert [report_fields(r) for r in stacked] == [report_fields(r) for r in single]
+
+
+@given(
+    st.floats(min_value=0.0, max_value=4.0),
+    st.floats(min_value=1e-9, max_value=4.0),
+    st.integers(min_value=2, max_value=120),
+    st.sampled_from(["csv", "json"]),
+)
+def test_sweep_matches_per_cell_writers(tmp_path_factory, t_min, width, steps, fmt):
+    t_max = t_min + width
+    assume(t_min < t_max)
+    records = _per_row_records(sweep_samples(t_min, t_max, steps))
+    blob = _sweep_file(tmp_path_factory.mktemp("sweep"), fmt, t_min, t_max, steps)
+    assert blob == _per_cell_sweep(records, fmt, t_min, t_max, steps)
