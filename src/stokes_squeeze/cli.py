@@ -5,19 +5,30 @@ Output files are byte-identical across runs for identical invocations; CSV
 renders real numbers with 12 significant digits and an unbounded zeta^2 as an
 empty field.  The husimi CSV is streamed one theta row per `%` format call;
 its grid is bounded by `husimi.MAX_GRID_ENTRIES` (2^21 entries per array).
-Every float argument must be finite.  Sweeps run serially.
+Every float argument must be finite.  Sweeps run serially, with at most
+`MAX_SWEEP_STEPS` samples.
+
+A sweep file is rendered by column, one `%` template per row.  A column of
+floats takes the float spec of its format: `%.12g` in CSV (what `_fmt` and
+`format(x, ".12g")` give) and `%r` in JSON (`float.__repr__`, what `json`
+writes).  Any other column is rendered to text cell by cell: None is "" in
+CSV and `null` in JSON, a bool is `true` or `false`, a float takes the float
+spec.  So the bytes are those of `_fmt` on every CSV cell and of
+`json.dumps(payload, indent=2)`, whose `meta` block is still rendered by
+`json`.  A non-finite value is an error, never a `nan` cell.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 import numpy as np
 
-from .elements import vpp_success_probability
+from .elements import vpp_success_probabilities
 from .husimi import SphereGrid, q_grid
 from .spin_core import SpinSpace
 from .squeezing import SqueezingReport, decibels, squeezing_report, squeezing_reports
@@ -27,7 +38,7 @@ from .states import (
 )
 from .verify import CHECKS, run_checks
 
-#: sweep columns, in CSV and JSON order; sweep_records builds rows keyed by them
+#: sweep columns, in CSV and JSON order; sweep_records builds rows in this order
 SWEEP_FIELDS = (
     "T", "c2", "c3", "mean_s1", "mean_s2", "mean_s3", "v_minus", "v_plus", "xi2", "chi2",
     "zeta2", "zeta2_unbounded", "xi2_db", "chi2_db", "vpp_success_probability",
@@ -35,6 +46,16 @@ SWEEP_FIELDS = (
 
 #: exact samples guaranteed to appear in every sweep that covers them
 SWEEP_LANDMARKS = (1.0, math.sqrt(3.0))
+
+#: most `sweep --steps` accepted, checked before any sample is made: a sweep
+#: keeps every report and its whole file text in memory until it is written
+MAX_SWEEP_STEPS = 2**16
+
+#: per sweep format: the `%` spec of a float cell, and the text of None and bools
+_SWEEP_CELLS = {
+    "csv": ("%.12g", {None: "", True: "true", False: "false"}),
+    "json": ("%r", {None: "null", True: "true", False: "false"}),
+}
 
 
 def _fmt(value) -> str:
@@ -57,6 +78,10 @@ def sweep_samples(t_min: float, t_max: float, steps: int) -> list[float]:
     """Uniform inclusive grid plus the exact landmark values inside the range."""
     if steps < 2:
         raise ValueError(f"sweep needs at least 2 steps, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValueError(
+            f"sweep of {steps} steps is above the bound MAX_SWEEP_STEPS = {MAX_SWEEP_STEPS}"
+        )
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError(f"sweep bounds must be finite, got [{t_min}, {t_max}]")
     if t_min < 0 or not t_min < t_max:
@@ -68,24 +93,61 @@ def sweep_samples(t_min: float, t_max: float, steps: int) -> list[float]:
     return sorted(samples)
 
 
-def sweep_records(samples) -> list[dict]:
-    """Sweep rows keyed by SWEEP_FIELDS: the triphoton report at each ratio T.
+def sweep_records(samples) -> list[tuple]:
+    """Sweep rows in SWEEP_FIELDS order: the triphoton report at each ratio T.
 
-    All reports come from one stacked `squeezing_reports` call.
+    All reports come from one stacked `squeezing_reports` call and all VPP
+    probabilities from one stacked `vpp_success_probabilities` call.
     """
     reports = squeezing_reports(TRIPHOTON_SPACE, triphoton_state_rows(samples))
-    seed = triphoton_seed()
-    records = []
-    for t_ratio, report in zip(samples, reports, strict=True):
-        c2, c3 = triphoton_amplitudes(t_ratio)
-        values = (
-            t_ratio, c2, c3, *report.mean.components, report.v_minus, report.v_plus,
-            report.xi2, report.chi2, report.zeta2, report.zeta2_unbounded,
-            decibels(report.xi2), decibels(report.chi2),
-            vpp_success_probability(seed, t_ratio),
+    probabilities = vpp_success_probabilities(triphoton_seed(), samples)
+    return [
+        (
+            t_ratio, *triphoton_amplitudes(t_ratio), *report.mean.components,
+            report.v_minus, report.v_plus, report.xi2, report.chi2, report.zeta2,
+            report.zeta2_unbounded, decibels(report.xi2), decibels(report.chi2), probability,
         )
-        records.append(dict(zip(SWEEP_FIELDS, values, strict=True)))
-    return records
+        for t_ratio, report, probability in zip(samples, reports, probabilities, strict=True)
+    ]
+
+
+def _sweep_column(field: str, column, fmt: str) -> tuple[str, list]:
+    """The `%` spec and the cells of one sweep column in format `fmt`."""
+    float_spec, names = _SWEEP_CELLS[fmt]
+    if set(map(type, column)) <= {float, np.float64}:
+        # tolist gives plain floats, whose %r is float.__repr__ (np.float64's is not)
+        floats = np.array(column, dtype=float)
+        spec, cells, finite = float_spec, floats.tolist(), np.isfinite(floats).all()
+    else:
+        numbers = [v for v in column if v is not None and not isinstance(v, bool)]
+        finite = all(map(math.isfinite, numbers))
+        spec, cells = "%s", [
+            names[v] if v is None or isinstance(v, bool) else float_spec % float(v)
+            for v in column
+        ]
+    if not finite:
+        raise ArithmeticError(f"sweep column {field} holds a non-finite value")
+    return spec, cells
+
+
+def _sweep_text(rows: list[tuple], fmt: str, meta: dict) -> str:
+    """The sweep file: a header, then every row through one `%` template."""
+    specs, columns = zip(*(
+        _sweep_column(field, column, fmt)
+        for field, column in zip(SWEEP_FIELDS, zip(*rows, strict=True), strict=True)
+    ))
+    cells = zip(*columns)
+    if fmt == "csv":
+        template = ",".join(specs)
+        return "\n".join([",".join(SWEEP_FIELDS), *map(template.__mod__, cells)]) + "\n"
+    # the layout of json.dumps(payload, indent=2): meta nested one level, one
+    # record per template, fields in SWEEP_FIELDS order
+    items = ",\n".join(
+        f"      {json.dumps(field)}: {spec}" for field, spec in zip(SWEEP_FIELDS, specs)
+    )
+    records = ",\n".join(map(f"    {{\n{items}\n    }}".__mod__, cells))
+    head = json.dumps(meta, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "meta": {head},\n  "records": [\n{records}\n  ]\n}}\n'
 
 
 def report_to_dict(report: SqueezingReport) -> dict:
@@ -154,15 +216,9 @@ def _meta(command: str, parameters: dict, space: SpinSpace) -> dict:
 
 def cmd_sweep(args) -> int:
     samples = sweep_samples(args.t_min, args.t_max, args.steps)
-    records = sweep_records(samples)
-    if args.format == "csv":
-        lines = [",".join(SWEEP_FIELDS)]
-        lines.extend(",".join(_fmt(value) for value in record.values()) for record in records)
-        _write_text(args.output, "\n".join(lines) + "\n")
-    else:
-        parameters = {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps}
-        payload = {"meta": _meta("sweep", parameters, TRIPHOTON_SPACE), "records": records}
-        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    parameters = {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps}
+    meta = _meta("sweep", parameters, TRIPHOTON_SPACE)
+    _write_text(args.output, _sweep_text(sweep_records(samples), args.format, meta))
     return 0
 
 
@@ -248,9 +304,12 @@ def cmd_husimi(args) -> int:
                 row_args[2::3] = row
                 handle.write(template % tuple(row_args))
     else:
+        # one float buffer for the scaling: x / 1.0 is x, so an all-zero map
+        # keeps its values
         peak = result.values.max()
-        scaled = result.values / peak if peak > 0 else result.values
-        pixels = np.rint(scaled * 255.0).astype(np.uint8)
+        scaled = np.divide(result.values, peak if peak > 0 else 1.0)
+        np.multiply(scaled, 255.0, out=scaled)
+        pixels = np.rint(scaled, out=scaled).astype(np.uint8)
         header = f"P5\n{grid.n_phi} {grid.n_theta}\n255\n".encode("ascii")
         with open(args.output, "wb") as handle:
             handle.write(header)
@@ -283,12 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, default=181)
     sweep.add_argument("--output", required=True)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.set_defaults(func=cmd_sweep)
 
     state = sub.add_parser("state", help="report one triphoton state")
     state.add_argument("--T", type=float, required=True)
     state.add_argument("--format", choices=("text", "json"), default="text")
-    state.set_defaults(func=cmd_state)
 
     husimi = sub.add_parser("husimi", help="evaluate the Husimi Q distribution")
     husimi.add_argument("--T", type=float, default=None)
@@ -299,26 +356,36 @@ def build_parser() -> argparse.ArgumentParser:
     husimi.add_argument("--scheme", choices=("endpoint", "midpoint"), default="endpoint")
     husimi.add_argument("--output", required=True)
     husimi.add_argument("--format", choices=("csv", "pgm"), default="csv")
-    husimi.set_defaults(func=cmd_husimi)
 
     noon = sub.add_parser("noon", help="report an N-photon NOON state")
     noon.add_argument("--N", type=int, required=True)
     noon.add_argument("--noon-phase", type=float, default=0.0)
     noon.add_argument("--format", choices=("text", "json"), default="text")
-    noon.set_defaults(func=cmd_noon)
 
     verify = sub.add_parser("verify", help="run the self-verification suite")
     verify.add_argument("--perturb-ladder", type=float, default=0.0, help=argparse.SUPPRESS)
-    verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in the process, built on first use.
+
+    `parse_args` keeps no state in it: each call starts a fresh namespace
+    from the declared defaults, and a rejected call only raises SystemExit.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on every call, so a rebound cmd_* (a test's monkeypatch, a
+    # profiler's wrapper) is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
         _check_finite(args)
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,23 +31,27 @@ from .spin_core import (
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-def _vpp_weights(space: SpinSpace, t_ratio: float) -> np.ndarray:
-    """Relative VPP amplitude weights T^(-n), rescaled so the largest is 1.
+def _vpp_weights(space: SpinSpace, t_ratios) -> np.ndarray:
+    """Relative VPP amplitude weights T^(-n), one row per ratio, shape (B, N+1).
 
-    The rescaling leaves the output ray unchanged (the state is renormalized
-    anyway) and makes the pre-normalization squared norm a true post-selection
-    probability in (0, 1].
+    Each row is rescaled so its largest weight is 1; the rescaling leaves the
+    output ray unchanged (the state is renormalized anyway) and makes the
+    pre-normalization squared norm a true post-selection probability in
+    (0, 1].  All rows come from one `np.power` call, elementwise the same
+    routine, and so the same bits, as one row at a time.
     """
-    if t_ratio < 0:
-        raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
+    t_ratios = np.asarray(t_ratios, dtype=float)
+    negative = t_ratios[t_ratios < 0]
+    if negative.size:
+        raise ValueError(f"transmissivity ratio must be >= 0, got {negative[0]}")
     k = np.arange(space.dimension, dtype=float)
-    if t_ratio == 0.0:
-        weights = np.zeros(space.dimension)
-        weights[0] = 1.0  # only the maximal-n (all-horizontal) state survives
-        return weights
     # T^(-n) = T^(k-s); divide by the largest weight: k=0 for T<=1, k=N above
-    exponent = k if t_ratio <= 1.0 else k - space.num_photons
-    return t_ratio**exponent
+    exponent = np.where(t_ratios[:, None] <= 1.0, k, k - space.num_photons)
+    weights = np.power(t_ratios[:, None], exponent)
+    # only the maximal-n (all-horizontal) state survives T = 0, with +0 weight
+    # elsewhere also at T = -0.0, whose odd powers are -0
+    weights[t_ratios == 0.0] = k == 0
+    return weights
 
 
 def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
@@ -66,7 +70,7 @@ def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
         filtered = np.zeros(state.space.dimension, dtype=complex)
         filtered[nonzero[0]] = state.amplitudes[nonzero[0]]
         return normalized_state(state.space, filtered)
-    filtered = _vpp_weights(state.space, t_ratio) * state.amplitudes
+    filtered = _vpp_weights(state.space, [t_ratio])[0] * state.amplitudes
     peak = np.abs(filtered).max()
     if not peak >= _SMALLEST_NORMAL:
         # the surviving weights underflowed (|0,3>_HV at T = 1e-200 weighs
@@ -94,8 +98,13 @@ def vpp_success_probability(state: PolarizationState, t_ratio: float) -> float:
     Uses the max-transmission normalization of the weights, so the value lies
     in (0, 1] whenever the state overlaps the least-attenuated basis state.
     """
-    weights = _vpp_weights(state.space, t_ratio)
-    return float(np.sum(np.abs(weights * state.amplitudes) ** 2))
+    return vpp_success_probabilities(state, [t_ratio])[0]
+
+
+def vpp_success_probabilities(state: PolarizationState, t_ratios) -> list[float]:
+    """`vpp_success_probability` of one state at every ratio of `t_ratios`."""
+    weights = _vpp_weights(state.space, t_ratios)
+    return np.sum(np.abs(weights * state.amplitudes) ** 2, axis=1).tolist()
 
 
 def qwp_apply(state: PolarizationState) -> PolarizationState:

@@ -141,7 +141,8 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
     k = np.arange(num + 1)
     phases = np.exp(-1j * np.outer(grid.phis, k))
     overlaps = (profile * state.amplitudes[None, :]) @ phases.T
-    values = np.abs(overlaps) ** 2
+    values = np.abs(overlaps)
+    np.square(values, out=values)
     np.clip(values, 0.0, 1.0, out=values)
     estimate = (
         (2.0 * state.space.spin + 1.0)

@@ -152,6 +152,39 @@ class TestSweepWriters:
         blob = _sweep_file(tmp_path, fmt, *bounds)
         assert blob == _per_cell_sweep(records, fmt, t_min, t_max, steps)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column", ["float", "mixed"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_value_fails_loudly(self, tmp_path, capsys, monkeypatch, fmt, column, bad):
+        # a float column (every cell a float) and one that also holds None
+        values = [bad] if column == "float" else [None, 1.0, bad]
+        cells = iter(values * 1000)
+        monkeypatch.setattr(cli, "decibels", lambda value: next(cells))
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["sweep", "--steps", "5", "--format", fmt, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: sweep column xi2_db holds a non-finite value\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_steps_bound_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the steps bound was checked")
+
+        monkeypatch.setattr(cli.np, "linspace", forbidden)
+        monkeypatch.setattr(cli, "sweep_records", forbidden)
+        steps = cli.MAX_SWEEP_STEPS + 1
+        with pytest.raises(ValueError, match=f"MAX_SWEEP_STEPS = {cli.MAX_SWEEP_STEPS}"):
+            sweep_samples(0.0, 1.0, steps)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--steps", str(steps), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: sweep of {steps} steps is above the bound "
+            f"MAX_SWEEP_STEPS = {cli.MAX_SWEEP_STEPS}\n"
+        )
+        assert not out.exists()
+
     def test_landmark_rows_covered(self):
         # T = 0, 1 and sqrt(3) appear, and zeta2 is unbounded (None) at sqrt(3) only
         records = _per_row_records(sweep_samples(0.0, 3.0, 400))
@@ -498,6 +531,15 @@ class TestParserReuse:
         assert self._parameters(capsys, ["noon", "--N", "3", "--format", "json"]) == {
             "N": 3, "noon_phase": 0.0,
         }
+
+    def test_rebound_command_runs(self, monkeypatch, capsys):
+        # the parser is already built; a wrapper bound to cli.cmd_noon later
+        # (a monkeypatch, a tracing profiler) is still the function called
+        assert main(["noon", "--N", "2"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_noon", lambda args: calls.append(args.N) or 0)
+        assert main(["noon", "--N", "4"]) == 0
+        assert calls == [4] and capsys.readouterr().out.count("NOON") == 1
 
     @staticmethod
     def _help(parse, argv, capsys):

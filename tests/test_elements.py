@@ -18,8 +18,10 @@ from stokes_squeeze import (
     triphoton_seed,
     triphoton_state,
     vpp_apply,
+    vpp_success_probabilities,
     vpp_success_probability,
 )
+from stokes_squeeze.elements import _vpp_weights
 from stokes_squeeze.spin_core import _stokes_matrices, normalized_state
 from stokes_squeeze.states import basis_state, coherent_state, fock_superposition
 from stokes_squeeze.verify import random_state
@@ -180,6 +182,31 @@ class TestVppBitwise:
                 value = vpp_success_probability(state, t_ratio)
                 assert type(value) is float
                 assert value.hex() == per_row_vpp_probability(state, t_ratio).hex(), t_ratio
+
+    @pytest.mark.parametrize("num_photons", [1, 3, 8, 64])
+    def test_stacked_weights_match_per_row_expression(self, num_photons):
+        # signs of zero included: the T = -0.0 row is +0 off index 0, as at T = 0
+        space = build_spin_space(num_photons)
+        ratios = [*VPP_RATIOS, *VPP_GRID.tolist()]
+        expected = np.array([per_row_vpp_weights(space, t_ratio) for t_ratio in ratios])
+        stacked = _vpp_weights(space, ratios)
+        assert stacked.shape == expected.shape
+        np.testing.assert_array_equal(stacked.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("num_photons", [1, 3, 8, 64])
+    def test_stacked_probabilities_match_per_row_expression(self, num_photons):
+        space = build_spin_space(num_photons)
+        ratios = [*VPP_RATIOS, *VPP_GRID.tolist()]
+        for state in (random_state(space, RNG), basis_state(space, space.n_values[-1])):
+            stacked = vpp_success_probabilities(state, ratios)
+            assert all(type(value) is float for value in stacked)
+            assert [value.hex() for value in stacked] == [
+                per_row_vpp_probability(state, t_ratio).hex() for t_ratio in ratios
+            ]
+
+    def test_negative_ratio_in_a_stack_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0, got -0.5"):
+            vpp_success_probabilities(triphoton_seed(), [0.0, 1.0, -0.5, 2.0])
 
 
 class TestQwp:

@@ -92,6 +92,21 @@ MUTANTS = (
         "np.array([frame.n1 for frame in frames])",
         "np.roll([frame.n1 for frame in frames], 1, axis=0)",
     ),
+    (
+        # an unbounded zeta2 written as Python's None instead of JSON null
+        "json-null-as-None",
+        "cli.py",
+        '"json": ("%r", {None: "null",',
+        '"json": ("%r", {None: "None",',
+    ),
+    (
+        # weights at T = 0 are then IEEE powers of zero: the same except for
+        # the -0 odd powers at T = -0.0
+        "vpp-zero-row-unmasked",
+        "elements.py",
+        "    weights[t_ratios == 0.0] = k == 0\n",
+        "",
+    ),
 )
 
 
