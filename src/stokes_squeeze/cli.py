@@ -131,7 +131,8 @@ def _sweep_column(field: str, column, fmt: str) -> tuple[str, list]:
 
 
 def _sweep_text(rows: list[tuple], fmt: str, meta: dict) -> str:
-    """The sweep file: a header, then every row through one `%` template."""
+    """The sweep file: the CSV field line or the JSON `meta` block, then every
+    row through one `%` template."""
     specs, columns = zip(*(
         _sweep_column(field, column, fmt)
         for field, column in zip(SWEEP_FIELDS, zip(*rows, strict=True), strict=True)
@@ -146,8 +147,8 @@ def _sweep_text(rows: list[tuple], fmt: str, meta: dict) -> str:
         f"      {json.dumps(field)}: {spec}" for field, spec in zip(SWEEP_FIELDS, specs)
     )
     records = ",\n".join(map(f"    {{\n{items}\n    }}".__mod__, cells))
-    head = json.dumps(meta, indent=2).replace("\n", "\n  ")
-    return f'{{\n  "meta": {head},\n  "records": [\n{records}\n  ]\n}}\n'
+    meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "meta": {meta_text},\n  "records": [\n{records}\n  ]\n}}\n'
 
 
 def report_to_dict(report: SqueezingReport) -> dict:

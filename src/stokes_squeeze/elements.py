@@ -48,8 +48,8 @@ def _vpp_weights(space: SpinSpace, t_ratios) -> np.ndarray:
     # T^(-n) = T^(k-s); divide by the largest weight: k=0 for T<=1, k=N above
     exponent = np.where(t_ratios[:, None] <= 1.0, k, k - space.num_photons)
     weights = np.power(t_ratios[:, None], exponent)
-    # only the maximal-n (all-horizontal) state survives T = 0, with +0 weight
-    # elsewhere also at T = -0.0, whose odd powers are -0
+    # T = 0 keeps only the maximal-n (all-horizontal) state; set here so that
+    # T = -0.0, whose odd powers are -0, gets +0 weights as well
     weights[t_ratios == 0.0] = k == 0
     return weights
 

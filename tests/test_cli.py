@@ -134,9 +134,11 @@ def _sweep_file(tmp_path, fmt, t_min=None, t_max=None, steps=None):
     return out.read_bytes()
 
 
-#: (t_min, t_max, steps) of the writer oracle tests; None keeps the default
+#: (t_min, t_max, steps) of the writer oracle tests; None keeps the default.
+#: T = -0.0 is accepted, renders as "-0" and "-0.0" and has the T = 0 weights
 SWEEP_RANGES = [
     (None, None, None), (0.0, 3.0, 400), (1.0, 1.001, 50), (0.0, 1.8, 2), (0.0, 2.5, 2001),
+    (-0.0, 1.0, 5),
 ]
 
 
