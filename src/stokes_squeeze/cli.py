@@ -31,10 +31,10 @@ import numpy as np
 from .elements import vpp_success_probabilities
 from .husimi import SphereGrid, q_grid
 from .spin_core import SpinSpace
-from .squeezing import SqueezingReport, decibels, squeezing_report, squeezing_reports
+from .squeezing import SqueezingReport, decibels, squeezing_report, squeezing_report_rows
 from .states import (
-    TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_seed, triphoton_state,
-    triphoton_state_rows,
+    TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_rows_from_amplitudes,
+    triphoton_seed, triphoton_state,
 )
 from .verify import CHECKS, run_checks
 
@@ -48,7 +48,8 @@ SWEEP_FIELDS = (
 SWEEP_LANDMARKS = (1.0, math.sqrt(3.0))
 
 #: most `sweep --steps` accepted, checked before any sample is made: a sweep
-#: keeps every report and its whole file text in memory until it is written
+#: keeps every row, as Python floats, and its whole file text in memory until
+#: it is written
 MAX_SWEEP_STEPS = 2**16
 
 #: per sweep format: the `%` spec of a float cell, and the text of None and bools
@@ -96,19 +97,23 @@ def sweep_samples(t_min: float, t_max: float, steps: int) -> list[float]:
 def sweep_records(samples) -> list[tuple]:
     """Sweep rows in SWEEP_FIELDS order: the triphoton report at each ratio T.
 
-    All reports come from one stacked `squeezing_reports` call and all VPP
+    (c2, c3) is computed once per ratio.  All reports come from one stacked
+    `squeezing_report_rows` call, as rows of floats, and all VPP
     probabilities from one stacked `vpp_success_probabilities` call.
     """
-    reports = squeezing_reports(TRIPHOTON_SPACE, triphoton_state_rows(samples))
+    amplitudes = [triphoton_amplitudes(t_ratio) for t_ratio in samples]
+    reports = squeezing_report_rows(TRIPHOTON_SPACE, triphoton_rows_from_amplitudes(amplitudes))
     probabilities = vpp_success_probabilities(triphoton_seed(), samples)
-    return [
-        (
-            t_ratio, *triphoton_amplitudes(t_ratio), *report.mean.components,
-            report.v_minus, report.v_plus, report.xi2, report.chi2, report.zeta2,
-            report.zeta2_unbounded, decibels(report.xi2), decibels(report.chi2), probability,
-        )
-        for t_ratio, report, probability in zip(samples, reports, probabilities, strict=True)
-    ]
+    records = []
+    for t_ratio, (c2, c3), (mean, _, _, tail), probability in zip(
+        samples, amplitudes, reports, probabilities, strict=True
+    ):
+        v_minus, v_plus, xi2, zeta2, unbounded, chi2, _ = tail
+        records.append((
+            t_ratio, c2, c3, *mean[0], v_minus, v_plus, xi2, chi2, zeta2, unbounded,
+            decibels(xi2), decibels(chi2), probability,
+        ))
+    return records
 
 
 def _sweep_column(field: str, column, fmt: str) -> tuple[str, list]:

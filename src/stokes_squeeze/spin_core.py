@@ -151,6 +151,16 @@ def _apply(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (mats @ amps[:, :, None])[:, :, 0]
 
 
+def _s1_image(space: SpinSpace, amps: np.ndarray) -> np.ndarray:
+    """`_apply(S1, amps)` for one state or a stack, bit for bit, in O(N) per row.
+
+    S1 is diagonal, so each entry of the product has one nonzero term, n a,
+    which BLAS rounds once as numpy does; + 0.0 turns a -0 entry into the +0
+    that `zgemv` sums it to.
+    """
+    return space.n_values * amps + 0.0
+
+
 def _vdots(a: np.ndarray, b: np.ndarray):
     """`np.vdot(a, b)` for one state, or of each row pair of two (B, N+1)
     stacks: one BLAS dot per row, with the conjugate taken first, as

@@ -22,12 +22,22 @@ every published value bit for bit as the dense sum gave it.
 `amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and
 `variance_ellipse` are its one-row case: the same stage functions, given one
 state's amplitudes of shape (N+1,) instead of a (rows, N+1) chunk.  The mean
-applies each cached S1..S3 to every row in one stacked product, and the
-ellipse builds the combinations n1.S, then n2.S over it, for all rows at
-once.  Every stacked product and dot is the same BLAS call per row as the
-single-state one (`spin_core._apply` and `_vdots`), so each report is bit for
-bit what the row alone gives.  The frame and the scalar tail (snap, atan2,
-V-+, xi^2, zeta^2, chi^2) stay per row, in the same float expressions.
+applies the cached S2 and S3 to every row in one stacked product each (S1 is
+diagonal: its image is the elementwise n * amps, bit for bit the dense
+product), and the ellipse builds the combinations n1.S, then n2.S over it,
+for all rows at once.  Every stacked product and dot is the same BLAS call
+per row as the single-state one (`spin_core._apply` and `_vdots`), so each
+report is bit for bit what the row alone gives.
+
+The rest runs on Python floats, one pass per row, with one function per
+stage: `_frame_row` (angles, vectors and the frame checks), `_ellipse_row`
+(snap, isotropy, gamma_opt and the ellipse check) and `_tail_row` (V-+ with
+its clamp, then xi^2, zeta^2, chi^2).  `squeezing_report_rows` returns those
+float rows, which is all a sweep reads.  The object API (`squeezing_report`,
+`squeezing_reports`, `bloch_frame`, `variance_ellipse`) wraps the same rows
+in its dataclasses without checking them a second time; a dataclass built
+directly is checked by its `__post_init__`.  atan2, hypot and log10 stay
+`math`'s per row: numpy's vectorized ones differ from them in the last bit.
 Stacks go through in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows, so a
 stacked matrix never exceeds CHUNK_ENTRIES entries, or one matrix from
 N = 255 on.
@@ -47,7 +57,9 @@ from .spin_core import (
     _real_expectation,
     _amplitude_rows,
     _apply,
+    _readonly,
     _require_unit_rows,
+    _s1_image,
     _stokes_combination,
     _stokes_matrices,
     _unit_direction,
@@ -102,21 +114,27 @@ class BlochFrame:
     degenerate: bool
 
     def __post_init__(self):
-        # Python floats: np.linalg.norm and np.cross on 3-vectors took about
-        # 40 us of a 77 us N = 3 report, for the same checks
-        n1, n2, n3 = (v.tolist() for v in (self.n1, self.n2, self.n3))
-        for v in (n1, n2, n3):
-            if not abs(math.hypot(*v) - 1.0) <= 1e-12:
-                raise ValueError("frame vectors must be unit length")
-        if not max(abs(_dot(n1, n2)), abs(_dot(n2, n3)), abs(_dot(n3, n1))) <= 1e-12:
-            raise ValueError("frame vectors must be orthogonal")
-        (x1, y1, z1), (x2, y2, z2) = n1, n2
-        cross = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-        if not max(abs(c - e) for c, e in zip(cross, n3)) <= 1e-12:
-            raise ValueError("frame must be right-handed")
+        _check_frame(*(v.tolist() for v in (self.n1, self.n2, self.n3)))
 
 
-def _dot(u: list[float], v: list[float]) -> float:
+def _check_frame(n1, n2, n3) -> None:
+    """Raise unless the 3-vectors of floats n1, n2, n3 are unit length,
+    orthogonal and right-handed, each within 1e-12."""
+    for v in (n1, n2, n3):
+        if not abs(math.hypot(*v) - 1.0) <= 1e-12:
+            raise ValueError("frame vectors must be unit length")
+    if not max(abs(_dot(n1, n2)), abs(_dot(n2, n3)), abs(_dot(n3, n1))) <= 1e-12:
+        raise ValueError("frame vectors must be orthogonal")
+    # n1 x n2 - n3, component by component
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = n1, n2, n3
+    defect = max(
+        abs(y1 * z2 - z1 * y2 - x3), abs(z1 * x2 - x1 * z2 - y3), abs(x1 * y2 - y1 * x2 - z3)
+    )
+    if not defect <= 1e-12:
+        raise ValueError("frame must be right-handed")
+
+
+def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
@@ -137,8 +155,12 @@ class VarianceEllipse:
     isotropic: bool
 
     def __post_init__(self):
-        if self.C < math.hypot(self.A, self.B) - 1e-12:
-            raise ValueError("ellipse admits a negative variance")
+        _check_ellipse(self.A, self.B, self.C)
+
+
+def _check_ellipse(a: float, b: float, c: float) -> None:
+    if c < math.hypot(a, b) - 1e-12:
+        raise ValueError("ellipse admits a negative variance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,16 +182,18 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    return _mean_polarizations(state.space, state.amplitudes)[0]
+    ((components, length, radius),) = _mean_rows(state.space, state.amplitudes)
+    return _checked(MeanPolarization, _readonly(np.array(components)), length, radius)
 
 
-def _mean_polarizations(space: SpinSpace, amps: np.ndarray) -> list[MeanPolarization]:
-    """`mean_polarization` of one state, `amps` of shape (N+1,), or of each
-    row of a (B, N+1) stack, as a list."""
-    # one cached matrix at a time, applied to every row; the three are never
-    # stacked into one array
-    stokes = _stokes_matrices(space.num_photons)
-    raw = np.array([_vdots(amps, _apply(s, amps)) for s in stokes]).T
+def _mean_rows(space: SpinSpace, amps: np.ndarray) -> list[tuple]:
+    """(components, length, radius) of one state, `amps` of shape (N+1,), or
+    of each row of a (B, N+1) stack, in floats: one row per state."""
+    # the diagonal S1 by its O(N) image; the dense S2 and S3 one at a time,
+    # never stacked into one array
+    _, s2, s3 = _stokes_matrices(space.num_photons)
+    images = (_s1_image(space, amps), _apply(s2, amps), _apply(s3, amps))
+    raw = np.array([_vdots(amps, image) for image in images]).T
     comps = np.ascontiguousarray(_real_expectation(raw))
     lengths = np.sqrt(_vdots(comps, comps))
     over = lengths > space.spin + 1e-12
@@ -179,26 +203,33 @@ def _mean_polarizations(space: SpinSpace, amps: np.ndarray) -> list[MeanPolariza
             f"{space.spin}"
         )
     radii = np.hypot(comps[..., 1], comps[..., 2])
-    comps.setflags(write=False)
-    rows = _per_row(lengths.tolist(), radii.tolist(), comps)
-    return [MeanPolarization(row, length, radius) for length, radius, row in rows]
+    if amps.ndim == 1:
+        return [(comps.tolist(), float(lengths), float(radii))]
+    return list(zip(comps.tolist(), lengths.tolist(), radii.tolist()))
 
 
-def _per_row(first, *rest):
-    """Per-state tuples of values: one tuple when `first` is one state's
-    scalar, else the rows of a stack's columns."""
-    return zip(first, *rest) if isinstance(first, (list, np.ndarray)) else [(first, *rest)]
-
-
-def _frame_from_angles(theta: float, phi: float, degenerate: bool) -> BlochFrame:
+def _frame_row(components, length: float, radius: float, fallback) -> tuple:
+    """Analysis frame of one mean, in floats: ((n1, n2, n3), theta, phi,
+    degenerate), the frame checked as BlochFrame checks it."""
+    if length <= DEGENERACY_TOL:
+        theta, phi = fallback if fallback is not None else DEFAULT_FALLBACK_ANGLES
+        degenerate = True
+    else:
+        s1, s2, s3 = components
+        if radius <= DEGENERACY_TOL:
+            theta, phi = (0.0 if s1 > 0 else math.pi), 0.0
+        else:
+            theta, phi = math.atan2(radius, s1), math.atan2(s3, s2)
+        degenerate = False
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     sin_p, cos_p = math.sin(phi), math.cos(phi)
-    n1 = np.array([0.0, -sin_p, cos_p])
-    n2 = np.array([sin_t, -cos_t * cos_p, -cos_t * sin_p])
-    n3 = np.array([cos_t, sin_t * cos_p, sin_t * sin_p])
-    for v in (n1, n2, n3):
-        v.setflags(write=False)
-    return BlochFrame(n1, n2, n3, theta, phi, degenerate)
+    vectors = (
+        (0.0, -sin_p, cos_p),
+        (sin_t, -cos_t * cos_p, -cos_t * sin_p),
+        (cos_t, sin_t * cos_p, sin_t * sin_p),
+    )
+    _check_frame(*vectors)
+    return vectors, theta, phi, degenerate
 
 
 def bloch_frame(
@@ -211,15 +242,8 @@ def bloch_frame(
     marks the frame degenerate and uses the fallback angles, by default
     (pi/2, pi/2).
     """
-    if mean.length <= DEGENERACY_TOL:
-        theta, phi = fallback if fallback is not None else DEFAULT_FALLBACK_ANGLES
-        return _frame_from_angles(theta, phi, degenerate=True)
-    s1 = mean.components[0]
-    if mean.transverse_radius <= DEGENERACY_TOL:
-        return _frame_from_angles(0.0 if s1 > 0 else math.pi, 0.0, degenerate=False)
-    theta = math.atan2(mean.transverse_radius, s1)
-    phi = math.atan2(mean.components[2], mean.components[1])
-    return _frame_from_angles(theta, phi, degenerate=False)
+    vectors, *angles = _frame_row(mean.components, mean.length, mean.transverse_radius, fallback)
+    return _checked(BlochFrame, *_readonly(np.array(vectors)), *angles)
 
 
 def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEllipse:
@@ -227,16 +251,19 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
 
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
-    return _variance_ellipses(state.space, state.amplitudes, [frame])[0]
+    ((a, b, c),) = _moment_rows(state.space, state.amplitudes, [(frame.n1, frame.n2)])
+    return _checked(VarianceEllipse, *_ellipse_row(a, b, c))
 
 
-def _variance_ellipses(space: SpinSpace, amps: np.ndarray, frames) -> list[VarianceEllipse]:
-    """`variance_ellipse` of one state, `amps` of shape (N+1,), or of each row
-    of a (B, N+1) stack, row i in frames[i], as a list."""
+def _moment_rows(space: SpinSpace, amps: np.ndarray, bases) -> list[tuple]:
+    """Raw moments (A, B, C) of one state, `amps` of shape (N+1,), or of each
+    row of a (B, N+1) stack, in floats; row i in the frame whose (n1, n2, ...)
+    is bases[i]."""
     if amps.ndim == 1:
-        n1, n2 = frames[0].n1, frames[0].n2
+        n1, n2 = bases[0][:2]
     else:
-        n1, n2 = np.array([frame.n1 for frame in frames]), np.array([frame.n2 for frame in frames])
+        n1 = np.array([basis[0] for basis in bases])
+        n2 = np.array([basis[1] for basis in bases])
     # one matrix (or stack) alive at a time, n2.S written over n1.S: at
     # N = 512 a second 4 MB buffer is mapped fresh and page-faulted on every
     # call, which more than doubles the cost
@@ -245,11 +272,15 @@ def _variance_ellipses(space: SpinSpace, amps: np.ndarray, frames) -> list[Varia
     image2 = _apply(_stokes_combination(space, n2, out=mats), amps)
     sq1 = _vdots(image1, image1).real
     sq2 = _vdots(image2, image2).real
-    moments = _per_row(sq1 - sq2, 2.0 * _vdots(image1, image2).real, sq1 + sq2)
-    return [_ellipse_from_moments(a, b, c) for a, b, c in moments]
+    moments = (sq1 - sq2, 2.0 * _vdots(image1, image2).real, sq1 + sq2)
+    if amps.ndim == 1:
+        return [(float(moments[0]), float(moments[1]), float(moments[2]))]
+    return list(zip(*(m.tolist() for m in moments)))
 
 
-def _ellipse_from_moments(a: float, b: float, c: float) -> VarianceEllipse:
+def _ellipse_row(a: float, b: float, c: float) -> tuple:
+    """(A, B, C, gamma_opt, isotropic) from raw moments, checked as
+    VarianceEllipse checks them."""
     # exact-zero moments survive as +-1e-16 noise; snap them so atan2 picks a
     # deterministic branch (the family's B = 0, A < 0 must give gamma_opt = pi)
     snap = MOMENT_SNAP * max(1.0, c)
@@ -257,18 +288,21 @@ def _ellipse_from_moments(a: float, b: float, c: float) -> VarianceEllipse:
         a = 0.0
     if abs(b) < snap:
         b = 0.0
+    _check_ellipse(a, b, c)
     if math.hypot(a, b) < ISOTROPY_TOL:
-        return VarianceEllipse(a, b, c, gamma_opt=0.0, isotropic=True)
-    return VarianceEllipse(
-        a, b, c, gamma_opt=(math.pi + math.atan2(b, a)) / 2.0, isotropic=False
-    )
+        return a, b, c, 0.0, True
+    return a, b, c, (math.pi + math.atan2(b, a)) / 2.0, False
 
 
 def extremal_variances(ellipse: VarianceEllipse) -> tuple[float, float]:
     """(V-, V+) = ([C -+ sqrt(A^2+B^2)] / 2), V- clamped at zero round-off."""
-    spread = math.hypot(ellipse.A, ellipse.B)
-    v_minus = (ellipse.C - spread) / 2.0
-    v_plus = (ellipse.C + spread) / 2.0
+    return _extremal(ellipse.A, ellipse.B, ellipse.C)
+
+
+def _extremal(a: float, b: float, c: float) -> tuple[float, float]:
+    spread = math.hypot(a, b)
+    v_minus = (c - spread) / 2.0
+    v_plus = (c + spread) / 2.0
     if v_minus < 0.0:
         if v_minus < -1e-12:
             raise ArithmeticError(f"negative extremal variance {v_minus:.3e}")
@@ -276,11 +310,24 @@ def extremal_variances(ellipse: VarianceEllipse) -> tuple[float, float]:
     return v_minus, v_plus
 
 
+def _tail_row(spin: float, length: float, a: float, b: float, c: float) -> tuple:
+    """(v_minus, v_plus, xi2, zeta2, zeta2_unbounded, chi2, qfi) of one state
+    from its mean length and snapped ellipse, in floats."""
+    v_minus, v_plus = _extremal(a, b, c)
+    xi2 = 2.0 * v_minus / spin
+    if length > DEGENERACY_TOL:
+        zeta2, unbounded = (spin / length) ** 2 * xi2, False
+    else:
+        zeta2, unbounded = None, True
+    return v_minus, v_plus, xi2, zeta2, unbounded, spin / (2.0 * v_plus), 4.0 * v_plus
+
+
 def squeezing_report(
     state: PolarizationState, fallback_frame: tuple[float, float] | None = None
 ) -> SqueezingReport:
     """Full analysis pipeline: mean -> frame -> ellipse -> V-+ -> figures of merit."""
-    return _reports(state.space, [state.amplitudes], fallback_frame)[0]
+    rows = _report_rows(state.space, [state.amplitudes], fallback_frame)
+    return _report_objects(state.space, rows)[0]
 
 
 def squeezing_reports(
@@ -292,52 +339,74 @@ def squeezing_reports(
     PolarizationState requires.  Report i is bit for bit the report of row i
     alone, for any B.
     """
+    return _report_objects(space, squeezing_report_rows(space, amplitudes, fallback_frame))
+
+
+def squeezing_report_rows(
+    space: SpinSpace, amplitudes, fallback_frame: tuple[float, float] | None = None
+) -> list[tuple]:
+    """`squeezing_reports` as rows of Python floats, without report objects.
+
+    Row i is (mean, frame, ellipse, tail), the fields of report i in order:
+    mean = (components, length, transverse_radius), frame = ((n1, n2, n3),
+    theta, phi, degenerate), ellipse = (A, B, C, gamma_opt, isotropic) and
+    tail = (v_minus, v_plus, xi2, zeta2, zeta2_unbounded, chi2, qfi); a
+    vector is a tuple or list of three floats.  snl is s / 2 on every row.
+    """
     amps = _amplitude_rows(space, amplitudes)
     _require_unit_rows(amps)
     rows = max(1, CHUNK_ENTRIES // space.dimension**2)
-    return _reports(space, [amps[i : i + rows] for i in range(0, len(amps), rows)], fallback_frame)
+    chunks = [amps[i : i + rows] for i in range(0, len(amps), rows)]
+    return _report_rows(space, chunks, fallback_frame)
 
 
-def _reports(space: SpinSpace, chunks, fallback_frame) -> list[SqueezingReport]:
-    """Reports of each chunk in turn: one state's amplitudes, shape (N+1,), or
-    a (rows, N+1) stack of them."""
+def _report_rows(space: SpinSpace, chunks, fallback_frame) -> list[tuple]:
+    """Report rows of each chunk in turn: one state's amplitudes, shape
+    (N+1,), or a (rows, N+1) stack of them."""
     spin = space.spin
     if spin == 0:
         raise ValueError("squeezing analysis needs at least one photon")
-    reports = []
+    rows = []
     for amps in chunks:
-        means = _mean_polarizations(space, amps)
-        frames = [bloch_frame(mean, fallback_frame) for mean in means]
-        ellipses = _variance_ellipses(space, amps, frames)
-        reports.extend(map(_report, [spin] * len(means), means, frames, ellipses))
-    return reports
+        means = _mean_rows(space, amps)
+        frames = [_frame_row(*mean, fallback_frame) for mean in means]
+        moments = _moment_rows(space, amps, [frame[0] for frame in frames])
+        for mean, frame, raw in zip(means, frames, moments):
+            ellipse = _ellipse_row(*raw)
+            rows.append((mean, frame, ellipse, _tail_row(spin, mean[1], *ellipse[:3])))
+    return rows
 
 
-def _report(
-    spin: float, mean: MeanPolarization, frame: BlochFrame, ellipse: VarianceEllipse
-) -> SqueezingReport:
-    """Figures of merit of one state from its mean, frame and ellipse."""
-    v_minus, v_plus = extremal_variances(ellipse)
-    xi2 = 2.0 * v_minus / spin
-    if mean.length > DEGENERACY_TOL:
-        zeta2 = (spin / mean.length) ** 2 * xi2
-        unbounded = False
-    else:
-        zeta2 = None
-        unbounded = True
-    return SqueezingReport(
-        mean=mean,
-        frame=frame,
-        ellipse=ellipse,
-        v_minus=v_minus,
-        v_plus=v_plus,
-        xi2=xi2,
-        zeta2=zeta2,
-        zeta2_unbounded=unbounded,
-        chi2=spin / (2.0 * v_plus),
-        qfi=4.0 * v_plus,
-        snl=spin / 2.0,
-    )
+def _report_objects(space: SpinSpace, rows) -> list[SqueezingReport]:
+    """SqueezingReports of report rows.  Each report's frame vectors n1, n2,
+    n3 and mean components are the rows of one read-only (4, 3) block of a
+    single array for all reports."""
+    if not rows:
+        return []
+    blocks = _readonly(np.array([(*frame[0], mean[0]) for mean, frame, _, _ in rows]))
+    snl = space.spin / 2.0
+    return [
+        _checked(
+            SqueezingReport,
+            _checked(MeanPolarization, comps, *mean[1:]),
+            _checked(BlochFrame, n1, n2, n3, *frame[1:]),
+            _checked(VarianceEllipse, *ellipse),
+            *tail,
+            snl,
+        )
+        for (n1, n2, n3, comps), (mean, frame, ellipse, tail) in zip(blocks, rows)
+    ]
+
+
+def _checked(cls, *values):
+    """A `cls` dataclass instance of `values`, in field order, built without
+    `__init__`: the stage functions have checked them as floats already, so
+    the `__post_init__` checks run only on objects built directly.  It also
+    skips the frozen `__init__`'s one `object.__setattr__` per field, which
+    keeps a single N = 3 report as fast as it was with per-row objects."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return instance
 
 
 def qfi_pure(state: PolarizationState, direction) -> float:

@@ -113,18 +113,34 @@ def coherent_state_closed_form(
     return normalized_state(space, amps)
 
 
+#: T**4 is finite exactly below 2^256 (2^1024 overflows); from there on the
+#: triphoton closed forms are taken with numerator and denominator over T^2
+_T4_BOUND = 2.0**256
+
+
 def triphoton_amplitudes(t_ratio: float) -> tuple[float, float]:
     """Closed-form amplitudes (c2, c3) of the post-QWP triphoton family.
 
     c2 = (3 - T^2) / (2 sqrt(2) sqrt(3 + T^4))
     c3 = (1/2) sqrt(3/2) (1 + T^2) / sqrt(3 + T^4)
     c2 changes sign at T = sqrt(3), where the family reaches the NOON state.
+    Where T^4 would overflow, both are taken over T^2, with u = 1/T^2:
+    c2 = (3u - 1) / (2 sqrt(2) sqrt(3u^2 + 1)), which tends to -1/(2 sqrt(2)),
+    and c3 = (1/2) sqrt(3/2) (u + 1) / sqrt(3u^2 + 1), to sqrt(3/2)/2.
     """
     if t_ratio < 0:
         raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
-    root = math.sqrt(3.0 + t_ratio**4)
-    c2 = (3.0 - t_ratio**2) / (2.0 * math.sqrt(2.0) * root)
-    c3 = 0.5 * math.sqrt(1.5) * (1.0 + t_ratio**2) / root
+    # a compare, so a float and an np.float64 T take the same branch
+    if t_ratio < _T4_BOUND:
+        root = math.sqrt(3.0 + t_ratio**4)
+        c2 = (3.0 - t_ratio**2) / (2.0 * math.sqrt(2.0) * root)
+        c3 = 0.5 * math.sqrt(1.5) * (1.0 + t_ratio**2) / root
+        return c2, c3
+    inverse = 1.0 / t_ratio
+    u = inverse * inverse  # 0 from T ~ 6.4e161 on, which gives the limit itself
+    root = math.sqrt(3.0 * u * u + 1.0)
+    c2 = (3.0 * u - 1.0) / (2.0 * math.sqrt(2.0) * root)
+    c3 = 0.5 * math.sqrt(1.5) * (u + 1.0) / root
     return c2, c3
 
 
@@ -154,9 +170,8 @@ def triphoton_raw(t_ratio: float) -> PolarizationState:
     return normalized_state(TRIPHOTON_SPACE, amps)
 
 
-def _triphoton_row(t_ratio: float) -> list[complex]:
+def _triphoton_row(c2: float, c3: float) -> list[complex]:
     """Unnormalized amplitudes (c3, i c2, -c2, -i c3) of `triphoton_state`."""
-    c2, c3 = triphoton_amplitudes(t_ratio)
     return [c3, 1j * c2, -c2, -1j * c3]
 
 
@@ -166,7 +181,8 @@ def triphoton_state(t_ratio: float) -> PolarizationState:
     Equals the quarter-wave plate applied to triphoton_raw(T) up to a global
     phase (empirically the phase is exactly 1 in this basis convention).
     """
-    return normalized_state(TRIPHOTON_SPACE, np.array(_triphoton_row(t_ratio), dtype=complex))
+    row = _triphoton_row(*triphoton_amplitudes(t_ratio))
+    return normalized_state(TRIPHOTON_SPACE, np.array(row, dtype=complex))
 
 
 def triphoton_state_rows(t_ratios) -> np.ndarray:
@@ -176,7 +192,13 @@ def triphoton_state_rows(t_ratios) -> np.ndarray:
     built from the same expressions, then normalized and checked as
     `normalized_state` does it.
     """
-    rows = np.array([_triphoton_row(t) for t in t_ratios], dtype=complex)
+    return triphoton_rows_from_amplitudes([triphoton_amplitudes(t) for t in t_ratios])
+
+
+def triphoton_rows_from_amplitudes(amplitudes) -> np.ndarray:
+    """`triphoton_state_rows` from each ratio's (c2, c3), as
+    `triphoton_amplitudes` gives them."""
+    rows = np.array([_triphoton_row(c2, c3) for c2, c3 in amplitudes], dtype=complex)
     return _normalized_rows(TRIPHOTON_SPACE, rows.reshape(-1, TRIPHOTON_SPACE.dimension))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,38 @@ class TestSweep:
         for bounds in ((0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
             with pytest.raises(ValueError):
                 sweep_samples(*bounds, 5)
+
+
+class TestLargeRatios:
+    """Beyond T = 2^256, where T**4 overflows, `state` and `sweep` report the
+    T -> infinity limit of the family, with no warning."""
+
+    LIMIT_C2, LIMIT_C3 = -1.0 / (2.0 * math.sqrt(2.0)), math.sqrt(1.5) / 2.0
+
+    def test_state(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["state", "--T", "1e80", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["c2"] == pytest.approx(self.LIMIT_C2, rel=1e-15)
+        assert payload["c3"] == pytest.approx(self.LIMIT_C3, rel=1e-15)
+        assert payload["report"]["mean"] == pytest.approx([0.0, 0.0, -0.5], abs=1e-15)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep(self, tmp_path, capsys, fmt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blob = _sweep_file(tmp_path, fmt, 0.0, 1e200, 3)
+        assert capsys.readouterr() == ("", "")
+        assert b"nan" not in blob.lower() and b"inf" not in blob.lower()
+        if fmt == "json":
+            records = json.loads(blob)["records"]
+            assert [r["T"] for r in records] == [0.0, 1.0, SQRT3, 5e199, 1e200]
+            for record in records[-2:]:
+                assert record["c2"] == pytest.approx(self.LIMIT_C2, rel=1e-15)
+                assert record["c3"] == pytest.approx(self.LIMIT_C3, rel=1e-15)
 
 
 class TestState:

@@ -21,7 +21,9 @@ from stokes_squeeze import (
     variance,
 )
 from stokes_squeeze.spin_core import (
+    _apply,
     _image_variance,
+    _s1_image,
     _s2_eigenbasis,
     _stokes_band,
     _stokes_combination,
@@ -192,6 +194,35 @@ class TestBandIsTheSource:
         _assert_bitwise(ladder_operator(space, -1).matrix, sp.conj().T)
         for axis, oracle in enumerate(stokes):
             _assert_bitwise(stokes_operator(space, axis).matrix, oracle)
+
+
+class TestS1Image:
+    """The O(N) image of the diagonal S1 is the dense product bit for bit,
+    signed zeros included, for one state and for a stack."""
+
+    @staticmethod
+    def _rows(num_photons, count, rng):
+        dim = num_photons + 1
+        rows = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+        # planted zeros of both signs, in either part and on either sign of n
+        rows.real[0::3, ::2] = 0.0
+        rows.imag[0::3, 1::2] = -0.0
+        rows.real[1::3, 1::3] = -0.0
+        rows.imag[1::3] = 0.0
+        rows[2::3, ::4] = complex(-0.0, -0.0)
+        rows[-1] = np.eye(dim)[num_photons // 2]  # a basis state: all else +0
+        return rows
+
+    @pytest.mark.parametrize("num_photons", [1, 2, 3, 8, 31, 64, 128, 255, 512])
+    def test_equals_dense_product(self, num_photons):
+        space = build_spin_space(num_photons)
+        s1 = _stokes_matrices(num_photons)[0]
+        rng = np.random.default_rng(num_photons)
+        for count in (1, 7, 300 if num_photons <= 64 else 3):
+            rows = self._rows(num_photons, count, rng)
+            _assert_bitwise(_s1_image(space, rows), _apply(s1, rows))
+            singles = [(_s1_image(space, row), _apply(s1, row)) for row in rows]
+            _assert_bitwise(*map(np.array, zip(*singles)))
 
 
 class TestExpectationVariance:

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +212,64 @@ class TestTriphotonState:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
             triphoton_state(-1.0)
+
+
+def _amplitudes_as_written(t):
+    """(c2, c3) from the closed forms with T**4 itself, the route below 2^256."""
+    root = math.sqrt(3.0 + t**4)
+    c2 = (3.0 - t**2) / (2.0 * math.sqrt(2.0) * root)
+    return c2, 0.5 * math.sqrt(1.5) * (1.0 + t**2) / root
+
+
+#: the largest T whose T**4 is finite
+T4_MAX = math.nextafter(2.0**256, 0.0)
+
+
+class TestTriphotonLargeRatio:
+    """Above the T**4 overflow the closed forms are taken over T^2; below it
+    every amplitude keeps its bits."""
+
+    def test_bound_is_where_t4_overflows(self):
+        assert math.isfinite(T4_MAX**4)
+        with pytest.raises(OverflowError):
+            (2.0**256) ** 4
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.float64(T4_MAX) ** 4)
+            assert not np.isfinite(np.float64(2.0**256) ** 4)
+
+    def test_bits_kept_wherever_t4_is_finite(self):
+        logs = np.random.default_rng(13).uniform(-300.0, math.log10(T4_MAX), 10_000)
+        ts = [
+            *np.linspace(0.0, 1.8, 181), *(10.0**logs), 0.0, -0.0, 1.0, SQRT3, 1e-300,
+            5e-324, 1e76, math.nextafter(T4_MAX, 0.0), T4_MAX,
+        ]
+        ts = [t for t in ts if t < 2.0**256]
+        assert len(ts) >= 10_000
+        for t in ts:
+            for value in (float(t), np.float64(t)):
+                expected = tuple(map(float.hex, _amplitudes_as_written(value)))
+                assert tuple(map(float.hex, triphoton_amplitudes(value))) == expected, value
+
+    @pytest.mark.parametrize(
+        "t", [2.0**256, 1e80, 1e154, 1e200, sys.float_info.max, math.inf], ids=repr
+    )
+    def test_limit_beyond_the_bound(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c2, c3 = triphoton_amplitudes(t)
+            assert tuple(map(float.hex, triphoton_amplitudes(np.float64(t)))) == (
+                c2.hex(), c3.hex()
+            )
+            state = triphoton_state(t)
+        assert c2 == pytest.approx(-1.0 / (2.0 * math.sqrt(2.0)), rel=1e-15)
+        assert c3 == pytest.approx(math.sqrt(1.5) / 2.0, rel=1e-15)
+        assert abs(2 * c2**2 + 2 * c3**2 - 1) < 1e-15
+        assert fidelity(state, triphoton_state(1e6)) > 1 - 1e-11
+
+    def test_continuous_across_the_bound(self):
+        below, above = triphoton_amplitudes(T4_MAX), triphoton_amplitudes(2.0**256)
+        for b, a in zip(below, above):
+            assert abs(b - a) <= 1e-16
 
 
 class TestTriphotonStateRows:

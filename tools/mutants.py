@@ -57,8 +57,8 @@ MUTANTS = (
     (
         "v-minus-scaled-0.999",
         "squeezing.py",
-        "v_minus = (ellipse.C - spread) / 2.0",
-        "v_minus = 0.999 * (ellipse.C - spread) / 2.0",
+        "v_minus = (c - spread) / 2.0",
+        "v_minus = 0.999 * (c - spread) / 2.0",
     ),
     (
         "ladder-coefficient-perturbed",
@@ -89,8 +89,16 @@ MUTANTS = (
         # a stack's n1 directions one row late: every one-row call is unchanged
         "stacked-frames-shifted",
         "squeezing.py",
-        "np.array([frame.n1 for frame in frames])",
-        "np.roll([frame.n1 for frame in frames], 1, axis=0)",
+        "np.array([basis[0] for basis in bases])",
+        "np.roll([basis[0] for basis in bases], 1, axis=0)",
+    ),
+    (
+        # the one frame-vector expression, which the float rows and the frame
+        # objects share: a left-handed frame
+        "frame-n2-sign-flipped",
+        "squeezing.py",
+        "(sin_t, -cos_t * cos_p, -cos_t * sin_p),",
+        "(-sin_t, cos_t * cos_p, cos_t * sin_p),",
     ),
     (
         # an unbounded zeta2 written as Python's None instead of JSON null
