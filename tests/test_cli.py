@@ -67,6 +67,21 @@ HUSIMI_STATES = [
 ]
 
 
+def _digit_ties() -> list[float]:
+    """Floats k 2^-s (k odd) whose exact decimal value has 13 significant
+    digits, so its last digit 5 is an exact tie of `%.12g`'s rounding: both
+    parities of the 12th digit, values from about 1e-11 to 10."""
+    ties = []
+    for s in range(12, 24):
+        low = -(-10**12 // 5**s)
+        for k in range(low | 1, low + 40, 2):
+            if len(str(k * 5**s)) == 13:
+                ties.append(k * 2.0**-s)
+    return ties
+
+
+_DIGIT_TIES = _digit_ties()
+
 def _husimi_csv(tmp_path, monkeypatch, state_args, shape, scheme):
     """Run `husimi` to CSV; return the file's bytes and the QGrid it was written from."""
     evaluate, evaluated = cli.q_grid, []
@@ -519,6 +534,34 @@ class TestHusimi:
             assert lines[1].startswith(b"0,0,1,")
             assert lines[-2].startswith(f"{_fmt(math.pi)},".encode())
 
+
+    @pytest.mark.parametrize("scheme", ["endpoint", "midpoint"])
+    def test_csv_decimal_edges_match_per_cell_writer(self, tmp_path, monkeypatch, scheme):
+        # a default-size map of seeded log-uniform values in [1e-13, 1], led
+        # by every power of ten in range with its float neighbours, exact
+        # ties of the 12th significant digit and the extreme cells
+        rng = np.random.default_rng(1018)
+        edges = [0.0, 5e-324, 1.0, math.nextafter(1.0, 0.0), 2.0**-18, 1e-11, 1e-13]
+        for j in range(-13, 1):
+            edges += [10.0**j, math.nextafter(10.0**j, 0.0), math.nextafter(10.0**j, 2.0)]
+        edges = [t for t in edges + _DIGIT_TIES if t <= 1.0]
+
+        def planted(state, grid):
+            values = np.exp(rng.uniform(math.log(1e-13), 0.0, (grid.n_theta, grid.n_phi)))
+            values.reshape(-1)[: len(edges)] = edges
+            return QGrid(grid, values, 1.0)
+
+        monkeypatch.setattr(cli, "q_grid", planted)
+        blob, result = _husimi_csv(tmp_path, monkeypatch, ["--N", "3"], (181, 360), scheme)
+        assert blob == _per_cell_csv(result)
+        assert b",3.81469726562e-06\n" in blob and b",1e-11\n" in blob
+
+    @pytest.mark.parametrize("scheme", ["endpoint", "midpoint"])
+    def test_wide_grid_csv_matches_per_cell_writer(self, tmp_path, monkeypatch, scheme):
+        # each theta row holds 70,000 cells, more than one written block
+        for state_args in (["--T", "1"], ["--N", "27"]):
+            blob, result = _husimi_csv(tmp_path, monkeypatch, state_args, (2, 70000), scheme)
+            assert blob == _per_cell_csv(result), state_args
 
 class TestParserReuse:
     """`main` may keep one parser for the whole process; every call still

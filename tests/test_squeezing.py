@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from stokes_squeeze import (
     variance,
     variance_ellipse,
 )
-from stokes_squeeze.spin_core import _stokes_matrices
-from stokes_squeeze.squeezing import CHUNK_ENTRIES, BlochFrame, MeanPolarization
+from stokes_squeeze.spin_core import _image_variance, _stokes_combination, _stokes_matrices
+from stokes_squeeze.squeezing import (
+    CHUNK_ENTRIES, BlochFrame, MeanPolarization, _ellipse_row,
+)
 from stokes_squeeze.verify import (
     angle_mod_pi_distance,
     random_state,
@@ -505,3 +509,95 @@ def test_decibels():
     assert decibels(1 / 3) == pytest.approx(-4.7712125472, abs=1e-9)
     assert decibels(0.0) is None
     assert decibels(None) is None
+
+
+def _fresh_ellipse(state, frame) -> tuple:
+    """(A, B, C) of the ellipse from two freshly built combinations."""
+    amps = state.amplitudes
+    image1 = _stokes_combination(state.space, frame.n1) @ amps
+    image2 = _stokes_combination(state.space, frame.n2) @ amps
+    sq1, sq2 = np.vdot(image1, image1).real, np.vdot(image2, image2).real
+    return _ellipse_row(sq1 - sq2, 2.0 * np.vdot(image1, image2).real, sq1 + sq2)[:3]
+
+
+def _fresh_qfi(state, direction) -> float:
+    generator = _stokes_combination(state.space, np.asarray(direction, dtype=float))
+    return 4.0 * _image_variance(state.amplitudes, generator @ state.amplitudes)
+
+
+def _ellipse_bits(report) -> tuple:
+    return tuple(float(x).hex() for x in (report.ellipse.A, report.ellipse.B, report.ellipse.C))
+
+
+def _unit(rng) -> np.ndarray:
+    d = rng.normal(size=3)
+    return d / np.linalg.norm(d)
+
+
+class TestWorkMatrices:
+    """Every ellipse and QFI equals, bit for bit, what freshly built n.S
+    matrices give, whatever sizes and stacks ran before it."""
+
+    def test_interleaved_sizes_match_fresh_matrices(self):
+        rng = np.random.default_rng(29)
+        for num in (512, 128, 512):
+            space = build_spin_space(num)
+            states = [random_state(space, rng) for _ in range(3)]
+            for state in states:
+                report = squeezing_report(state)
+                fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
+                assert _ellipse_bits(report) == fresh, num
+                direction = _unit(rng)
+                assert qfi_pure(state, direction).hex() == _fresh_qfi(state, direction).hex()
+            stacked = squeezing_reports(space, [s.amplitudes for s in states])
+            for state, report in zip(states, stacked):
+                fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
+                assert _ellipse_bits(report) == fresh, num
+
+    def test_stacks_of_other_sizes_in_between(self):
+        # N = 3 stacks of a few rows, then one state, at two sizes in turn
+        rng = np.random.default_rng(31)
+        small, large = build_spin_space(3), build_spin_space(128)
+        for rows in (5, 1, 7):
+            states = [random_state(small, rng) for _ in range(rows)]
+            reports = squeezing_reports(small, [s.amplitudes for s in states])
+            for state, report in zip(states, reports):
+                fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
+                assert _ellipse_bits(report) == fresh
+            state = random_state(large, rng)
+            report = squeezing_report(state)
+            fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
+            assert _ellipse_bits(report) == fresh
+
+    def test_two_threads_match_a_serial_run(self):
+        rng = np.random.default_rng(37)
+        space = build_spin_space(256)
+        states = [random_state(space, rng) for _ in range(24)]
+        directions = [_unit(rng) for _ in states]
+
+        def results(indices):
+            out = []
+            for i in indices:
+                out.append(_ellipse_bits(squeezing_report(states[i])))
+                out.append(qfi_pure(states[i], directions[i]).hex())
+            return out
+
+        halves = [list(range(0, 24, 2)), list(range(1, 24, 2))]
+        serial = [results(half) for half in halves]
+        got = [None, None]
+
+        def run(which):
+            got[which] = [results(halves[which]) for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(which,)) for which in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for which in (0, 1):
+            assert got[which] == [serial[which]] * 4

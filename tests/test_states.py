@@ -272,6 +272,28 @@ class TestTriphotonLargeRatio:
             assert abs(b - a) <= 1e-16
 
 
+def _raw_as_written(t):
+    """`triphoton_raw` from T**2 itself, the route below 2^256."""
+    return normalized_state(SPACE3, np.array([SQRT3, 0.0, -(t**2), 0.0], dtype=complex))
+
+
+class TestTriphotonRawLargeRatio:
+    """Below 2^256 `triphoton_raw` keeps every bit; from there on it is the
+    normalization of (sqrt(3) u, 0, -1, 0) with u = (1/T)^2."""
+
+    def test_bits_kept_wherever_t4_is_finite(self):
+        logs = np.random.default_rng(17).uniform(-300.0, math.log10(T4_MAX), 10_000)
+        ts = [
+            *np.linspace(0.0, 1.8, 181), *(10.0**logs), 0.0, -0.0, 1.0, SQRT3, 1e-300,
+            5e-324, 1e76, math.nextafter(T4_MAX, 0.0), T4_MAX,
+        ]
+        ts = [t for t in ts if t < 2.0**256]
+        assert len(ts) >= 10_000
+        for t in ts:
+            for value in (float(t), np.float64(t)):
+                expected = _raw_as_written(value).amplitudes.tobytes()
+                assert triphoton_raw(value).amplitudes.tobytes() == expected, value
+
 class TestTriphotonStateRows:
     def test_rows_bitwise_equal_single_states(self):
         ts = list(np.linspace(0.0, 1.8, 181)) + [1.0, SQRT3, 7.25, 1e-300]
