@@ -28,6 +28,7 @@ import sys
 
 import numpy as np
 
+from ._g12 import G12_WORDS, g12_words
 from .elements import vpp_success_probabilities
 from .husimi import SphereGrid, q_grid
 from .spin_core import SpinSpace
@@ -51,6 +52,11 @@ SWEEP_LANDMARKS = (1.0, math.sqrt(3.0))
 #: keeps every row, as Python floats, and its whole file text in memory until
 #: it is written
 MAX_SWEEP_STEPS = 2**16
+
+#: most husimi CSV lines rendered into one block before it is written; a
+#: theta row with more phi samples is written in parts of this many cells
+HUSIMI_CSV_CELLS = 2**14
+_NEWLINE_WORD = np.frombuffer(b"\n\0\0\0", dtype="<u4")[0]
 
 #: per sweep format: the `%` spec of a float cell, and the text of None and bools
 _SWEEP_CELLS = {
@@ -292,23 +298,60 @@ def _husimi_state(args):
     return noon_state(args.N, args.noon_phase)
 
 
+def _text_words(texts) -> np.ndarray:
+    """Each text and a comma, NUL-padded to whole little-endian uint32 words:
+    one row of words per text."""
+    cells = np.array([text + "," for text in texts], dtype="S")
+    words = -(-cells.itemsize // 4)
+    return cells.astype(f"S{4 * words}").view("<u4").reshape(len(texts), words)
+
+
+def _csv_block(theta_words, phi_words, p_words, values) -> bytes:
+    """The CSV lines of a (rows, cols) block of Q values: the row's theta and
+    p words, the column's phi words, Q by `g12_words` and a newline, as
+    NUL-padded words with the NULs removed."""
+    rows, cols = values.shape
+    ends = np.cumsum([theta_words.shape[1], phi_words.shape[1], p_words.shape[1], G12_WORDS])
+    block = np.empty((rows, cols, ends[-1] + 1), dtype="<u4")
+    block[:, :, : ends[0]] = theta_words[:, None]
+    block[:, :, ends[0] : ends[1]] = phi_words[None]
+    block[:, :, ends[1] : ends[2]] = p_words[:, None]
+    block[:, :, -1] = _NEWLINE_WORD
+    lines = block.reshape(rows * cols, -1)
+    g12_words(values.ravel(), lines[:, ends[2] : ends[3]])
+    return lines.tobytes().translate(None, b"\0")
+
+
+def _write_husimi_csv(path: str, grid: SphereGrid, values: np.ndarray) -> None:
+    """Write the husimi CSV in blocks of at most HUSIMI_CSV_CELLS lines.
+
+    A block is whole theta rows, or one part of a row longer than that.  Q
+    is rendered by `g12_words`; theta, p and phi are `_fmt` texts, made once
+    per row and once per phi column (again per row only when rows are split).
+    """
+    n_theta, n_phi = values.shape
+    rows, cols = max(1, HUSIMI_CSV_CELLS // n_phi), min(n_phi, HUSIMI_CSV_CELLS)
+    phi_start = phi_words = None
+    with open(path, "wb") as handle:
+        handle.write(b"theta,phi,p,Q\n")
+        for r0 in range(0, n_theta, rows):
+            thetas = grid.thetas[r0 : r0 + rows].tolist()
+            theta_words = _text_words([_fmt(theta) for theta in thetas])
+            p_words = _text_words([_fmt(math.cos(theta)) for theta in thetas])
+            for c0 in range(0, n_phi, cols):
+                if c0 != phi_start:
+                    phis = grid.phis[c0 : c0 + cols].tolist()
+                    phi_start, phi_words = c0, _text_words([_fmt(phi) for phi in phis])
+                block = values[r0 : r0 + rows, c0 : c0 + cols]
+                handle.write(_csv_block(theta_words, phi_words, p_words, block))
+
+
 def cmd_husimi(args) -> int:
     state = _husimi_state(args)
     grid = SphereGrid(args.n_theta, args.n_phi, scheme=args.scheme)
     result = q_grid(state, grid)
     if args.format == "csv":
-        # one %-format call per theta row: phi is baked into the template, theta
-        # and p repeat along the row, and Q (a clipped float, never None or
-        # bool) takes "%.12g", the same rendering as _fmt
-        template = "".join(f"%s,{_fmt(phi)},%s,%.12g\n" for phi in grid.phis)
-        row_args = [None] * (3 * grid.n_phi)
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("theta,phi,p,Q\n")
-            for theta, row in zip(grid.thetas, result.values.tolist()):
-                row_args[0::3] = [_fmt(theta)] * grid.n_phi
-                row_args[1::3] = [_fmt(math.cos(theta))] * grid.n_phi
-                row_args[2::3] = row
-                handle.write(template % tuple(row_args))
+        _write_husimi_csv(args.output, grid, result.values)
     else:
         # one float buffer for the scaling: x / 1.0 is x, so an all-zero map
         # keeps its values

@@ -1,8 +1,8 @@
 """Property tests on random states, N <= 64: SU(2) rotations, the
 covariance of the Husimi Q under them, the uncertainty bound of the
 squeezing report, the analysis frame, and stacked reports against
-single-state ones; and `sweep` files over random ranges against the
-per-cell writers."""
+single-state ones; `sweep` files over random ranges against the
+per-cell writers; and the `%.12g` kernel of the husimi CSV against `%`."""
 
 import math
 
@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from stokes_squeeze import (  # noqa: E402
     basis_state,
@@ -29,6 +30,7 @@ from stokes_squeeze import (  # noqa: E402
 from stokes_squeeze.squeezing import DEGENERACY_TOL, MeanPolarization  # noqa: E402
 from stokes_squeeze.verify import random_state, rodrigues  # noqa: E402
 from stokes_squeeze.cli import sweep_samples  # noqa: E402
+from test_g12 import _assert_like_percent  # noqa: E402
 from test_cli import _per_cell_sweep, _per_row_records, _sweep_file  # noqa: E402
 from test_squeezing import report_fields  # noqa: E402
 
@@ -204,3 +206,15 @@ def test_sweep_matches_per_cell_writers(tmp_path_factory, t_min, width, steps, f
     records = _per_row_records(sweep_samples(t_min, t_max, steps))
     blob = _sweep_file(tmp_path_factory.mktemp("sweep"), fmt, t_min, t_max, steps)
     assert blob == _per_cell_sweep(records, fmt, t_min, t_max, steps)
+
+
+@settings(max_examples=200)
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 1.0)))
+def test_g12_words_on_the_unit_interval(values):
+    _assert_like_percent(values)
+
+
+@settings(max_examples=200)
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(1e-13, 10.0)))
+def test_g12_words_on_the_kernel_range_and_below(values):
+    _assert_like_percent(values)
