@@ -23,6 +23,9 @@ A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination` writes
 those 3N+1 entries into a zeroed matrix, with the same elementwise arithmetic
 as the dense sum, and checks Hermiticity on the band alone, in O(N).  The
+pipeline passes it `_work_matrix`, one cached zero matrix per size, stack
+height and thread, whose band every combination overwrites: no (N+1)^2 zero
+fill per call (at N = 512 that fill was most of a combination's cost).  The
 matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N)
 matvec would be cheaper, but it accumulates in another order than BLAS (which
 fuses multiply-adds) and moves the low bits of published sweep values, so it
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,6 +345,27 @@ def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> n
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return _band_matrix(space.num_photons, flat, band, out)
+
+
+@functools.lru_cache(maxsize=CACHED_SIZES)
+def _zero_matrix(num_photons: int, rows: int | None, thread: int) -> np.ndarray:
+    """The work matrix of `_work_matrix`: zeros of shape (N+1, N+1), or
+    (rows, N+1, N+1) for a stack, one per size, stack height and thread."""
+    dim = num_photons + 1
+    return np.zeros((dim, dim) if rows is None else (rows, dim, dim), dtype=complex)
+
+
+def _work_matrix(space: SpinSpace, d) -> np.ndarray:
+    """A matrix to pass as `out` to `_stokes_combination(space, d)`: zero off
+    the band, cached per photon number, stack height of `d` and thread.
+
+    Every combination on one space writes the whole band, so the result is
+    the matrix a fresh call gives, without zero-filling (N+1)^2 entries.  The
+    caller must be done with it before its thread builds the next combination
+    of that shape; a thread never sees another thread's matrix.
+    """
+    rows = None if np.ndim(d) == 1 else len(d)
+    return _zero_matrix(space.num_photons, rows, threading.get_ident())
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:

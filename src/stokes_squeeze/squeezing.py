@@ -15,8 +15,10 @@ strictly separate so the two paths cross-validate each other.
 
 The transverse operators n.S and the QFI generator d.S are built on their
 three diagonals (`spin_core._stokes_combination`, O(N) with an O(N)
-Hermiticity check) and applied by one BLAS matrix-vector product, which keeps
-every published value bit for bit as the dense sum gave it.
+Hermiticity check), written over the band of a cached work matrix
+(`spin_core._work_matrix`, one per size, stack height and thread) instead of
+a freshly zeroed one, and applied by one BLAS matrix-vector product, which
+keeps every published value bit for bit as the dense sum gave it.
 
 `squeezing_reports` runs the pipeline on a stack of states on one space,
 `amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and
@@ -64,6 +66,7 @@ from .spin_core import (
     _stokes_matrices,
     _unit_direction,
     _vdots,
+    _work_matrix,
 )
 from .states import triphoton_amplitudes
 
@@ -264,10 +267,10 @@ def _moment_rows(space: SpinSpace, amps: np.ndarray, bases) -> list[tuple]:
     else:
         n1 = np.array([basis[0] for basis in bases])
         n2 = np.array([basis[1] for basis in bases])
-    # one matrix (or stack) alive at a time, n2.S written over n1.S: at
-    # N = 512 a second 4 MB buffer is mapped fresh and page-faulted on every
-    # call, which more than doubles the cost
-    mats = _stokes_combination(space, n1)
+    # one cached work matrix (or stack) per size and thread, n2.S written
+    # over n1.S: at N = 512 a fresh 4 MB matrix is mapped, zero-filled and
+    # page-faulted on every call, which was most of a combination's cost
+    mats = _stokes_combination(space, n1, out=_work_matrix(space, n1))
     image1 = _apply(mats, amps)
     image2 = _apply(_stokes_combination(space, n2, out=mats), amps)
     sq1 = _vdots(image1, image1).real
@@ -414,7 +417,8 @@ def qfi_pure(state: PolarizationState, direction) -> float:
 
     `direction` must be a unit 3-vector on the Poincare sphere.
     """
-    generator = _stokes_combination(state.space, _unit_direction(direction))
+    d = _unit_direction(direction)
+    generator = _stokes_combination(state.space, d, out=_work_matrix(state.space, d))
     return 4.0 * _image_variance(state.amplitudes, generator @ state.amplitudes)
 
 

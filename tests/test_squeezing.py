@@ -29,7 +29,9 @@ from stokes_squeeze import (
     variance,
     variance_ellipse,
 )
-from stokes_squeeze.spin_core import _image_variance, _stokes_combination, _stokes_matrices
+from stokes_squeeze.spin_core import (
+    _image_variance, _stokes_combination, _stokes_matrices, _work_matrix,
+)
 from stokes_squeeze.squeezing import (
     CHUNK_ENTRIES, BlochFrame, MeanPolarization, _ellipse_row,
 )
@@ -570,6 +572,7 @@ class TestWorkMatrices:
             assert _ellipse_bits(report) == fresh
 
     def test_two_threads_match_a_serial_run(self):
+        ROUNDS = 8
         rng = np.random.default_rng(37)
         space = build_spin_space(256)
         states = [random_state(space, rng) for _ in range(24)]
@@ -585,9 +588,11 @@ class TestWorkMatrices:
         halves = [list(range(0, 24, 2)), list(range(1, 24, 2))]
         serial = [results(half) for half in halves]
         got = [None, None]
+        start = threading.Barrier(2)
 
         def run(which):
-            got[which] = [results(halves[which]) for _ in range(4)]
+            start.wait()
+            got[which] = [results(halves[which]) for _ in range(ROUNDS)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -600,4 +605,13 @@ class TestWorkMatrices:
         finally:
             sys.setswitchinterval(interval)
         for which in (0, 1):
-            assert got[which] == [serial[which]] * 4
+            assert got[which] == [serial[which]] * ROUNDS
+
+    def test_each_thread_has_its_own_work_matrix(self):
+        space, d = build_spin_space(64), np.array([0.0, 0.6, 0.8])
+        mine, theirs = _work_matrix(space, d), []
+        thread = threading.Thread(target=lambda: theirs.append(_work_matrix(space, d)))
+        thread.start()
+        thread.join()
+        assert theirs[0] is not mine and _work_matrix(space, d) is mine
+        assert _work_matrix(space, np.stack([d, d])).shape == (2, 65, 65)
