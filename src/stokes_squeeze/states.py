@@ -162,12 +162,18 @@ def triphoton_raw(t_ratio: float) -> PolarizationState:
 
     Normalization of sqrt(3)|3/2,3/2> - T^2 |3/2,-1/2>; the closed form is
     exact for every T >= 0 and takes the T=0 limit (pure |3,0>_HV) without
-    evaluating ln 0.
+    evaluating ln 0.  Where the norm would square an overflowing T^2 (from
+    _T4_BOUND on), the amplitudes are taken over T^2, sqrt(3) u and -1 with
+    u = (1/T)^2, which tend to the basis state |1,2>_HV.
     """
     if t_ratio < 0:
         raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
-    amps = np.array([math.sqrt(3.0), 0.0, -(t_ratio**2), 0.0], dtype=complex)
-    return normalized_state(TRIPHOTON_SPACE, amps)
+    if t_ratio < _T4_BOUND:
+        amps = [math.sqrt(3.0), 0.0, -(t_ratio**2), 0.0]
+    else:
+        inverse = 1.0 / t_ratio
+        amps = [math.sqrt(3.0) * (inverse * inverse), 0.0, -1.0, 0.0]
+    return normalized_state(TRIPHOTON_SPACE, np.array(amps, dtype=complex))
 
 
 def _triphoton_row(c2: float, c3: float) -> list[complex]:

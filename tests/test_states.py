@@ -294,6 +294,19 @@ class TestTriphotonRawLargeRatio:
                 expected = _raw_as_written(value).amplitudes.tobytes()
                 assert triphoton_raw(value).amplitudes.tobytes() == expected, value
 
+    @pytest.mark.parametrize("t", [2.0**256, 1e80, 1e200, sys.float_info.max], ids=repr)
+    def test_beyond_the_bound(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = triphoton_raw(t)
+            assert raw.amplitudes.tobytes() == triphoton_raw(np.float64(t)).amplitudes.tobytes()
+            assert fidelity(triphoton_state(t), qwp_apply(raw)) > 1 - 1e-12
+        assert fidelity(raw, basis_state(SPACE3, -0.5)) > 1 - 1e-15
+
+    def test_continuous_across_the_bound(self):
+        below, above = triphoton_raw(T4_MAX).amplitudes, triphoton_raw(2.0**256).amplitudes
+        assert np.abs(below - above).max() <= 1e-16
+
 class TestTriphotonStateRows:
     def test_rows_bitwise_equal_single_states(self):
         ts = list(np.linspace(0.0, 1.8, 181)) + [1.0, SQRT3, 7.25, 1e-300]
