@@ -10,14 +10,19 @@ runs the tier-1 suite and `stokes-squeeze verify`, and records
 * the names of the `verify` checks that print FAIL, or the error it exits with.
 
 It prints one table row per mutant and exits 1 if tier-1 passes on any of
-them, or if an edit no longer matches its source exactly once.  Standard
-library only; nothing outside the temporary directory is written.
+them, or if an edit no longer matches its source exactly once.  With
+`--json PATH` it also writes the whole kill matrix there: for the unmutated
+copy and for each mutant, the failing test ids and the `verify` checks that
+FAIL (or the error `verify` exits with).  Standard library only; nothing
+outside the temporary directory and that file is written.
 
-    python tools/mutants.py
+    python tools/mutants.py [--json kills.json]
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -115,6 +120,27 @@ MUTANTS = (
         "    weights[t_ratios == 0.0] = k == 0\n",
         "",
     ),
+    (
+        # exact ties of the 12th digit of %.12g rounded up instead of to even
+        "g12-ties-half-up",
+        "_g12.py",
+        "np.where(tie & (err != 0), whole_x + (err > 0), np.rint(p_x))",
+        "np.where(tie, whole_x + (err >= 0), np.rint(p_x))",
+    ),
+    (
+        # p = fl(x 10^k) taken as exact: a fraction of 1/2 is then a tie
+        "g12-error-term-dropped",
+        "_g12.py",
+        "    return p, err\n",
+        "    return p, 0.0 * err\n",
+    ),
+    (
+        # every thread writes its combinations into the same work matrix
+        "work-matrix-key-without-thread",
+        "spin_core.py",
+        "_zero_matrix(space.num_photons, rows, threading.get_ident())",
+        "_zero_matrix(space.num_photons, rows, 0)",
+    ),
 )
 
 
@@ -155,33 +181,57 @@ def _failing_tests(dest: Path) -> set[str]:
     return failing
 
 
-def _verify_failures(dest: Path) -> str:
+def _verify_failures(dest: Path) -> tuple[list[str], str | None]:
+    """The `verify` checks that print FAIL, and the error line when it exits
+    otherwise than by a FAIL."""
     proc = _run(dest, "-m", "stokes_squeeze.cli", "verify")
     failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
     if proc.returncode not in (0, 1) or (proc.returncode == 1 and not failed):
-        return (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
-    return ", ".join(failed) or "none"
+        return failed, (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+    return failed, None
 
 
-def main() -> int:
+def _verify_text(failed: list[str], error: str | None) -> str:
+    return error or ", ".join(failed) or "none"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run the mutation gate.")
+    parser.add_argument("--json", metavar="PATH", help="write the kill matrix to PATH")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "unmutated"
         _copy_tree(base)
         baseline = _failing_tests(base)
+        base_verify = _verify_failures(base)
         print(f"unmutated: tier-1 failures {sorted(baseline) or 'none'}; "
-              f"verify FAIL: {_verify_failures(base)}")
+              f"verify FAIL: {_verify_text(*base_verify)}")
         print("| mutant | tier-1 | new failing tests | verify FAIL |")
         print("|---|---|---|---|")
-        survivors = []
+        survivors, rows = [], []
         for name, filename, text, replacement in MUTANTS:
             dest = Path(tmp) / name
             _copy_tree(dest)
             _mutate(dest, filename, text, replacement)
             new = _failing_tests(dest) - baseline
+            verify = _verify_failures(dest)
             if not new:
                 survivors.append(name)
             verdict = "killed" if new else "SURVIVED"
-            print(f"| {name} | {verdict} | {len(new)} | {_verify_failures(dest)} |", flush=True)
+            print(f"| {name} | {verdict} | {len(new)} | {_verify_text(*verify)} |", flush=True)
+            rows.append({
+                "mutant": name, "file": f"{PACKAGE}/{filename}", "killed": bool(new),
+                "failing_tests": sorted(new), "verify_fail": verify[0], "verify_error": verify[1],
+            })
+    if args.json:
+        matrix = {
+            "unmutated": {
+                "failing_tests": sorted(baseline),
+                "verify_fail": base_verify[0], "verify_error": base_verify[1],
+            },
+            "mutants": rows,
+        }
+        Path(args.json).write_text(json.dumps(matrix, indent=2) + "\n")
     if survivors:
         print(f"tier-1 passes on: {', '.join(survivors)}")
         return 1
