@@ -23,9 +23,10 @@ A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination` writes
 those 3N+1 entries into a zeroed matrix, with the same elementwise arithmetic
 as the dense sum, and checks Hermiticity on the band alone, in O(N).  The
-pipeline passes it `_work_matrix`, one cached zero matrix per size, stack
-height and thread, whose band every combination overwrites: no (N+1)^2 zero
-fill per call (at N = 512 that fill was most of a combination's cost).  The
+pipeline passes it `_work_matrix`, one cached zero matrix per size and
+thread (and stack height, rounded up to a power of two), whose band every
+combination overwrites: no (N+1)^2 zero fill per call (at N = 512 that fill
+was most of a combination's cost).  The
 matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N)
 matvec would be cheaper, but it accumulates in another order than BLAS (which
 fuses multiply-adds) and moves the low bits of published sweep values, so it
@@ -357,15 +358,20 @@ def _zero_matrix(num_photons: int, rows: int | None, thread: int) -> np.ndarray:
 
 def _work_matrix(space: SpinSpace, d) -> np.ndarray:
     """A matrix to pass as `out` to `_stokes_combination(space, d)`: zero off
-    the band, cached per photon number, stack height of `d` and thread.
+    the band, cached per photon number and thread, and for a stack of
+    directions per stack height rounded up to a power of two (the first rows
+    of that stack), so stacks of many heights share a few.
 
     Every combination on one space writes the whole band, so the result is
     the matrix a fresh call gives, without zero-filling (N+1)^2 entries.  The
     caller must be done with it before its thread builds the next combination
     of that shape; a thread never sees another thread's matrix.
     """
-    rows = None if np.ndim(d) == 1 else len(d)
-    return _zero_matrix(space.num_photons, rows, threading.get_ident())
+    thread = threading.get_ident()
+    if np.ndim(d) == 1:
+        return _zero_matrix(space.num_photons, None, thread)
+    rows = len(d)
+    return _zero_matrix(space.num_photons, 1 << (rows - 1).bit_length(), thread)[:rows]
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:

@@ -138,8 +138,8 @@ MUTANTS = (
         # every thread writes its combinations into the same work matrix
         "work-matrix-key-without-thread",
         "spin_core.py",
-        "_zero_matrix(space.num_photons, rows, threading.get_ident())",
-        "_zero_matrix(space.num_photons, rows, 0)",
+        "    thread = threading.get_ident()\n",
+        "    thread = 0\n",
     ),
 )
 
