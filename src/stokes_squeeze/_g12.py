@@ -106,7 +106,7 @@ def _two_product(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, err
 
 
-def g12_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+def g12_words(values: np.ndarray, out: np.ndarray) -> None:
     """Write `'%.12g' % v` of each float in the 1-D `values` into the rows
     of `out`, a (len(values), G12_WORDS) '<u4' array or view, NUL-padded."""
     x = np.asarray(values, dtype=float)
@@ -162,4 +162,3 @@ def g12_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         rest, other = rest[~zero], other[~zero]
         texts = ["%.12g" % v for v in rest.tolist()]
         out[other] = np.array(texts, dtype=f"S{4 * G12_WORDS}").view("<u4").reshape(-1, G12_WORDS)
-    return out

@@ -26,8 +26,8 @@ as the dense sum, and checks Hermiticity on the band alone, in O(N).  The
 pipeline passes it `_work_matrix`, one cached zero matrix per size and
 thread (and stack height, rounded up to a power of two), whose band every
 combination overwrites: no (N+1)^2 zero fill per call (at N = 512 that fill
-was most of a combination's cost).  The
-matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N)
+was most of a combination's cost).  The matrix is then applied by one BLAS
+product, which is O(N^2).  A banded O(N)
 matvec would be cheaper, but it accumulates in another order than BLAS (which
 fuses multiply-adds) and moves the low bits of published sweep values, so it
 needs the golden outputs re-recorded first.

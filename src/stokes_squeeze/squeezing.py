@@ -17,9 +17,9 @@ The transverse operators n.S and the QFI generator d.S are built on their
 three diagonals (`spin_core._stokes_combination`, O(N) with an O(N)
 Hermiticity check), written over the band of a cached work matrix
 (`spin_core._work_matrix`, one per size and thread, and per stack height
-rounded up to a power of two) instead of
-a freshly zeroed one, and applied by one BLAS matrix-vector product, which
-keeps every published value bit for bit as the dense sum gave it.
+rounded up to a power of two) instead of a freshly zeroed one, and applied
+by one BLAS matrix-vector product, which keeps every published value bit for
+bit as the dense sum gave it.
 
 `squeezing_reports` runs the pipeline on a stack of states on one space,
 `amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and
