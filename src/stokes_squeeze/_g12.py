@@ -34,15 +34,15 @@ above 10 after rounding, negative, or not finite.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 #: uint32 words of one rendered value; every `%.12g` text of a float fits
 G12_WORDS = 6
 
-#: the smallest double that is at least 10^-11: below it 10^(11-e) is inexact
-_LOW = 1e-11 if Fraction(1e-11) >= Fraction(1, 10**11) else math.nextafter(1e-11, 1.0)
+#: the smallest double that is at least 10^-11 (the double nearest 1e-11 lies
+#: just below it): from there on 10^(11-e) is exact
+_LOW = math.nextafter(1e-11, 1.0)
 _HIGH = 10.0
 
 #: Dekker's splitter 2^27 + 1
@@ -61,37 +61,60 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _words(texts) -> np.ndarray:
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Rows of four byte codes (0 for NUL) as little-endian uint32 words."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view("<u4").ravel()
+
+
+def _group_chars() -> tuple[np.ndarray, np.ndarray]:
+    """The three digit codes of each group g = 0..999, as written and with
+    trailing zeros turned to NUL, shape (1000, 3) each."""
+    g = np.arange(1000)
+    digits = np.stack([g // 100, g // 10 % 10, g % 10], axis=1)
+    # a digit is kept when it or a later digit of the group is nonzero
+    kept = np.cumsum(digits[:, ::-1] != 0, axis=1)[:, ::-1] > 0
+    chars = (digits + ord("0")).astype(np.uint8)
+    return chars, np.where(kept, chars, 0)
+
+
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """(groups, leads): words of groups 2..4 (index g, or g + 1000 with
+    trailing zeros removed) and of group 1 (index g + 1000 strip + 2000
+    form): "d.dd" in form 0 (e = 0 or exponent form), NUL and "ddd" in form 1
+    (-3 <= e <= -1), "0ddd" in form 2 (e = -4: the last of the zeros after
+    "0.").  The first digit of "d.dd" always shows; its point goes with the
+    digits after it."""
+    full, stripped = _group_chars()
+    nul = np.zeros((1000, 1), np.uint8)
+    groups = [np.hstack([chars, nul]) for chars in (full, stripped)]
+    leads = []
+    for form in range(3):
+        for chars in (full, stripped):
+            if form == 0:
+                point = np.where(chars[:, 1:2] != 0, ord("."), 0).astype(np.uint8)
+                leads.append(np.hstack([full[:, :1], point, chars[:, 1:]]))
+            else:
+                leads.append(np.hstack([nul + (ord("0") if form == 2 else 0), chars]))
+    return _words(np.vstack(groups)), _words(np.vstack(leads))
+
+
+_GROUPS, _LEADS = _tables()
+
+
+def _byte_words(texts) -> np.ndarray:
     """One little-endian uint32 word per text of at most 4 bytes, NUL-padded."""
     return np.frombuffer(b"".join(text.ljust(4, b"\0") for text in texts), dtype="<u4")
 
 
-def _lead(group: int, form: int, strip: bool) -> bytes:
-    """The first group's word: "d.dd" (form 0, e = 0 or exponent form),
-    NUL and "ddd" (form 1, -3 <= e <= -1) or "0ddd" (form 2, e = -4: the
-    last of the three zeros after "0.")."""
-    digits = b"%03d" % group
-    if form == 0:
-        rest = digits[1:].rstrip(b"0") if strip else digits[1:]
-        return digits[:1] + (b"." + rest if rest else b"")
-    return (b"0" if form == 2 else b"\0") + (digits.rstrip(b"0") if strip else digits)
-
-
-#: groups 2..4: index g, or g + 1000 with trailing zeros removed
-_GROUPS = _words(
-    [b"%03d" % g for g in range(1000)] + [(b"%03d" % g).rstrip(b"0") for g in range(1000)]
-)
-#: group 1: index g + 1000 strip + 2000 form
-_LEADS = _words(
-    [_lead(g, form, strip) for form in range(3) for strip in (False, True) for g in range(1000)]
-)
 #: per exponent e = -11..1, at index e + 11: the word before the digits, the
 #: form of the first group and the exponent word
 _EXPONENTS = range(-11, 2)
-_PREFIXES = _words([b"0." + b"0" * min(-e - 1, 2) if -4 <= e < 0 else b"" for e in _EXPONENTS])
+_PREFIXES = _byte_words(
+    [b"0." + b"0" * min(-e - 1, 2) if -4 <= e < 0 else b"" for e in _EXPONENTS]
+)
 _FORMS = np.array([(2 if e == -4 else 1) if -4 <= e < 0 else 0 for e in _EXPONENTS])
-_SUFFIXES = _words([b"e-%02d" % -e if e < -4 else b"" for e in _EXPONENTS])
-_ZERO = _words([b"", b"0", b"", b"", b"", b""])
+_SUFFIXES = _byte_words([b"e-%02d" % -e if e < -4 else b"" for e in _EXPONENTS])
+_ZERO = _byte_words([b"", b"0", b"", b"", b"", b""])
 
 
 def _two_product(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
