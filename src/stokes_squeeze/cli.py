@@ -333,21 +333,21 @@ def _write_husimi_csv(path: str, grid: SphereGrid, values: np.ndarray) -> None:
 
     A block is whole theta rows, or one part of a row longer than that.  Q
     is rendered by `g12_words`; theta, p and phi are `_fmt` texts, made once
-    per row and once per phi column (again per row only when rows are split).
+    per row and once per phi column, whose words are kept per column part.
     """
     n_theta, n_phi = values.shape
     rows, cols = max(1, HUSIMI_CSV_CELLS // n_phi), min(n_phi, HUSIMI_CSV_CELLS)
-    phi_start = phi_words = None
+    phi_parts = [
+        (c0, _text_words([_fmt(phi) for phi in grid.phis[c0 : c0 + cols].tolist()]))
+        for c0 in range(0, n_phi, cols)
+    ]
     with open(path, "wb") as handle:
         handle.write(b"theta,phi,p,Q\n")
         for r0 in range(0, n_theta, rows):
             thetas = grid.thetas[r0 : r0 + rows].tolist()
             theta_words = _text_words([_fmt(theta) for theta in thetas])
             p_words = _text_words([_fmt(math.cos(theta)) for theta in thetas])
-            for c0 in range(0, n_phi, cols):
-                if c0 != phi_start:
-                    phis = grid.phis[c0 : c0 + cols].tolist()
-                    phi_start, phi_words = c0, _text_words([_fmt(phi) for phi in phis])
+            for c0, phi_words in phi_parts:
                 block = values[r0 : r0 + rows, c0 : c0 + cols]
                 handle.write(_csv_block(theta_words, phi_words, p_words, block))
 

@@ -22,26 +22,26 @@ route the tests compare against.
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination` writes
 those 3N+1 entries into a zeroed matrix, with the same elementwise arithmetic
-as the dense sum, and checks Hermiticity on the band alone, in O(N).  The
-pipeline passes it `_work_matrix`, one cached zero matrix per size and
-thread (and stack height, rounded up to a power of two), whose band every
-combination overwrites: no (N+1)^2 zero fill per call (at N = 512 that fill
-was most of a combination's cost).  The matrix is then applied by one BLAS
-product, which is O(N^2).  A banded O(N)
+as the dense sum, and checks Hermiticity on the band alone, in O(N).  For
+one state the pipeline passes it `_work_matrix`, one cached zero matrix per
+size and thread, whose band every combination overwrites: no (N+1)^2 zero
+fill per call (at N = 512 that fill was most of a combination's cost).  The
+matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N)
 matvec would be cheaper, but it accumulates in another order than BLAS (which
 fuses multiply-adds) and moves the low bits of published sweep values, so it
 needs the golden outputs re-recorded first.
 
 Many states on one space are handled as a stack: rows of amplitudes, shape
 (B, N+1), and, for B directions of shape (B, 3), a (B, N+1, N+1) stack of
-combinations.  numpy's `matmul` runs one BLAS call per stack item with the
-arguments a single call would use, so a stacked `mats @ amps[..., None]` is
-the `zgemv` of `mat @ amps` row by row, `amps.conj()[:, None, :] @
-img[:, :, None]` is the `zdotc` of `np.vdot`, and two stacked real dots of
-the real and imaginary parts are the `ddot`s of `np.linalg.norm`: bit for bit
-the per-state values.  `einsum` and `sum` reduce in another order and are
-not used there.  `_apply` and `_vdots` make these calls for a stack and the
-plain `mat @ amps` and `np.vdot` for one state's 1-D amplitudes.
+combinations, zero-filled afresh for each stack.  numpy's `matmul` runs one
+BLAS call per stack item with the arguments a single call would use, so a
+stacked `mats @ amps[..., None]` is the `zgemv` of `mat @ amps` row by row,
+`amps.conj()[:, None, :] @ img[:, :, None]` is the `zdotc` of `np.vdot`,
+and two stacked real dots of the real and imaginary parts are the `ddot`s of
+`np.linalg.norm`: bit for bit the per-state values.  `einsum` and `sum`
+reduce in another order and are not used there.  `_apply` and `_vdots` make
+these calls for a stack and the plain `mat @ amps` and `np.vdot` for one
+state's 1-D amplitudes.
 """
 
 from __future__ import annotations
@@ -220,8 +220,8 @@ def normalized_state(space: SpinSpace, amplitudes) -> PolarizationState:
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Dense complex matrix on `space`, Hermitian within HERMITICITY_TOL.
+class _DenseOperator:
+    """Dense complex (N+1, N+1) matrix on `space`, read-only.
 
     A read-only complex array that owns its data is kept as it is; anything
     else (writable, a view, another dtype) is copied first.
@@ -242,25 +242,22 @@ class HermitianOperator:
         dim = self.space.dimension
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
+        object.__setattr__(self, "matrix", _readonly(mat))
+
+
+class HermitianOperator(_DenseOperator):
+    """Dense complex matrix on `space`, Hermitian within HERMITICITY_TOL."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        mat = self.matrix
         defect = np.abs(mat - mat.conj().T).max()
         if defect > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-        object.__setattr__(self, "matrix", _readonly(mat))
 
 
-@dataclass(frozen=True, eq=False)
-class LadderOperator:
+class LadderOperator(_DenseOperator):
     """Dense raising/lowering matrix on `space` (not Hermitian)."""
-
-    space: SpinSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        dim = self.space.dimension
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
-        object.__setattr__(self, "matrix", _readonly(mat))
 
 
 def _ladder_coefficients(space: SpinSpace) -> np.ndarray:
@@ -349,29 +346,22 @@ def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> n
 
 
 @functools.lru_cache(maxsize=CACHED_SIZES)
-def _zero_matrix(num_photons: int, rows: int | None, thread: int) -> np.ndarray:
-    """The work matrix of `_work_matrix`: zeros of shape (N+1, N+1), or
-    (rows, N+1, N+1) for a stack, one per size, stack height and thread."""
-    dim = num_photons + 1
-    return np.zeros((dim, dim) if rows is None else (rows, dim, dim), dtype=complex)
+def _zero_matrix(num_photons: int, thread: int) -> np.ndarray:
+    """The work matrix of `_work_matrix`: zeros of shape (N+1, N+1), one per
+    size and thread."""
+    return np.zeros((num_photons + 1, num_photons + 1), dtype=complex)
 
 
-def _work_matrix(space: SpinSpace, d) -> np.ndarray:
-    """A matrix to pass as `out` to `_stokes_combination(space, d)`: zero off
-    the band, cached per photon number and thread, and for a stack of
-    directions per stack height rounded up to a power of two (the first rows
-    of that stack), so stacks of many heights share a few.
+def _work_matrix(space: SpinSpace) -> np.ndarray:
+    """A matrix to pass as `out` to `_stokes_combination(space, d)` for one
+    direction d: zero off the band, cached per photon number and thread.
 
     Every combination on one space writes the whole band, so the result is
     the matrix a fresh call gives, without zero-filling (N+1)^2 entries.  The
     caller must be done with it before its thread builds the next combination
-    of that shape; a thread never sees another thread's matrix.
+    on that space; a thread never sees another thread's matrix.
     """
-    thread = threading.get_ident()
-    if np.ndim(d) == 1:
-        return _zero_matrix(space.num_photons, None, thread)
-    rows = len(d)
-    return _zero_matrix(space.num_photons, 1 << (rows - 1).bit_length(), thread)[:rows]
+    return _zero_matrix(space.num_photons, threading.get_ident())
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:

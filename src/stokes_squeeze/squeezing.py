@@ -15,11 +15,12 @@ strictly separate so the two paths cross-validate each other.
 
 The transverse operators n.S and the QFI generator d.S are built on their
 three diagonals (`spin_core._stokes_combination`, O(N) with an O(N)
-Hermiticity check), written over the band of a cached work matrix
-(`spin_core._work_matrix`, one per size and thread, and per stack height
-rounded up to a power of two) instead of a freshly zeroed one, and applied
-by one BLAS matrix-vector product, which keeps every published value bit for
-bit as the dense sum gave it.
+Hermiticity check) and applied by one BLAS matrix-vector product, which
+keeps every published value bit for bit as the dense sum gave it.  For one
+state the band is written over a cached work matrix
+(`spin_core._work_matrix`, one per size and thread) instead of a freshly
+zeroed one; a stack of states builds its combinations in one fresh zero
+stack per chunk.
 
 `squeezing_reports` runs the pipeline on a stack of states on one space,
 `amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and
@@ -41,9 +42,9 @@ float rows, which is all a sweep reads.  The object API (`squeezing_report`,
 in its dataclasses without checking them a second time; a dataclass built
 directly is checked by its `__post_init__`.  atan2, hypot and log10 stay
 `math`'s per row: numpy's vectorized ones differ from them in the last bit.
-Stacks go through in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows, so a
-stacked matrix never exceeds CHUNK_ENTRIES entries, or one matrix from
-N = 255 on.
+Stacks go through in chunks of CHUNK_ENTRIES // (N+1)^2 rows, so a stacked
+matrix never exceeds CHUNK_ENTRIES entries.  From N = 181 on, where a chunk
+would hold one row, each row runs as a single state.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ MOMENT_SNAP = 1e-12
 DEFAULT_FALLBACK_ANGLES = (math.pi / 2, math.pi / 2)
 
 #: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
-#: holds max(1, CHUNK_ENTRIES // (N+1)^2) states, 4096 at N = 3 and one from
-#: N = 255 on, where a report allocates as a single-state one does
+#: holds CHUNK_ENTRIES // (N+1)^2 states, 4096 at N = 3 and two at N = 180;
+#: from N = 181 on each state runs alone, as a single-state report does
 CHUNK_ENTRIES = 2**16
 
 
@@ -263,15 +264,17 @@ def _moment_rows(space: SpinSpace, amps: np.ndarray, bases) -> list[tuple]:
     """Raw moments (A, B, C) of one state, `amps` of shape (N+1,), or of each
     row of a (B, N+1) stack, in floats; row i in the frame whose (n1, n2, ...)
     is bases[i]."""
+    # n2.S is written over n1.S: for one state in its thread's cached work
+    # matrix (a fresh 4 MB one per call at N = 512 was most of a
+    # combination's cost), for a stack in one fresh zero stack
     if amps.ndim == 1:
         n1, n2 = bases[0][:2]
+        out = _work_matrix(space)
     else:
         n1 = np.array([basis[0] for basis in bases])
         n2 = np.array([basis[1] for basis in bases])
-    # one cached work matrix (or stack) per size and thread, n2.S written
-    # over n1.S: at N = 512 a fresh 4 MB matrix is mapped, zero-filled and
-    # page-faulted on every call, which was most of a combination's cost
-    mats = _stokes_combination(space, n1, out=_work_matrix(space, n1))
+        out = None
+    mats = _stokes_combination(space, n1, out=out)
     image1 = _apply(mats, amps)
     image2 = _apply(_stokes_combination(space, n2, out=mats), amps)
     sq1 = _vdots(image1, image1).real
@@ -359,8 +362,10 @@ def squeezing_report_rows(
     """
     amps = _amplitude_rows(space, amplitudes)
     _require_unit_rows(amps)
-    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
-    chunks = [amps[i : i + rows] for i in range(0, len(amps), rows)]
+    rows = CHUNK_ENTRIES // space.dimension**2
+    # from N = 181 on a chunk would be one row: each row runs as one state,
+    # on the cached work matrix
+    chunks = amps if rows <= 1 else [amps[i : i + rows] for i in range(0, len(amps), rows)]
     return _report_rows(space, chunks, fallback_frame)
 
 
@@ -419,7 +424,7 @@ def qfi_pure(state: PolarizationState, direction) -> float:
     `direction` must be a unit 3-vector on the Poincare sphere.
     """
     d = _unit_direction(direction)
-    generator = _stokes_combination(state.space, d, out=_work_matrix(state.space, d))
+    generator = _stokes_combination(state.space, d, out=_work_matrix(state.space))
     return 4.0 * _image_variance(state.amplitudes, generator @ state.amplitudes)
 
 

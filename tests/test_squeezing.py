@@ -295,8 +295,8 @@ class TestStackedReports:
 
     @pytest.mark.parametrize("num_photons, rows", [(127, 9), (255, 3)])
     def test_equal_single_reports_across_chunk_boundaries(self, num_photons, rows):
-        # 4 rows per chunk at N = 127 and 1 at N = 255: both stacks end in a
-        # partial chunk after two full ones
+        # 4 rows per chunk at N = 127, so the stack ends in a partial chunk
+        # after two full ones; 1 at N = 255, where each row runs alone
         assert CHUNK_ENTRIES // (num_photons + 1) ** 2 == {127: 4, 255: 1}[num_photons]
         space = build_spin_space(num_photons)
         rng = np.random.default_rng(num_photons)
@@ -541,20 +541,45 @@ class TestWorkMatrices:
     matrices give, whatever sizes and stacks ran before it."""
 
     def test_interleaved_sizes_match_fresh_matrices(self):
+        # stacked: two-row chunks and a one-row chunk at N = 180, rows run as
+        # single states at N = 181, and one 809-row chunk at N = 8
         rng = np.random.default_rng(29)
-        for num in (512, 128, 512):
+        for num, count in ((512, 3), (128, 3), (180, 3), (181, 3), (8, 809), (512, 3)):
             space = build_spin_space(num)
-            states = [random_state(space, rng) for _ in range(3)]
-            for state in states:
-                report = squeezing_report(state)
+            states = [random_state(space, rng) for _ in range(count)]
+            singles = [squeezing_report(state) for state in states]
+            for state, report in zip(states, singles):
                 fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
                 assert _ellipse_bits(report) == fresh, num
                 direction = _unit(rng)
                 assert qfi_pure(state, direction).hex() == _fresh_qfi(state, direction).hex()
             stacked = squeezing_reports(space, [s.amplitudes for s in states])
-            for state, report in zip(states, stacked):
+            for state, single, report in zip(states, singles, stacked, strict=True):
+                assert report_fields(report) == report_fields(single), num
                 fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
                 assert _ellipse_bits(report) == fresh, num
+
+    def test_stacks_cache_only_single_work_matrices(self, monkeypatch):
+        # with the cache cleared, every matrix it holds passes the spy once
+        cached, seen = spin_core._zero_matrix, []
+
+        def spy(*key):
+            seen.append(cached(*key))
+            return seen[-1]
+
+        cached.cache_clear()
+        monkeypatch.setattr(spin_core, "_zero_matrix", spy)
+        rng = np.random.default_rng(43)
+        for num in (3, 8, 128):
+            space = build_spin_space(num)
+            # full chunks, then a one-row chunk
+            count = CHUNK_ENTRIES // space.dimension**2 + 1
+            states = [random_state(space, rng) for _ in range(count)]
+            squeezing_report(states[0])
+            squeezing_reports(space, [s.amplitudes for s in states])
+        assert all(matrix.ndim == 2 for matrix in seen)
+        assert {matrix.shape for matrix in seen} == {(4, 4), (9, 9), (129, 129)}
+        assert cached.cache_info().currsize == 3
 
     def test_stacks_of_other_sizes_in_between(self):
         # N = 3 stacks of a few rows, then one state, at two sizes in turn
@@ -608,10 +633,9 @@ class TestWorkMatrices:
             assert got[which] == [serial[which]] * ROUNDS
 
     def test_each_thread_has_its_own_work_matrix(self):
-        space, d = build_spin_space(64), np.array([0.0, 0.6, 0.8])
-        mine, theirs = _work_matrix(space, d), []
-        thread = threading.Thread(target=lambda: theirs.append(_work_matrix(space, d)))
+        space = build_spin_space(64)
+        mine, theirs = _work_matrix(space), []
+        thread = threading.Thread(target=lambda: theirs.append(_work_matrix(space)))
         thread.start()
         thread.join()
-        assert theirs[0] is not mine and _work_matrix(space, d) is mine
-        assert _work_matrix(space, np.stack([d, d])).shape == (2, 65, 65)
+        assert theirs[0] is not mine and _work_matrix(space) is mine

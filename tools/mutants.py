@@ -138,8 +138,15 @@ MUTANTS = (
         # every thread writes its combinations into the same work matrix
         "work-matrix-key-without-thread",
         "spin_core.py",
-        "    thread = threading.get_ident()\n",
-        "    thread = 0\n",
+        "return _zero_matrix(space.num_photons, threading.get_ident())",
+        "return _zero_matrix(space.num_photons, 0)",
+    ),
+    (
+        # the Hermitian operator takes any square matrix, as the ladder does
+        "operator-hermiticity-removed",
+        "spin_core.py",
+        "        if defect > HERMITICITY_TOL:\n            raise ValueError",
+        "        if False:\n            raise ValueError",
     ),
 )
 
