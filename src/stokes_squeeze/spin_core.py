@@ -22,26 +22,22 @@ route the tests compare against.
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination` writes
 those 3N+1 entries into a zeroed matrix, with the same elementwise arithmetic
-as the dense sum, and checks Hermiticity on the band alone, in O(N).  For
-one state the pipeline passes it `_work_matrix`, one cached zero matrix per
+as the dense sum; a real d makes it Hermitian by construction.  For one
+direction the pipeline passes it `_work_matrix`, one cached zero matrix per
 size and thread, whose band every combination overwrites: no (N+1)^2 zero
-fill per call (at N = 512 that fill was most of a combination's cost).  The
-matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N)
-matvec would be cheaper, but it accumulates in another order than BLAS (which
-fuses multiply-adds) and moves the low bits of published sweep values, so it
-needs the golden outputs re-recorded first.
+fill per call (at N = 512 that fill was most of a combination's cost).  A
+stack of directions gets one fresh zero stack.  The matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N) matvec
+would be cheaper, but it accumulates in another order than BLAS (which fuses
+multiply-adds) and moves the low bits of published sweep values, so it needs
+the golden outputs re-recorded first.
 
-Many states on one space are handled as a stack: rows of amplitudes, shape
-(B, N+1), and, for B directions of shape (B, 3), a (B, N+1, N+1) stack of
-combinations, zero-filled afresh for each stack.  numpy's `matmul` runs one
-BLAS call per stack item with the arguments a single call would use, so a
-stacked `mats @ amps[..., None]` is the `zgemv` of `mat @ amps` row by row,
-`amps.conj()[:, None, :] @ img[:, :, None]` is the `zdotc` of `np.vdot`,
-and two stacked real dots of the real and imaginary parts are the `ddot`s of
-`np.linalg.norm`: bit for bit the per-state values.  `einsum` and `sum`
-reduce in another order and are not used there.  `_apply` and `_vdots` make
-these calls for a stack and the plain `mat @ amps` and `np.vdot` for one
-state's 1-D amplitudes.
+States on one space are handled as a stack: rows of amplitudes, shape
+(B, N+1), one state being a one-row stack.  numpy's gufuncs make one BLAS
+call per row with the arguments a single call would use: `np.matvec` is the
+`zgemv` of `mat @ amps`, `np.vecdot` the `zdotc` of `np.vdot`, and two real
+`vecdot`s are the `ddot`s of `np.linalg.norm`, so every row's value is the
+one-state value bit for bit.  `einsum` and `sum` reduce in another order and
+are not used there.
 """
 
 from __future__ import annotations
@@ -138,41 +134,20 @@ class PolarizationState:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """`np.linalg.norm` of each row of a complex (B, N+1) stack, bit for bit.
-
-    The norm of a complex vector is sqrt(re.re + im.im), each a strided BLAS
-    dot; the stacked products below make the same two calls per row.
-    """
-    re, im = rows.real[:, None, :], rows.imag[:, None, :]
-    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
-
-
-def _apply(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """`mats @ amps` for one state, `amps` of shape (N+1,), or row by row for
-    a stack of shape (B, N+1), with `mats` one matrix or a (B, N+1, N+1)
-    stack: one BLAS `zgemv` per row either way, with the same arguments."""
-    if amps.ndim == 1:
-        return mats @ amps
-    return (mats @ amps[:, :, None])[:, :, 0]
+    """`np.linalg.norm` of each row of a complex (B, N+1) stack, bit for bit:
+    sqrt(re.re + im.im), with the same two BLAS dots per row."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _s1_image(space: SpinSpace, amps: np.ndarray) -> np.ndarray:
-    """`_apply(S1, amps)` for one state or a stack, bit for bit, in O(N) per row.
+    """`S1 @ amps` for one state or a stack, bit for bit, in O(N) per row.
 
     S1 is diagonal, so each entry of the product has one nonzero term, n a,
     which BLAS rounds once as numpy does; + 0.0 turns a -0 entry into the +0
     that `zgemv` sums it to.
     """
     return space.n_values * amps + 0.0
-
-
-def _vdots(a: np.ndarray, b: np.ndarray):
-    """`np.vdot(a, b)` for one state, or of each row pair of two (B, N+1)
-    stacks: one BLAS dot per row, with the conjugate taken first, as
-    `np.vdot` makes it."""
-    if a.ndim == 1:
-        return np.vdot(a, b)
-    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _normalized_rows(space: SpinSpace, rows) -> np.ndarray:
@@ -272,27 +247,24 @@ def _ladder_coefficients(space: SpinSpace) -> np.ndarray:
 
 @functools.lru_cache(maxsize=CACHED_SIZES)
 def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
-    """(flat indices, mirror, S1, S2, S3 entries) on the three diagonals.
+    """(flat indices, S1, S2, S3 entries) on the three diagonals.
 
     Flat indices point into the (N+1)^2 matrix and come in three runs: the
     main diagonal (N+1 entries), then the upper and the lower diagonal (N
-    each).  `mirror[i]` is the position of the transposed entry of entry i.
-    S1 holds n, S2 = (S+ + S-)/2 holds c/2 and S3 = (S+ - S-)/(2i) holds
-    +-c/(2i), each as the dense (S+ +- S-) arithmetic evaluates it there,
-    signed zeros included.  Every array is read-only.
+    each).  S1 holds n, S2 = (S+ + S-)/2 holds c/2 and S3 = (S+ - S-)/(2i)
+    holds +-c/(2i), each as the dense (S+ +- S-) arithmetic evaluates it
+    there, signed zeros included.  Every array is read-only.
     """
     space = SpinSpace(num_photons)
     dim = space.dimension
     diagonal = np.arange(dim) * (dim + 1)
     flat = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[:-1] + dim])
-    runs = np.arange(len(flat))
-    mirror = np.concatenate([runs[:dim], runs[2 * dim - 1 :], runs[dim : 2 * dim - 1]])
     cc = _ladder_coefficients(space).astype(complex)
     zeros = np.zeros(dim, dtype=complex)
     s1 = np.concatenate([space.n_values.astype(complex), zeros[1:], zeros[1:]])
     s2 = np.concatenate([zeros, cc / 2, cc / 2])
     s3 = np.concatenate([zeros, cc / 2j, (0 - cc.conj()) / 2j])
-    return tuple(_readonly(a) for a in (flat, mirror, s1, s2, s3))
+    return tuple(_readonly(a) for a in (flat, s1, s2, s3))
 
 
 def _band_matrix(
@@ -314,7 +286,7 @@ def _band_matrix(
 @functools.lru_cache(maxsize=CACHED_SIZES)
 def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
     """(S1, S2, S3) on the spin-N/2 space, dense and read-only, from the band."""
-    flat, _, *bands = _stokes_band(num_photons)
+    flat, *bands = _stokes_band(num_photons)
     return tuple(_readonly(_band_matrix(num_photons, flat, band)) for band in bands)
 
 
@@ -325,23 +297,21 @@ def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> n
     (B, 3), which gives a (B, N+1, N+1) stack of matrices, one per row.
     Every band entry is the same expression, in the same operand order, as in
     the dense sum, so it is bitwise equal to it; entries off the band are +0.
-    Hermiticity is checked on the band alone, within HERMITICITY_TOL: the
-    worst row's defect is the same max |M - M^H| as a check of its dense
-    matrix, so one non-Hermitian row refuses the whole stack.
+    A real d gives a Hermitian matrix by construction, so a complex d is
+    refused.
 
     `out`, a combination this function returned before for the same space
     and stack shape, is overwritten with the new band: it is zero off the
     band, so the result is the matrix a fresh call gives, without a second
     (N+1)^2 zero fill.
     """
-    flat, mirror, b1, b2, b3 = _stokes_band(space.num_photons)
-    # one direction gives scalar coefficients, a stack (B, 1) columns
     d = np.asarray(d)
-    d1, d2, d3 = (d[0], d[1], d[2]) if d.ndim == 1 else d.T[:, :, None]
+    if np.iscomplexobj(d):
+        raise ValueError("direction of a Stokes combination must be real")
+    flat, b1, b2, b3 = _stokes_band(space.num_photons)
+    # scalar-like (1,) coefficients for one direction, (B, 1) columns for a stack
+    d1, d2, d3 = d.T[..., None]
     band = d1 * b1 + d2 * b2 + d3 * b3
-    defect = np.abs(band - np.take(band, mirror, axis=-1).conj()).max()
-    if not defect <= HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return _band_matrix(space.num_photons, flat, band, out)
 
 

@@ -14,24 +14,22 @@ coefficients, extremal variances) doubles every matrix result and is kept
 strictly separate so the two paths cross-validate each other.
 
 The transverse operators n.S and the QFI generator d.S are built on their
-three diagonals (`spin_core._stokes_combination`, O(N) with an O(N)
-Hermiticity check) and applied by one BLAS matrix-vector product, which
-keeps every published value bit for bit as the dense sum gave it.  For one
-state the band is written over a cached work matrix
-(`spin_core._work_matrix`, one per size and thread) instead of a freshly
-zeroed one; a stack of states builds its combinations in one fresh zero
+three diagonals (`spin_core._stokes_combination`, O(N)) and applied by one
+BLAS matrix-vector product, which keeps every published value bit for bit as
+the dense sum gave it.  For one direction the band is written over a cached
+work matrix (`spin_core._work_matrix`, one per size and thread) instead of a
+freshly zeroed one; more rows build their combinations in one fresh zero
 stack per chunk.
 
 `squeezing_reports` runs the pipeline on a stack of states on one space,
 `amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and
-`variance_ellipse` are its one-row case: the same stage functions, given one
-state's amplitudes of shape (N+1,) instead of a (rows, N+1) chunk.  The mean
-applies the cached S2 and S3 to every row in one stacked product each (S1 is
-diagonal: its image is the elementwise n * amps, bit for bit the dense
-product), and the ellipse builds the combinations n1.S, then n2.S over it,
-for all rows at once.  Every stacked product and dot is the same BLAS call
-per row as the single-state one (`spin_core._apply` and `_vdots`), so each
-report is bit for bit what the row alone gives.
+`variance_ellipse` pass one state's amplitudes as a one-row stack.  The mean
+applies the cached S2 and S3 to every row with `np.matvec` (S1 is diagonal:
+its image is the elementwise n * amps, bit for bit the dense product), and
+the ellipse builds the combinations n1.S, then n2.S over it, for all rows at
+once.  `np.matvec` and `np.vecdot` make the BLAS call of `mat @ amps` and
+`np.vdot` per row, so each report is bit for bit what the row alone gives,
+in any stack.
 
 The rest runs on Python floats, one pass per row, with one function per
 stage: `_frame_row` (angles, vectors and the frame checks), `_ellipse_row`
@@ -42,9 +40,9 @@ float rows, which is all a sweep reads.  The object API (`squeezing_report`,
 in its dataclasses without checking them a second time; a dataclass built
 directly is checked by its `__post_init__`.  atan2, hypot and log10 stay
 `math`'s per row: numpy's vectorized ones differ from them in the last bit.
-Stacks go through in chunks of CHUNK_ENTRIES // (N+1)^2 rows, so a stacked
-matrix never exceeds CHUNK_ENTRIES entries.  From N = 181 on, where a chunk
-would hold one row, each row runs as a single state.
+Stacks go through in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows, so a
+stacked matrix never exceeds CHUNK_ENTRIES entries below N = 181; from there
+on each chunk is one row, on the cached work matrix.
 """
 
 from __future__ import annotations
@@ -60,14 +58,12 @@ from .spin_core import (
     _image_variance,
     _real_expectation,
     _amplitude_rows,
-    _apply,
     _readonly,
     _require_unit_rows,
     _s1_image,
     _stokes_combination,
     _stokes_matrices,
     _unit_direction,
-    _vdots,
     _work_matrix,
 )
 from .states import triphoton_amplitudes
@@ -86,7 +82,7 @@ DEFAULT_FALLBACK_ANGLES = (math.pi / 2, math.pi / 2)
 
 #: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
 #: holds CHUNK_ENTRIES // (N+1)^2 states, 4096 at N = 3 and two at N = 180;
-#: from N = 181 on each state runs alone, as a single-state report does
+#: from N = 181 on a chunk is one row, as a single-state report is
 CHUNK_ENTRIES = 2**16
 
 
@@ -187,29 +183,27 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    ((components, length, radius),) = _mean_rows(state.space, state.amplitudes)
+    ((components, length, radius),) = _mean_rows(state.space, state.amplitudes[None])
     return _checked(MeanPolarization, _readonly(np.array(components)), length, radius)
 
 
 def _mean_rows(space: SpinSpace, amps: np.ndarray) -> list[tuple]:
-    """(components, length, radius) of one state, `amps` of shape (N+1,), or
-    of each row of a (B, N+1) stack, in floats: one row per state."""
+    """(components, length, radius) of each row of a (B, N+1) stack, in
+    floats: one row per state."""
     # the diagonal S1 by its O(N) image; the dense S2 and S3 one at a time,
     # never stacked into one array
     _, s2, s3 = _stokes_matrices(space.num_photons)
-    images = (_s1_image(space, amps), _apply(s2, amps), _apply(s3, amps))
-    raw = np.array([_vdots(amps, image) for image in images]).T
+    images = (_s1_image(space, amps), np.matvec(s2, amps), np.matvec(s3, amps))
+    raw = np.array([np.vecdot(amps, image) for image in images]).T
     comps = np.ascontiguousarray(_real_expectation(raw))
-    lengths = np.sqrt(_vdots(comps, comps))
+    lengths = np.sqrt(np.vecdot(comps, comps))
     over = lengths > space.spin + 1e-12
     if np.count_nonzero(over):
         raise ArithmeticError(
             f"mean polarization length {np.extract(over, lengths)[0]} exceeds the spin "
             f"{space.spin}"
         )
-    radii = np.hypot(comps[..., 1], comps[..., 2])
-    if amps.ndim == 1:
-        return [(comps.tolist(), float(lengths), float(radii))]
+    radii = np.hypot(comps[:, 1], comps[:, 2])
     return list(zip(comps.tolist(), lengths.tolist(), radii.tolist()))
 
 
@@ -256,32 +250,25 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
 
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
-    ((a, b, c),) = _moment_rows(state.space, state.amplitudes, [(frame.n1, frame.n2)])
+    ((a, b, c),) = _moment_rows(state.space, state.amplitudes[None], [(frame.n1, frame.n2)])
     return _checked(VarianceEllipse, *_ellipse_row(a, b, c))
 
 
 def _moment_rows(space: SpinSpace, amps: np.ndarray, bases) -> list[tuple]:
-    """Raw moments (A, B, C) of one state, `amps` of shape (N+1,), or of each
-    row of a (B, N+1) stack, in floats; row i in the frame whose (n1, n2, ...)
-    is bases[i]."""
-    # n2.S is written over n1.S: for one state in its thread's cached work
+    """Raw moments (A, B, C) of each row of a (B, N+1) stack, in floats; row i
+    in the frame whose (n1, n2, ...) is bases[i]."""
+    n1 = np.array([basis[0] for basis in bases])
+    n2 = np.array([basis[1] for basis in bases])
+    # n2.S is written over n1.S: for one row in its thread's cached work
     # matrix (a fresh 4 MB one per call at N = 512 was most of a
-    # combination's cost), for a stack in one fresh zero stack
-    if amps.ndim == 1:
-        n1, n2 = bases[0][:2]
-        out = _work_matrix(space)
-    else:
-        n1 = np.array([basis[0] for basis in bases])
-        n2 = np.array([basis[1] for basis in bases])
-        out = None
+    # combination's cost), for more rows in one fresh zero stack
+    out = _work_matrix(space)[None] if len(amps) == 1 else None
     mats = _stokes_combination(space, n1, out=out)
-    image1 = _apply(mats, amps)
-    image2 = _apply(_stokes_combination(space, n2, out=mats), amps)
-    sq1 = _vdots(image1, image1).real
-    sq2 = _vdots(image2, image2).real
-    moments = (sq1 - sq2, 2.0 * _vdots(image1, image2).real, sq1 + sq2)
-    if amps.ndim == 1:
-        return [(float(moments[0]), float(moments[1]), float(moments[2]))]
+    image1 = np.matvec(mats, amps)
+    image2 = np.matvec(_stokes_combination(space, n2, out=mats), amps)
+    sq1 = np.vecdot(image1, image1).real
+    sq2 = np.vecdot(image2, image2).real
+    moments = (sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2)
     return list(zip(*(m.tolist() for m in moments)))
 
 
@@ -333,7 +320,7 @@ def squeezing_report(
     state: PolarizationState, fallback_frame: tuple[float, float] | None = None
 ) -> SqueezingReport:
     """Full analysis pipeline: mean -> frame -> ellipse -> V-+ -> figures of merit."""
-    rows = _report_rows(state.space, [state.amplitudes], fallback_frame)
+    rows = _report_rows(state.space, [state.amplitudes[None]], fallback_frame)
     return _report_objects(state.space, rows)[0]
 
 
@@ -362,16 +349,13 @@ def squeezing_report_rows(
     """
     amps = _amplitude_rows(space, amplitudes)
     _require_unit_rows(amps)
-    rows = CHUNK_ENTRIES // space.dimension**2
-    # from N = 181 on a chunk would be one row: each row runs as one state,
-    # on the cached work matrix
-    chunks = amps if rows <= 1 else [amps[i : i + rows] for i in range(0, len(amps), rows)]
+    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
+    chunks = [amps[i : i + rows] for i in range(0, len(amps), rows)]
     return _report_rows(space, chunks, fallback_frame)
 
 
 def _report_rows(space: SpinSpace, chunks, fallback_frame) -> list[tuple]:
-    """Report rows of each chunk in turn: one state's amplitudes, shape
-    (N+1,), or a (rows, N+1) stack of them."""
+    """Report rows of each chunk in turn, a (rows, N+1) stack of amplitudes."""
     spin = space.spin
     if spin == 0:
         raise ValueError("squeezing analysis needs at least one photon")

@@ -241,13 +241,6 @@ class TestSweep:
         assert main(argv + [str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        assert main(["sweep", "--steps", "40", "--output", str(serial)]) == 0
-        monkeypatch.setenv("STOKES_SQUEEZE_THREADS", "4")
-        assert main(["sweep", "--steps", "40", "--output", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_json_schema(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--steps", "10", "--format", "json",
@@ -639,16 +632,13 @@ class TestParserReuse:
 
 
 class TestVerify:
-    def test_fresh_build_passes(self, capsys):
-        assert main(["verify"]) == 0
-        text = capsys.readouterr().out
-        assert "FAIL" not in text
-        assert text.endswith("\n25/25 checks passed\n")
-
     def test_output_is_deterministic(self, capsys):
-        main(["verify"])
+        # a fresh build passes every check, with the same text on a second run
+        assert main(["verify"]) == 0
         first = capsys.readouterr().out
-        main(["verify"])
+        assert "FAIL" not in first
+        assert first.endswith("\n25/25 checks passed\n")
+        assert main(["verify"]) == 0
         assert capsys.readouterr().out == first
 
     def test_perturbed_ladder_detected(self, capsys):

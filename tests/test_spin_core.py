@@ -21,7 +21,6 @@ from stokes_squeeze import (
     variance,
 )
 from stokes_squeeze.spin_core import (
-    _apply,
     _image_variance,
     _s1_image,
     _s2_eigenbasis,
@@ -150,14 +149,12 @@ def _dense_ladder_oracle(num_photons):
 
 
 def _dense_band_oracle(num_photons):
-    """(flat, mirror, S1, S2, S3 entries), copied out of the dense oracle."""
+    """(flat, S1, S2, S3 entries), copied out of the dense oracle."""
     dim = num_photons + 1
     diagonal = np.arange(dim) * (dim + 1)
     flat = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[:-1] + dim])
-    runs = np.arange(len(flat))
-    mirror = np.concatenate([runs[:dim], runs[2 * dim - 1 :], runs[dim : 2 * dim - 1]])
     _, _, s1, s2, s3 = _dense_ladder_oracle(num_photons)
-    return (flat, mirror, *(m.ravel()[flat] for m in (s1, s2, s3)))
+    return (flat, *(m.ravel()[flat] for m in (s1, s2, s3)))
 
 
 def _assert_bitwise(actual, expected):
@@ -220,8 +217,8 @@ class TestS1Image:
         rng = np.random.default_rng(num_photons)
         for count in (1, 7, 300 if num_photons <= 64 else 3):
             rows = self._rows(num_photons, count, rng)
-            _assert_bitwise(_s1_image(space, rows), _apply(s1, rows))
-            singles = [(_s1_image(space, row), _apply(s1, row)) for row in rows]
+            _assert_bitwise(_s1_image(space, rows), np.matvec(s1, rows))
+            singles = [(_s1_image(space, row), s1 @ row) for row in rows]
             _assert_bitwise(*map(np.array, zip(*singles)))
 
 
@@ -419,39 +416,6 @@ class TestStokesCombination:
         assert len(band[0]) == 3 * 7 + 1
         assert not any(a.flags.writeable for a in band)
 
-    @pytest.mark.parametrize("num_photons", [0, 1, 6])
-    def test_mirror_points_at_transposed_entry(self, num_photons):
-        flat, mirror = _stokes_band(num_photons)[:2]
-        rows, cols = np.divmod(flat, num_photons + 1)
-        np.testing.assert_array_equal(rows[mirror], cols)
-        np.testing.assert_array_equal(cols[mirror], rows)
-
-    def _perturbed_band(self, monkeypatch, run, entry, delta):
-        """Patch `_stokes_band` so S2's entry `entry` of run `run` moves by `delta`."""
-
-        def perturbed(num_photons):
-            flat, mirror, b1, b2, b3 = _stokes_band(num_photons)
-            runs = np.cumsum([0, num_photons + 1, num_photons])
-            b2 = b2.copy()
-            b2[runs[run] + entry] += delta
-            return flat, mirror, b1, b2, b3
-
-        monkeypatch.setattr(spin_core, "_stokes_band", perturbed)
-
-    @pytest.mark.parametrize(
-        "run, delta", [(1, 1e-9), (2, 1e-9), (1, 1e-9j), (0, 1e-9j)]
-    )
-    def test_non_hermitian_band_rejected(self, monkeypatch, run, delta):
-        # run 0 is the main diagonal, 1 the upper and 2 the lower diagonal
-        self._perturbed_band(monkeypatch, run, 1, delta)
-        space = build_spin_space(4)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            _stokes_combination(space, _unit([0.2, 0.9, 0.3]))
-
-    def test_round_off_within_tolerance_accepted(self, monkeypatch):
-        self._perturbed_band(monkeypatch, 1, 1, 1e-14)
-        _stokes_combination(build_spin_space(4), _unit([0.2, 0.9, 0.3]))
-
     @pytest.mark.parametrize("num_photons", [0, 1, 3, 32])
     def test_stack_bitwise_equals_single_combinations(self, num_photons):
         space = build_spin_space(num_photons)
@@ -462,11 +426,11 @@ class TestStokesCombination:
                 mat.view(np.uint64), _stokes_combination(space, d).view(np.uint64)
             )
 
-    @pytest.mark.parametrize("bad", [(0.0, 1j, 0.0), (0.6, 0.0, 0.8j), (np.nan, 0.0, 1.0)])
+    @pytest.mark.parametrize("bad", [(0.0, 1j, 0.0), (0.6, 0.0, 0.8j)])
     def test_stack_with_one_non_hermitian_row_rejected(self, bad):
-        # a complex direction gives a band whose mirror is not its conjugate
+        # only a real direction makes the band Hermitian
         directions = [_unit([0.2, 0.9, 0.3]), bad, (1.0, 0.0, 0.0)]
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(ValueError, match="must be real"):
             _stokes_combination(build_spin_space(4), directions)
 
 
