@@ -10,6 +10,9 @@ c = sqrt((s-n)(s+n+1)) of S+: `_stokes_band` computes the 3N+1 band entries
 of S1, S2 and S3 from c, `_stokes_matrices` writes them into dense read-only
 matrices, and `stokes_operator` wraps those without a copy (S0 = s I is built
 on request).  Size-keyed caches keep at most CACHED_SIZES entries each.
+A dense matrix on the space (these, S0, S+- and the work matrices below) is
+refused with a ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is
+from N = 2048 on, before it is made.
 
 SU(2) rotations, the wave plate and coherent states never exponentiate a
 dense generator.  S1 is diagonal, so exp(-i x S1) is a vector of phases, and
@@ -60,6 +63,9 @@ VARIANCE_ROUNDOFF = 16 * np.finfo(float).eps
 #: entries each size-keyed cache keeps (photon numbers, or grid sizes in
 #: `husimi`); 16 covers N = 0..12 and three large sizes without eviction
 CACHED_SIZES = 16
+#: most entries of one dense (N+1) x (N+1) Stokes matrix, so N <= 2047; a
+#: report holds about 64 (N+1)^2 bytes of them (282 MB peak at N = 2048)
+MAX_DENSE_ENTRIES = 2**22
 
 
 class SpaceMismatchError(ValueError):
@@ -235,6 +241,18 @@ class LadderOperator(_DenseOperator):
     """Dense raising/lowering matrix on `space` (not Hermitian)."""
 
 
+def _dense_dimension(num_photons: int) -> int:
+    """N + 1, the side of a dense matrix on the spin-N/2 space, checked against
+    MAX_DENSE_ENTRIES before any such matrix is made."""
+    dim = num_photons + 1
+    if dim * dim > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"N = {num_photons} needs dense {dim} x {dim} Stokes matrices, above the bound "
+            f"MAX_DENSE_ENTRIES = {MAX_DENSE_ENTRIES} entries"
+        )
+    return dim
+
+
 def _ladder_coefficients(space: SpinSpace) -> np.ndarray:
     """c = sqrt((s-n)(s+n+1)) of S+|s,n> = c |s,n+1>, for n = s-1 down to -s.
 
@@ -253,10 +271,11 @@ def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
     main diagonal (N+1 entries), then the upper and the lower diagonal (N
     each).  S1 holds n, S2 = (S+ + S-)/2 holds c/2 and S3 = (S+ - S-)/(2i)
     holds +-c/(2i), each as the dense (S+ +- S-) arithmetic evaluates it
-    there, signed zeros included.  Every array is read-only.
+    there, signed zeros included.  Every array is read-only.  A photon
+    number whose matrices would exceed MAX_DENSE_ENTRIES is refused here.
     """
     space = SpinSpace(num_photons)
-    dim = space.dimension
+    dim = _dense_dimension(num_photons)
     diagonal = np.arange(dim) * (dim + 1)
     flat = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[:-1] + dim])
     cc = _ladder_coefficients(space).astype(complex)
@@ -319,7 +338,8 @@ def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> n
 def _zero_matrix(num_photons: int, thread: int) -> np.ndarray:
     """The work matrix of `_work_matrix`: zeros of shape (N+1, N+1), one per
     size and thread."""
-    return np.zeros((num_photons + 1, num_photons + 1), dtype=complex)
+    dim = _dense_dimension(num_photons)
+    return np.zeros((dim, dim), dtype=complex)
 
 
 def _work_matrix(space: SpinSpace) -> np.ndarray:
@@ -345,7 +365,8 @@ def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
     if which not in (0, 1, 2, 3):
         raise ValueError(f"Stokes axis must be 0, 1, 2 or 3, got {which}")
     if which == 0:
-        return HermitianOperator(space, space.spin * np.eye(space.dimension, dtype=complex))
+        dim = _dense_dimension(space.num_photons)
+        return HermitianOperator(space, space.spin * np.eye(dim, dtype=complex))
     return HermitianOperator(space, _stokes_matrices(space.num_photons)[which - 1])
 
 
@@ -399,6 +420,7 @@ def ladder_operator(space: SpinSpace, sign: int) -> LadderOperator:
     """Raising (+1) or lowering (-1) operator S+- = S2 +- i S3."""
     if sign not in (+1, -1):
         raise ValueError(f"ladder sign must be +1 or -1, got {sign}")
+    _dense_dimension(space.num_photons)
     sp = np.diag(_ladder_coefficients(space), k=1).astype(complex)
     return LadderOperator(space, sp if sign == +1 else sp.conj().T)
 

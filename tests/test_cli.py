@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stokes_squeeze import cli, verify
+from stokes_squeeze import cli, spin_core, verify
 from stokes_squeeze.cli import SWEEP_FIELDS, _fmt, main, sweep_samples
 from stokes_squeeze.elements import vpp_success_probability
 from stokes_squeeze.husimi import QGrid, q_grid
@@ -380,6 +380,22 @@ class TestNoon:
         assert main(["noon", "--N", "3", "--noon-phase", "-1.5707963267948966"]) == 0
         assert capsys.readouterr().out == NOON3_TEXT
 
+    def test_oversize_photon_number_rejected(self, capsys, monkeypatch):
+        # 2049^2 entries per dense matrix: refused before any matrix is filled
+        filled = []
+        monkeypatch.setattr(spin_core, "_band_matrix", lambda *args: filled.append(args))
+        assert main(["noon", "--N", "2048"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "MAX_DENSE_ENTRIES" in captured.err
+        assert captured.out == "" and not filled
+
+    def test_husimi_beyond_the_dense_bound(self, tmp_path):
+        # a Husimi map builds no dense Stokes matrix
+        out = tmp_path / "noon.pgm"
+        assert main(["husimi", "--N", "2048", "--n-theta", "5", "--n-phi", "8",
+                     "--format", "pgm", "--output", str(out)]) == 0
+        assert out.read_bytes().startswith(b"P5\n8 5\n255\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["state", "--T", "nan"],
@@ -632,17 +648,15 @@ class TestParserReuse:
 
 
 class TestVerify:
-    def test_fresh_build_passes(self, capsys):
-        assert main(["verify"]) == 0
-        text = capsys.readouterr().out
+    def test_fresh_build_passes(self, verify_run):
+        code, text = verify_run
+        assert code == 0
         assert "FAIL" not in text
         assert text.endswith("\n25/25 checks passed\n")
 
-    def test_output_is_deterministic(self, capsys):
+    def test_output_is_deterministic(self, capsys, verify_run):
         main(["verify"])
-        first = capsys.readouterr().out
-        main(["verify"])
-        assert capsys.readouterr().out == first
+        assert capsys.readouterr().out == verify_run[1]
 
     def test_perturbed_ladder_detected(self, capsys):
         assert main(["verify", "--perturb-ladder", "1e-6"]) == 1

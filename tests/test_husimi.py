@@ -118,22 +118,6 @@ class TestQGrid:
             result = q_grid(state, grid)
             assert abs(result.normalization_estimate - 1.0) < 1e-6
 
-    def test_coherent_center_argmax(self):
-        grid = SphereGrid(181, 360, scheme="endpoint")
-        values = q_grid(triphoton_state(0.0), grid).values
-        i, j = np.unravel_index(np.argmax(values), values.shape)
-        assert grid.thetas[i] == pytest.approx(np.pi / 2, abs=1e-12)
-        assert grid.phis[j] == pytest.approx(np.pi / 2, abs=1e-12)
-        # p = cos(theta) = 0 at the peak
-        assert math.cos(grid.thetas[i]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_squeezed_state_keeps_center_argmax(self):
-        grid = SphereGrid(181, 360, scheme="endpoint")
-        values = q_grid(triphoton_state(1.0), grid).values
-        i, j = np.unravel_index(np.argmax(values), values.shape)
-        assert grid.thetas[i] == pytest.approx(np.pi / 2, abs=1e-12)
-        assert grid.phis[j] == pytest.approx(np.pi / 2, abs=1e-12)
-
     def test_noon_peaks_at_poles(self):
         grid = SphereGrid(181, 360, scheme="endpoint")
         values = q_grid(noon_state(3, -np.pi / 2), grid).values

@@ -1,8 +1,9 @@
 """Property tests on random states, N <= 64: SU(2) rotations, the
 covariance of the Husimi Q under them, the uncertainty bound of the
-squeezing report, the analysis frame, and stacked reports against
-single-state ones; `sweep` files over random ranges against the
-per-cell writers; and the `%.12g` kernel of the husimi CSV against `%`."""
+squeezing report and the analysis frame; `sweep` files over random ranges
+against the per-cell writers; and the `%.12g` kernel of the husimi CSV
+against `%`.  Stacked against single-state reports is in
+test_report_oracle.py."""
 
 import math
 
@@ -15,16 +16,13 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from stokes_squeeze import (  # noqa: E402
-    basis_state,
     bloch_frame,
     build_spin_space,
     coherent_state,
     mean_polarization,
-    noon_state,
     q_value,
     rotate_about,
     squeezing_report,
-    squeezing_reports,
     stokes_operator,
 )
 from stokes_squeeze.squeezing import DEGENERACY_TOL, MeanPolarization  # noqa: E402
@@ -32,7 +30,6 @@ from stokes_squeeze.verify import random_state, rodrigues  # noqa: E402
 from stokes_squeeze.cli import sweep_samples  # noqa: E402
 from test_g12 import _assert_like_percent  # noqa: E402
 from test_cli import _per_cell_sweep, _per_row_records, _sweep_file  # noqa: E402
-from test_squeezing import report_fields  # noqa: E402
 
 BASIS_AXES = [
     tuple(sign * float(i == axis) for i in range(3)) for axis in range(3) for sign in (1, -1)
@@ -164,34 +161,6 @@ def test_frame_orthonormal_right_handed_along_mean(components):
         across = np.linalg.norm(np.cross(frame.n3, mean.components))
         assert along > 0.0
         assert across <= DEGENERACY_TOL + 1e-12 * mean.length
-
-
-def _stack_member(kind: str, num_photons: int, rng):
-    space = build_spin_space(num_photons)
-    if kind == "coherent":  # isotropic ellipse
-        return coherent_state(space, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-    if kind == "noon":  # vanishing mean, so the fallback frame
-        return noon_state(num_photons, rng.uniform(0, 2 * math.pi))
-    if kind == "basis":  # mean on the S1 axis, so the pole frame
-        return basis_state(space, space.n_values[rng.integers(space.dimension)])
-    return random_state(space, rng)
-
-
-stack_kinds = st.lists(
-    st.sampled_from(["random", "random", "coherent", "noon", "basis"]), min_size=1, max_size=12
-)
-fallbacks = st.one_of(st.none(), st.tuples(angles, angles))
-
-
-@given(st.integers(min_value=1, max_value=40), stack_kinds, seeds, fallbacks)
-def test_stacked_reports_equal_single_reports(num_photons, kinds, seed, fallback):
-    rng = np.random.default_rng(seed)
-    states = [_stack_member(kind, num_photons, rng) for kind in kinds]
-    stacked = squeezing_reports(
-        states[0].space, [state.amplitudes for state in states], fallback
-    )
-    single = [squeezing_report(state, fallback) for state in states]
-    assert [report_fields(r) for r in stacked] == [report_fields(r) for r in single]
 
 
 @given(

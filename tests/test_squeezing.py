@@ -84,11 +84,6 @@ class TestMeanPolarization:
         assert abs(mean.components[0]) < 1e-12
         assert abs(mean.components[1]) < 1e-12
 
-    def test_matches_closed_form_on_grid(self):
-        for t in np.linspace(0.0, 1.8, 200):
-            mean = mean_polarization(triphoton_state(t))
-            assert mean.components[2] == pytest.approx(analytic_mean_s3(t), abs=1e-10)
-
 
 class TestBlochFrame:
     def test_family_frame(self):
@@ -400,20 +395,6 @@ class TestAnalyticForms:
         assert analytic_variances(0.0) == pytest.approx((0.75, 0.75), abs=1e-12)
         assert analytic_variances(SQRT3) == pytest.approx((0.75, 2.25), abs=1e-12)
 
-    def test_oracle_equivalence_on_grid(self):
-        for t in np.linspace(0.0, 1.8, 200):
-            state = triphoton_state(t)
-            frame = bloch_frame(mean_polarization(state))
-            ellipse = variance_ellipse(state, frame)
-            closed = analytic_ellipse(t)
-            assert abs(ellipse.A - closed.A) < 1e-10
-            assert abs(ellipse.B - closed.B) < 1e-10
-            assert abs(ellipse.C - closed.C) < 1e-10
-            v_matrix = extremal_variances(ellipse)
-            v_closed = analytic_variances(t)
-            assert abs(v_matrix[0] - v_closed[0]) < 1e-10
-            assert abs(v_matrix[1] - v_closed[1]) < 1e-10
-
     def test_amplitude_grid_consistency(self):
         for t in np.linspace(0.0, 1.8, 50):
             c2, c3 = triphoton_amplitudes(t)
@@ -423,21 +404,6 @@ class TestAnalyticForms:
 
 
 class TestFamilyCurves:
-    def test_chi2_monotone_up_to_noon_point(self):
-        chi2 = [
-            squeezing_report(triphoton_state(t)).chi2
-            for t in np.linspace(0.0, SQRT3, 200)
-        ]
-        assert all(b <= a + 1e-12 for a, b in zip(chi2, chi2[1:]))
-
-    def test_xi2_unique_grid_minimum_at_one(self):
-        ts = np.linspace(0.0, 1.8, 181)
-        xi2 = np.array([squeezing_report(triphoton_state(t)).xi2 for t in ts])
-        idx = int(np.argmin(xi2))
-        assert ts[idx] == pytest.approx(1.0, abs=1e-12)
-        assert xi2[idx] == pytest.approx(1 / 3, abs=1e-10)
-        assert np.sum(np.abs(xi2 - xi2[idx]) < 1e-12) == 1
-
     def test_zeta2_minimum_location(self):
         ts = np.linspace(0.05, 1.5, 400)
         zeta = [squeezing_report(triphoton_state(t)).zeta2 for t in ts]
@@ -445,27 +411,8 @@ class TestFamilyCurves:
         assert ts[idx] == pytest.approx(0.8086, abs=0.01)
         assert zeta[idx] == pytest.approx(0.5802, abs=0.001)
 
-    def test_polarization_flip(self):
-        for t in np.linspace(0.0, 1.8, 200):
-            s3 = mean_polarization(triphoton_state(t)).components[2]
-            if t < SQRT3:
-                assert s3 > 0
-            elif t > SQRT3:
-                assert s3 < 0
-        assert abs(mean_polarization(triphoton_state(SQRT3)).components[2]) < 1e-12
-
 
 class TestNoonMetrics:
-    @pytest.mark.parametrize("num_photons", range(2, 9))
-    def test_entangled_noon_reports(self, num_photons):
-        spin = num_photons / 2
-        report = squeezing_report(noon_state(num_photons, -np.pi / 2))
-        assert report.v_plus == pytest.approx(spin**2, abs=1e-10)
-        assert report.v_minus == pytest.approx(spin / 2, abs=1e-10)
-        assert report.xi2 == pytest.approx(1.0, abs=1e-10)
-        assert report.chi2 == pytest.approx(1 / num_photons, abs=1e-12)
-        assert report.zeta2_unbounded
-
     def test_single_photon_noon_report(self):
         # fully polarized limit: every figure of merit is finite and unity
         report = squeezing_report(noon_state(1, -np.pi / 2))

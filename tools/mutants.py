@@ -157,6 +157,68 @@ MUTANTS = (
         "        if defect > HERMITICITY_TOL:\n            raise ValueError",
         "        if False:\n            raise ValueError",
     ),
+    (
+        # coherent_state's azimuth offset: the state points along phi - pi
+        "coherent-phase-offset-negated",
+        "states.py",
+        "np.exp(1j * (phi + np.pi / 2) * np.arange(space.dimension))",
+        "np.exp(1j * (phi - np.pi / 2) * np.arange(space.dimension))",
+    ),
+    (
+        # a damped exponent: exp((i + 1e-6) x M) passes neither post-hoc
+        # check and does not keep the norm
+        "exponential-scale-damped",
+        "spin_core.py",
+        "scale = complex(scale)",
+        "scale = complex(scale) * complex(1.0, 1e-6)",
+    ),
+    (
+        # (c2, c3) no longer normalized; the state, which is renormalized, is
+        # unchanged
+        "triphoton-root-power",
+        "states.py",
+        "root = math.sqrt(3.0 + t_ratio**4)",
+        "root = math.sqrt(3.0 + t_ratio**2)",
+    ),
+    (
+        # c2 never changes sign, so the family never reaches the NOON state
+        "triphoton-c2-sign-dropped",
+        "states.py",
+        "c2 = (3.0 - t_ratio**2) / (2.0",
+        "c2 = abs(3.0 - t_ratio**2) / (2.0",
+    ),
+    (
+        "mean-s3-closed-form-sign",
+        "squeezing.py",
+        "return 2.0 * c2 * (math.sqrt(3.0) * c3 + c2)",
+        "return 2.0 * c2 * (math.sqrt(3.0) * c3 - c2)",
+    ),
+    (
+        "analytic-ellipse-cross-sign",
+        "squeezing.py",
+        "a = 15.0 / 8.0 - (3.0 * quad + cross) / 4.0",
+        "a = 15.0 / 8.0 - (3.0 * quad - cross) / 4.0",
+    ),
+    (
+        "analytic-v-minus-cross-sign",
+        "squeezing.py",
+        "v_minus = (7.5 - (quad + 8.0",
+        "v_minus = (7.5 - (quad - 8.0",
+    ),
+    (
+        # 1e-11 relative: inside every 1e-10 bound, outside chi2 = 1/N at 1e-12
+        "chi2-scaled-1e-11",
+        "squeezing.py",
+        "spin / (2.0 * v_plus), 4.0 * v_plus",
+        "spin / (2.0 * v_plus) * (1.0 + 1e-11), 4.0 * v_plus",
+    ),
+    (
+        # the Husimi map mirrored in phi
+        "q-grid-phases-conjugated",
+        "husimi.py",
+        "phases = np.exp(-1j * np.outer(grid.phis, k))",
+        "phases = np.exp(1j * np.outer(grid.phis, k))",
+    ),
 )
 
 
