@@ -64,11 +64,9 @@ def vpp_apply(state: PolarizationState, t_ratio: float) -> PolarizationState:
     if t_ratio == 1.0:
         return state  # exact identity, no renormalization round-off
     if t_ratio == 0.0:
-        nonzero = np.nonzero(state.amplitudes)[0]
-        if nonzero.size == 0:
-            raise ValueError("cannot project the zero vector")  # unreachable for valid states
+        first = np.flatnonzero(state.amplitudes)[0]  # a valid state has one
         filtered = np.zeros(state.space.dimension, dtype=complex)
-        filtered[nonzero[0]] = state.amplitudes[nonzero[0]]
+        filtered[first] = state.amplitudes[first]
         return normalized_state(state.space, filtered)
     filtered = _vpp_weights(state.space, [t_ratio])[0] * state.amplitudes
     peak = np.abs(filtered).max()

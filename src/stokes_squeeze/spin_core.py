@@ -7,9 +7,9 @@ last index is |0,N>_HV.  Every value is immutable after construction.
 
 Every Stokes and ladder array derives from the N ladder coefficients
 c = sqrt((s-n)(s+n+1)) of S+: `_stokes_band` computes the 3N+1 band entries
-of S1, S2 and S3 from c, `_stokes_matrices` writes them into dense read-only
-matrices, and `stokes_operator` wraps those without a copy (S0 = s I is built
-on request).  Size-keyed caches keep at most CACHED_SIZES entries each.
+of S1, S2 and S3 from c, `_stokes_matrices` caches S1..S3 dense and
+read-only, and `stokes_operator` wraps those without a copy (S0 = s I is
+built on request).  Size-keyed caches keep at most CACHED_SIZES entries each.
 A dense matrix on the space (these, S0, S+- and the work matrices below) is
 refused with a ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is
 from N = 2048 on, before it is made.
@@ -23,16 +23,18 @@ when it is first built.  After that, each factor costs O(N^2), and V keeps
 route the tests compare against.
 
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
-main one, S2 and S3 on the first off-diagonals.  `_stokes_combination` writes
-those 3N+1 entries into a zeroed matrix, with the same elementwise arithmetic
-as the dense sum; a real d makes it Hermitian by construction.  For one
-direction the pipeline passes it `_work_matrix`, one cached zero matrix per
-size and thread, whose band every combination overwrites: no (N+1)^2 zero
-fill per call (at N = 512 that fill was most of a combination's cost).  A
-stack of directions gets one fresh zero stack.  The matrix is then applied by one BLAS product, which is O(N^2).  A banded O(N) matvec
-would be cheaper, but it accumulates in another order than BLAS (which fuses
-multiply-adds) and moves the low bits of published sweep values, so it needs
-the golden outputs re-recorded first.
+main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`, the
+only writer of band entries into a dense matrix (S1..S3 are its unit-axis
+combinations), writes those 3N+1 entries into a zeroed matrix with the same
+elementwise arithmetic as the dense sum; a real d makes it Hermitian by
+construction.  For one direction the pipeline passes it `_work_matrix`, one
+cached zero matrix per size and thread, whose band every combination
+overwrites: no (N+1)^2 zero fill per call (at N = 512 that fill was most of
+a combination's cost).  A stack of directions gets one fresh zero stack.
+The matrix is then applied by one BLAS product, which is O(N^2).  A banded
+O(N) matvec would be cheaper, but it accumulates in another order than BLAS
+(which fuses multiply-adds) and moves the low bits of published sweep
+values, so it needs the golden outputs re-recorded first.
 
 States on one space are handled as a stack: rows of amplitudes, shape
 (B, N+1), one state being a one-row stack.  numpy's gufuncs make one BLAS
@@ -286,52 +288,36 @@ def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
     return tuple(_readonly(a) for a in (flat, s1, s2, s3))
 
 
-def _band_matrix(
-    num_photons: int, flat: np.ndarray, band: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Zero-filled complex matrix holding `band` at `flat`, shape (N+1, N+1),
-    or one such matrix per row of a stacked band, shape (B, N+1, N+1).
-
-    `out`, a matrix of that shape that is zero off `flat`, is overwritten
-    in place instead of filling a fresh one with zeros.
-    """
-    dim = num_photons + 1
-    stack = band.shape[:-1]
-    mat = np.zeros(stack + (dim, dim), dtype=complex) if out is None else out
-    mat.reshape(stack + (dim * dim,))[..., flat] = band
-    return mat
-
-
 @functools.lru_cache(maxsize=CACHED_SIZES)
 def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
-    """(S1, S2, S3) on the spin-N/2 space, dense and read-only, from the band."""
-    flat, *bands = _stokes_band(num_photons)
-    return tuple(_readonly(_band_matrix(num_photons, flat, band)) for band in bands)
+    """(S1, S2, S3), dense and read-only: the combinations of the unit axes."""
+    space = SpinSpace(num_photons)
+    return tuple(_readonly(_stokes_combination(space, axis)) for axis in np.eye(3))
 
 
 def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of d[0] S1 + d[1] S2 + d[2] S3, built on its three diagonals.
 
-    `d` is one direction, shape (3,), or a stack of B directions, shape
+    `d` is one real direction, shape (3,), or a stack of B directions, shape
     (B, 3), which gives a (B, N+1, N+1) stack of matrices, one per row.
     Every band entry is the same expression, in the same operand order, as in
     the dense sum, so it is bitwise equal to it; entries off the band are +0.
-    A real d gives a Hermitian matrix by construction, so a complex d is
-    refused.
+    A real d gives a Hermitian matrix by construction.
 
     `out`, a combination this function returned before for the same space
     and stack shape, is overwritten with the new band: it is zero off the
     band, so the result is the matrix a fresh call gives, without a second
     (N+1)^2 zero fill.
     """
-    d = np.asarray(d)
-    if np.iscomplexobj(d):
-        raise ValueError("direction of a Stokes combination must be real")
     flat, b1, b2, b3 = _stokes_band(space.num_photons)
     # scalar-like (1,) coefficients for one direction, (B, 1) columns for a stack
-    d1, d2, d3 = d.T[..., None]
+    d1, d2, d3 = np.asarray(d).T[..., None]
     band = d1 * b1 + d2 * b2 + d3 * b3
-    return _band_matrix(space.num_photons, flat, band, out)
+    dim = space.dimension
+    stack = band.shape[:-1]
+    mat = np.zeros(stack + (dim, dim), dtype=complex) if out is None else out
+    mat.reshape(stack + (dim * dim,))[..., flat] = band
+    return mat
 
 
 @functools.lru_cache(maxsize=CACHED_SIZES)

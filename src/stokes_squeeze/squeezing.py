@@ -14,12 +14,13 @@ coefficients, extremal variances) doubles every matrix result and is kept
 strictly separate so the two paths cross-validate each other.
 
 The transverse operators n.S and the QFI generator d.S are built on their
-three diagonals (`spin_core._stokes_combination`, O(N)) and applied by one
-BLAS matrix-vector product, which keeps every published value bit for bit as
-the dense sum gave it.  For one direction the band is written over a cached
-work matrix (`spin_core._work_matrix`, one per size and thread) instead of a
-freshly zeroed one; more rows build their combinations in one fresh zero
-stack per chunk.
+three diagonals by `spin_core._stokes_combination` (O(N)), which also builds
+the cached S1..S3, and applied by one BLAS matrix-vector product, which keeps
+every published value bit for bit as the dense sum gave it.  For one
+direction the band is written over a cached work matrix
+(`spin_core._work_matrix`, one per size and thread) instead of a freshly
+zeroed one; more rows build their combinations in one fresh zero stack per
+chunk.
 
 `squeezing_reports` runs the pipeline on a stack of states on one space,
 `amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and

@@ -381,9 +381,17 @@ class TestNoon:
         assert capsys.readouterr().out == NOON3_TEXT
 
     def test_oversize_photon_number_rejected(self, capsys, monkeypatch):
-        # 2049^2 entries per dense matrix: refused before any matrix is filled
+        # 2049^2 entries per dense matrix: refused before any matrix is filled.
+        # S1..S3 and every d.S are filled from a band that `_stokes_band`
+        # returned, so the spy records a band only if one could be filled.
         filled = []
-        monkeypatch.setattr(spin_core, "_band_matrix", lambda *args: filled.append(args))
+        band = spin_core._stokes_band
+
+        def spy(num_photons):
+            filled.append(band(num_photons))
+            return filled[-1]
+
+        monkeypatch.setattr(spin_core, "_stokes_band", spy)
         assert main(["noon", "--N", "2048"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "MAX_DENSE_ENTRIES" in captured.err

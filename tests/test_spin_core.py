@@ -391,13 +391,6 @@ class TestStokesCombination:
                 mat.view(np.uint64), _stokes_combination(space, d).view(np.uint64)
             )
 
-    @pytest.mark.parametrize("bad", [(0.0, 1j, 0.0), (0.6, 0.0, 0.8j)])
-    def test_stack_with_one_non_hermitian_row_rejected(self, bad):
-        # only a real direction makes the band Hermitian
-        directions = [_unit([0.2, 0.9, 0.3]), bad, (1.0, 0.0, 0.0)]
-        with pytest.raises(ValueError, match="must be real"):
-            _stokes_combination(build_spin_space(4), directions)
-
 
 class TestValidation:
     def test_state_must_be_normalized(self):

@@ -26,9 +26,13 @@ from stokes_squeeze import (
     vpp_apply,
 )
 from stokes_squeeze.squeezing import bloch_frame
-from stokes_squeeze.spin_core import HermitianOperator, _normalized_rows, _stokes_matrices
+from stokes_squeeze.spin_core import (
+    HermitianOperator,
+    _normalized_rows,
+    _stokes_combination,
+    _stokes_matrices,
+)
 from stokes_squeeze.states import _binomial_profile, basis_state
-from stokes_squeeze.verify import _transverse_operators
 
 SQRT3 = math.sqrt(3.0)
 SPACE3 = build_spin_space(3)
@@ -53,8 +57,8 @@ class TestCoherentState:
                 theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
                 state = coherent_state(space, theta, phi)
                 frame = bloch_frame(mean_polarization(state))
-                op1, op2 = _transverse_operators(state, frame)
-                for mat in (op1, op2):
+                for n in (frame.n1, frame.n2):
+                    mat = _stokes_combination(space, n)
                     var = variance(state, HermitianOperator(space, mat))
                     assert var == pytest.approx(space.spin / 2, abs=1e-10)
 
