@@ -5,20 +5,25 @@ little-endian uint32 words, 24 bytes padded with NUL bytes where the text is
 shorter; removing the NULs (`bytes.translate(None, b"\\0")`) leaves exactly
 the `%.12g` text.  The husimi CSV writer renders its Q column this way.
 
-Values x in [10^-11, 10) are rendered in numpy:
+Values x in [10^-34, 10) are rendered in numpy:
 
-* e = floor(log10 x), then k = 11 - e lies in 11..22, so 10^k is an exact
-  double.  Dekker's split and two-product give p + err = x 10^k exactly
-  (numpy rounds every product and sum on its own: no fused multiply-add).
-  Where the exact product is outside [10^11, 10^12), log10 was off by one
-  next to a power of ten, and e is corrected by one step.
+* e = floor(log10 x), then k = 11 - e lies in 11..45.  10^k = 2^k 5^k and
+  5^k has at most 105 bits, so 10^k is a double-double hi + lo exactly (lo
+  = 0 up to k = 22, where 5^k < 2^53).  Dekker's split and two
+  two-products give x 10^k as the exact sum of four doubles, fl(x hi)
+  first (numpy rounds every product and sum on its own: no fused
+  multiply-add).  Where the exact product is outside [10^11, 10^12), log10
+  was off by one next to a power of ten, and e is corrected by one step.
 * The 12 significant digits D are x 10^k rounded to the nearest integer,
-  ties to even, decided exactly.  p = fl(x 10^k) is a multiple of ulp(p)
-  and within ulp(p)/2 of x 10^k, so f = p - floor(p) (exact) decides by
-  itself unless f = 1/2: there the sign of err decides, and an exact tie
-  (err = 0) takes the even neighbour, as `np.rint(p)` does everywhere
-  else.  The two-product runs on those cells and on p = 10^11 or 10^12
-  only.  D = 10^12 becomes 10^11, e + 1.
+  ties to even, decided exactly.  p = fl(x hi) is a multiple of ulp(p), and
+  it is within ulp(p)/2 <= 2^-14 of x hi and within 2^-12 of x 10^k.  So
+  `np.rint(p)` is D unless p lies within that slack of a half (where lo =
+  0 for every value of the call, p is x 10^k rounded, and only a fraction
+  of exactly 1/2 is open): there the exact sign of the four-term sum less
+  floor(p) + 1/2, by Shewchuk's expansion arithmetic, decides, and an
+  exact tie takes the even neighbour.  The two-products run on those cells
+  and on p within the slack of 10^11 or 10^12 only.  D = 10^12 becomes
+  10^11, e + 1.
 * The text follows `%g`: fixed notation for -4 <= e <= 0 ("0." and -e-1
   zeros before the digits), "d.ddde-XX" below that, trailing zeros (and a
   point with nothing after it) removed.  D is four groups of three digits,
@@ -27,8 +32,8 @@ Values x in [10^-11, 10) are rendered in numpy:
   later group is zero.
 
 Every other value, +0.0 aside (it is "0"), is rendered by `'%.12g' %` one
-by one into its row: values below 10^-11 (Q of highly peaked maps), at or
-above 10 after rounding, negative, or not finite.
+by one into its row: values below 10^-34, at or above 10 after rounding,
+negative, or not finite.
 """
 
 from __future__ import annotations
@@ -40,13 +45,17 @@ import numpy as np
 #: uint32 words of one rendered value; every `%.12g` text of a float fits
 G12_WORDS = 6
 
-#: the smallest double that is at least 10^-11 (the double nearest 1e-11 lies
-#: just below it): from there on 10^(11-e) is exact
-_LOW = math.nextafter(1e-11, 1.0)
+#: the smallest double that is at least 10^-34 (the double nearest 1e-34 lies
+#: just below it): from there on 10^(11-e) is a double-double
+_LOW = math.nextafter(1e-34, 1.0)
 _HIGH = 10.0
 
 #: Dekker's splitter 2^27 + 1
 _SPLITTER = 134217729.0
+
+#: |x 10^k - fl(x hi)| stays below this: ulp(p)/2 <= 2^-14 for p < 2^40,
+#: and |x lo| <= x hi 2^-53 < 2^-13 (x lo = 0 for k <= 22)
+_SLACK = 2.0**-12
 
 
 def _split(a):
@@ -56,9 +65,10 @@ def _split(a):
     return hi, a - hi
 
 
-#: 10^k for k = 0..22, each exact (5^22 < 2^53), and its Dekker halves
-_POW10 = np.array([float(10**k) for k in range(23)])
-_POW10_HI, _POW10_LO = _split(_POW10)
+#: 10^k = hi + lo exactly for k = 0..45: hi is the double nearest 10^k and
+#: lo the rest, an integer of at most 51 bits (0 where 10^k is a double)
+_POW10 = np.array([float(10**k) for k in range(46)])
+_POW10_LO = np.array([float(10**k - int(float(10**k))) for k in range(46)])
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
@@ -106,9 +116,9 @@ def _byte_words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(text.ljust(4, b"\0") for text in texts), dtype="<u4")
 
 
-#: per exponent e = -11..1, at index e + 11: the word before the digits, the
+#: per exponent e = -34..1, at index e + 34: the word before the digits, the
 #: form of the first group and the exponent word
-_EXPONENTS = range(-11, 2)
+_EXPONENTS = range(-34, 2)
 _PREFIXES = _byte_words(
     [b"0." + b"0" * min(-e - 1, 2) if -4 <= e < 0 else b"" for e in _EXPONENTS]
 )
@@ -117,16 +127,49 @@ _SUFFIXES = _byte_words([b"e-%02d" % -e if e < -4 else b"" for e in _EXPONENTS])
 _ZERO = _byte_words([b"", b"0", b"", b"", b"", b""])
 
 
-def _two_product(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, err) with p = fl(x 10^k) and p + err = x 10^k exactly."""
-    p = x * _POW10.take(k)
-    x_hi, x_lo = _split(x)
-    y_hi, y_lo = _POW10_HI.take(k), _POW10_LO.take(k)
-    err = x_hi * y_hi - p
-    err += x_hi * y_lo
-    err += x_lo * y_hi
-    err += x_lo * y_lo
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err) with p = fl(a b) and p + err = a b exactly."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    err = a_hi * b_hi - p
+    err += a_hi * b_lo
+    err += a_lo * b_hi
+    err += a_lo * b_lo
     return p, err
+
+
+def _product_terms(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Four doubles whose exact sum is x 10^k, fl(x hi) first."""
+    return (*_two_product(x, _POW10.take(k)), *_two_product(x, _POW10_LO.take(k)))
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, err) with s = fl(a + b) and s + err = a + b exactly (Knuth)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _sum_sign(*terms: np.ndarray) -> np.ndarray:
+    """The sign (-1, 0 or 1) of the exact sum of the float arrays `terms`.
+
+    Shewchuk's grow-expansion adds each term by exact two-sums into a
+    nonoverlapping expansion, its components in increasing magnitude apart
+    from zeros; the sign of such a sum is that of its largest nonzero
+    component.
+    """
+    expansion = []
+    for term in terms:
+        grown = []
+        for component in expansion:
+            term, rest = _two_sum(term, component)
+            grown.append(rest)
+        expansion = [*grown, term]
+    sign = np.zeros(np.shape(terms[0]))
+    for component in expansion:
+        sign = np.where(component != 0.0, np.sign(component), sign)
+    return sign
 
 
 def g12_words(values: np.ndarray, out: np.ndarray) -> None:
@@ -134,28 +177,40 @@ def g12_words(values: np.ndarray, out: np.ndarray) -> None:
     of `out`, a (len(values), G12_WORDS) '<u4' array or view, NUL-padded."""
     x = np.asarray(values, dtype=float)
     inside = (x >= _LOW) & (x < _HIGH)
-    xs = np.where(inside, x, 1.0)
+    xs = np.where(inside, x, 2.0)  # a placeholder that p decides
     e = np.floor(np.log10(xs)).astype(np.intp)
-    np.clip(e, -11, 0, out=e)
+    np.clip(e, -34, 0, out=e)
     p = xs * _POW10.take(11 - e)
-    # p is within ulp(p)/2 <= 2^-14 of the exact product, a multiple of that
-    # ulp, so only p = 10^11, p = 10^12 and a fraction of exactly 1/2 need
-    # the exact error to decide the range and the rounding
-    whole = np.floor(p)
-    frac = p - whole
-    exact = np.flatnonzero((p < 1e11) | (p >= 1e12) | (p == 1e11) | (frac == 0.5))
-    digits = np.rint(p)  # ties to even, right wherever err = 0
+    digits = np.rint(p)  # ties to even, right wherever p decides
+    # p = fl(x hi) is a multiple of ulp(p) <= 2^-13 within _SLACK of x 10^k,
+    # so it decides the range and the digits unless it lies within the
+    # slack of 10^11, 10^12 or a half.  Where every lo is 0 the slack is 0:
+    # p is x 10^k rounded, and only p = 10^11, 10^12 or a fraction of 1/2
+    # is open
+    slack = _SLACK if (e < -11).any() else 0.0
+    near_half = np.abs(digits - p) >= 0.5 - slack
+    exact = np.flatnonzero(near_half | (p <= 1e11 + slack) | (p >= 1e12 - slack))
     if exact.size:
-        p_x, err = _two_product(xs[exact], 11 - e[exact])
-        below = (p_x < 1e11) | ((p_x == 1e11) & (err < 0))
-        above = (p_x > 1e12) | ((p_x == 1e12) & (err >= 0))
-        if below.any() or above.any():
-            # log10 was one off next to a power of ten
-            e[exact] += above.astype(np.intp) - below
-            p_x, err = _two_product(xs[exact], 11 - e[exact])
-        whole_x = np.floor(p_x)
-        tie = p_x - whole_x == 0.5
-        digits[exact] = np.where(tie & (err != 0), whole_x + (err > 0), np.rint(p_x))
+        terms = _product_terms(xs[exact], 11 - e[exact])
+        p_x = terms[0]
+        if ((p_x <= 1e11 + slack) | (p_x >= 1e12 - slack)).any():
+            # x 10^k against the nearer of 10^11 and 10^12: p minus that
+            # bound is exact (Sterbenz) where p <= 2 10^11 or p >= 5.5 10^11,
+            # and at least 10^11 in between, far beyond the other terms
+            bound = np.where(p_x < 5.5e11, 1e11, 1e12)
+            side = _sum_sign(p_x - bound, *terms[1:])
+            below = (bound == 1e11) & (side < 0)
+            above = (bound == 1e12) & (side >= 0)
+            if below.any() or above.any():
+                # log10 was one off next to a power of ten
+                e[exact] += above.astype(np.intp) - below
+                terms = _product_terms(xs[exact], 11 - e[exact])
+        # x 10^k lies within the slack of [whole_x, whole_x + 1]: the side of
+        # whole_x + 1/2 decides (p - whole_x - 1/2 is exact), a tie takes the
+        # even one
+        whole_x = np.floor(terms[0])
+        side = _sum_sign(terms[0] - whole_x - 0.5, *terms[1:])
+        digits[exact] = np.where(side == 0, np.rint(whole_x + 0.5), whole_x + (side > 0))
     digits = digits.astype(np.int64)
     carry = digits == 10**12
     digits[carry] = 10**11
@@ -170,7 +225,7 @@ def g12_words(values: np.ndarray, out: np.ndarray) -> None:
     zero4 = g4 == 0
     zero34 = zero4 & (g3 == 0)
     zero234 = zero34 & (g2 == 0)
-    row = e + 11
+    row = e + 34
     out[:, 0] = _PREFIXES[row]
     out[:, 1] = _LEADS[g1 + 1000 * zero234 + 2000 * _FORMS[row]]
     out[:, 2] = _GROUPS[g2 + 1000 * zero34]

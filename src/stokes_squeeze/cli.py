@@ -10,7 +10,8 @@ exactly as `%.12g` renders it, then a newline), turned into bytes by one
 `bytes.translate(None, b"\0")` and written in binary mode.  Its grid is
 bounded by `husimi.MAX_GRID_ENTRIES` (2^21 entries per array).  Every float
 argument must be finite.  Sweeps run serially, with at most
-`MAX_SWEEP_STEPS` samples.
+`MAX_SWEEP_STEPS` samples, and are written `SWEEP_CHUNK_ROWS` rows at a
+time.
 
 A sweep file is rendered by column, one `%` template per row.  A column of
 floats takes the float spec of its format: `%.12g` in CSV (what `_fmt` and
@@ -28,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -52,10 +54,13 @@ SWEEP_FIELDS = (
 #: exact samples guaranteed to appear in every sweep that covers them
 SWEEP_LANDMARKS = (1.0, math.sqrt(3.0))
 
-#: most `sweep --steps` accepted, checked before any sample is made: a sweep
-#: keeps every row, as Python floats, and its whole file text in memory until
-#: it is written
+#: most `sweep --steps` accepted, checked before any sample is made
 MAX_SWEEP_STEPS = 2**16
+
+#: most sweep rows computed and rendered before they are written, so a
+#: sweep's memory does not grow with --steps; every sweep of at most this
+#: many samples is one chunk
+SWEEP_CHUNK_ROWS = 2**12
 
 #: most husimi CSV lines rendered into one block before it is written; a
 #: theta row with more phi samples is written in parts of this many cells.
@@ -147,25 +152,38 @@ def _sweep_column(field: str, column, fmt: str) -> tuple[str, list]:
     return spec, cells
 
 
-def _sweep_text(rows: list[tuple], fmt: str, meta: dict) -> str:
-    """The sweep file: the CSV field line or the JSON `meta` block, then every
-    row through one `%` template."""
+def _sweep_rows_text(rows: list[tuple], fmt: str) -> str:
+    """The sweep rows through one `%` template: CSV lines, or JSON records,
+    joined by their separator with none after the last."""
     specs, columns = zip(*(
         _sweep_column(field, column, fmt)
         for field, column in zip(SWEEP_FIELDS, zip(*rows, strict=True), strict=True)
     ))
     cells = zip(*columns)
     if fmt == "csv":
-        template = ",".join(specs)
-        return "\n".join([",".join(SWEEP_FIELDS), *map(template.__mod__, cells)]) + "\n"
-    # the layout of json.dumps(payload, indent=2): meta nested one level, one
-    # record per template, fields in SWEEP_FIELDS order
+        return "\n".join(map(",".join(specs).__mod__, cells))
+    # the layout of json.dumps(payload, indent=2): one record per template,
+    # fields in SWEEP_FIELDS order
     items = ",\n".join(
         f"      {json.dumps(field)}: {spec}" for field, spec in zip(SWEEP_FIELDS, specs)
     )
-    records = ",\n".join(map(f"    {{\n{items}\n    }}".__mod__, cells))
-    meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
-    return f'{{\n  "meta": {meta_text},\n  "records": [\n{records}\n  ]\n}}\n'
+    return ",\n".join(map(f"    {{\n{items}\n    }}".__mod__, cells))
+
+
+def _sweep_parts(samples: list, fmt: str, meta: dict):
+    """The sweep file in parts: the CSV field line or the JSON `meta` block
+    with the first SWEEP_CHUNK_ROWS rows, each further chunk of rows after
+    its separator, then the end of the file."""
+    if fmt == "csv":
+        head, separator, tail = ",".join(SWEEP_FIELDS) + "\n", "\n", "\n"
+    else:
+        meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
+        head = f'{{\n  "meta": {meta_text},\n  "records": [\n'
+        separator, tail = ",\n", "\n  ]\n}\n"
+    for start in range(0, len(samples), SWEEP_CHUNK_ROWS):
+        rows = sweep_records(samples[start : start + SWEEP_CHUNK_ROWS])
+        yield (separator if start else head) + _sweep_rows_text(rows, fmt)
+    yield tail
 
 
 def report_to_dict(report: SqueezingReport) -> dict:
@@ -222,11 +240,6 @@ def _report_lines(fields: dict) -> list[str]:
     return lines
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _meta(command: str, parameters: dict, space: SpinSpace) -> dict:
     """The `meta` block that opens every JSON output."""
     return {"command": command, "parameters": parameters, "spin": space.spin, "dimension": space.dimension}
@@ -235,8 +248,18 @@ def _meta(command: str, parameters: dict, space: SpinSpace) -> dict:
 def cmd_sweep(args) -> int:
     samples = sweep_samples(args.t_min, args.t_max, args.steps)
     parameters = {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps}
-    meta = _meta("sweep", parameters, TRIPHOTON_SPACE)
-    _write_text(args.output, _sweep_text(sweep_records(samples), args.format, meta))
+    parts = _sweep_parts(samples, args.format, _meta("sweep", parameters, TRIPHOTON_SPACE))
+    # the first chunk is made before the file is opened, and a later chunk
+    # that fails removes it: a failed sweep leaves no partial output
+    first = next(parts)
+    with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(first)
+        try:
+            handle.writelines(parts)
+        except BaseException:
+            handle.close()
+            os.remove(args.output)
+            raise
     return 0
 
 

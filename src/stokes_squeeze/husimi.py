@@ -4,6 +4,11 @@ Q(theta, phi) = |<theta,phi|psi>|^2 is the squared overlap with the SU(2)
 coherent state at (theta, phi); it is everywhere in [0, 1] and satisfies
 (2s+1)/(4pi) * integral Q dOmega = 1.  Grids sample theta on [0, pi] (either
 cell midpoints or endpoints) and phi uniformly on [0, 2pi).
+
+The phases e^{-i k phi_j} depend only on n_phi, so `q_grid` reads them from
+one retained read-only table, k = 0..K by phi, rebuilt when a larger N or
+another n_phi arrives.  `MAX_GRID_ENTRIES` bounds it too: at most 2^21
+complex entries, 32 MB.
 """
 
 from __future__ import annotations
@@ -42,6 +47,26 @@ def _chebyshev_weights(n: int) -> np.ndarray:
     weights = (2.0 / n) * (1.0 - 2.0 * series.sum(axis=1))
     weights.setflags(write=False)
     return weights
+
+
+#: e^{-i k phi_j} for k = 0..K (rows) and the n_phi samples phi_j (columns)
+#: of the last grid width `q_grid` saw; read-only
+_phase_table = np.empty((0, 0), dtype=complex)
+
+
+def _phases(phis: np.ndarray, num: int) -> np.ndarray:
+    """Rows k = 0..num of the phase table for the samples `phis`, a
+    C-contiguous view.  The table is rebuilt, by the same elementwise
+    product and exp as any smaller one, when it lacks a row or has another
+    width; a call that races another's rebuild uses the table it read or
+    built."""
+    global _phase_table
+    table = _phase_table
+    if table.shape[1] != phis.size or table.shape[0] <= num:
+        table = np.exp(-1j * np.outer(np.arange(num + 1), phis))
+        table.setflags(write=False)
+        _phase_table = table
+    return table[: num + 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +163,7 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
             f"per array, above the bound MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}"
         )
     profile = _binomial_profile(num, grid.thetas)
-    k = np.arange(num + 1)
-    phases = np.exp(-1j * np.outer(grid.phis, k))
-    overlaps = (profile * state.amplitudes[None, :]) @ phases.T
+    overlaps = (profile * state.amplitudes[None, :]) @ _phases(grid.phis, num)
     values = np.abs(overlaps)
     np.square(values, out=values)
     np.clip(values, 0.0, 1.0, out=values)

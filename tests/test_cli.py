@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,69 @@ class TestSweepWriters:
         assert captured.err == "error: sweep column xi2_db holds a non-finite value\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunked_sweep_matches_one_chunk(self, tmp_path, monkeypatch, fmt):
+        # 60 steps and both landmarks in chunks of 7 rows; zeta2 is unbounded
+        # (None) in one of them only
+        argv = ["sweep", "--t-max", "2.5", "--steps", "60", "--format", fmt, "--output"]
+        assert main([*argv, str(tmp_path / "one")]) == 0
+        records, chunks = cli.sweep_records, []
+
+        def spy(samples):
+            chunks.append(len(samples))
+            return records(samples)
+
+        monkeypatch.setattr(cli, "sweep_records", spy)
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_ROWS", 7)
+        assert main([*argv, str(tmp_path / "chunked")]) == 0
+        assert chunks == [7] * 8 + [6]
+        assert (tmp_path / "chunked").read_bytes() == (tmp_path / "one").read_bytes()
+
+    def test_non_finite_value_in_a_later_chunk_removes_the_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # decibels runs twice per row: the first chunk of 7 rows is finite
+        cells = iter([1.0] * 14 + [math.nan] * 1000)
+        monkeypatch.setattr(cli, "decibels", lambda value: next(cells))
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_ROWS", 7)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--steps", "20", "--format", "json", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sweep column xi2_db holds a non-finite value\n"
+        assert not out.exists()
+
+    #: growth of the peak RSS from a 5-step to a MAX_SWEEP_STEPS JSON sweep;
+    #: rendering the whole file at once grew it by about 200 MB
+    SWEEP_RSS_GROWTH_MB = 40
+
+    def test_largest_sweep_memory_is_bounded(self, tmp_path):
+        # VmHWM is the peak of the child's own address space (see the report
+        # loop RSS test of test_spin_core); tracemalloc would slow this
+        # sweep about eightfold
+        script = (
+            "import sys\n"
+            "from stokes_squeeze.cli import MAX_SWEEP_STEPS, main\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(next(l.split()[1] for l in status if l.startswith('VmHWM:')))\n"
+            "argv = ['sweep', '--format', 'json', '--output', sys.argv[1], '--steps']\n"
+            "assert main([*argv, '5']) == 0\n"
+            "before = peak()\n"
+            "assert main([*argv, str(MAX_SWEEP_STEPS)]) == 0\n"
+            "print(peak() - before)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "sweep.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert int(proc.stdout) / 1024 < self.SWEEP_RSS_GROWTH_MB  # VmHWM is in kB
+        assert out.stat().st_size > 34 * 10**6
 
     def test_steps_bound_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stokes_squeeze._g12 import _LOW, G12_WORDS, g12_words
+from stokes_squeeze._g12 import _LOW, _POW10, _POW10_LO, G12_WORDS, g12_words
 from test_cli import _DIGIT_TIES
 
 
@@ -31,9 +31,16 @@ def _assert_like_percent(values) -> None:
         )
 
 
-def test_low_bound_is_the_first_double_from_1e_minus_11():
-    assert Fraction(_LOW) >= Fraction(1, 10**11)
-    assert Fraction(math.nextafter(_LOW, 0.0)) < Fraction(1, 10**11)
+def test_low_bound_is_the_first_double_from_1e_minus_34():
+    assert Fraction(_LOW) >= Fraction(1, 10**34)
+    assert Fraction(math.nextafter(_LOW, 0.0)) < Fraction(1, 10**34)
+
+
+def test_powers_of_ten_are_double_doubles():
+    assert len(_POW10) == len(_POW10_LO) == 46
+    for k, (hi, lo) in enumerate(zip(_POW10.tolist(), _POW10_LO.tolist())):
+        assert Fraction(hi) + Fraction(lo) == 10**k
+        assert abs(lo) <= math.ulp(hi) / 2 and (lo == 0.0) == (k <= 22)
 
 
 def test_million_log_uniform_values():
@@ -41,13 +48,19 @@ def test_million_log_uniform_values():
     _assert_like_percent(np.exp(rng.uniform(math.log(1e-13), math.log(10.0), 10**6)))
 
 
+def test_million_log_uniform_values_down_to_1e_minus_34():
+    rng = np.random.default_rng(20261019)
+    _assert_like_percent(np.exp(rng.uniform(math.log(1e-34), math.log(10.0), 10**6)))
+
+
 def test_powers_of_ten_and_their_neighbours():
     values = []
-    for j in range(-12, 2):
-        power = 10.0**j
-        values += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
-        values += [math.nextafter(math.nextafter(power, 0.0), 0.0), 9.5 * power]
-        values.append(9.9999999999995 * power)
+    for j in range(-35, 2):
+        # 10.0**j and the double nearest 10^j, which differ for some j < 0
+        for power in {10.0**j, float(Fraction(10) ** j)}:
+            values += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+            values += [math.nextafter(math.nextafter(power, 0.0), 0.0), 9.5 * power]
+            values.append(9.9999999999995 * power)
     _assert_like_percent(values)
 
 
@@ -61,6 +74,36 @@ def test_exact_ties_round_to_even():
     assert _rendered([2.0**-18]) == [b"3.81469726562e-06"]
 
 
+def _rounding_ties(rng, exponent: int, count: int) -> list[Fraction]:
+    """`count` ties (2D + 1)/2 10^(exponent - 11) of `%.12g`'s rounding, D of
+    12 digits, with the first and last D.  Where 5^(11 - exponent) divides
+    an odd 2D + 1 (exponent >= -6) the tie is k 2^(exponent - 12), a double,
+    and only such ties are drawn."""
+    step = 5 ** max(0, 11 - exponent)
+    if step < 2 * 10**12:
+        odd = [j * step for j in range(-(-(2 * 10**11 + 1) // step), 2 * 10**12 // step + 1)]
+        odd = [n for n in odd if n % 2]
+    else:
+        odd = [2 * 10**11 + 1, 2 * 10**12 - 1]
+        odd += [2 * int(d) + 1 for d in rng.integers(10**11, 10**12, count - 2)]
+    picks = [odd[0], odd[-1]] + [odd[i] for i in rng.integers(0, len(odd), count - 2)]
+    return [Fraction(n, 2) * Fraction(10) ** (exponent - 11) for n in picks]
+
+
+def test_rounding_ties_at_every_exponent():
+    # a tie below 10^-6 is no double: the doubles nearest it put the scaled
+    # product within an ulp of a half, where only the exact sum decides
+    rng = np.random.default_rng(20261019)
+    values, exact = [], 0
+    for exponent in range(-34, 1):
+        for tie in _rounding_ties(rng, exponent, 60):
+            nearest = float(tie)
+            exact += Fraction(nearest) == tie
+            values += [nearest, math.nextafter(nearest, 0.0), math.nextafter(nearest, 1.0)]
+    assert exact == 7 * 60
+    _assert_like_percent(values)
+
+
 def test_named_values():
     values = [0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0), 0.5, 0.1, 1e-4, 1e-5, 0.25]
     _assert_like_percent(values)
@@ -69,7 +112,7 @@ def test_named_values():
 
 def test_values_outside_the_kernel_range():
     values = [
-        -0.0, -1.0, -1e-5, _LOW, math.nextafter(_LOW, 0.0), 1e-12, 1e-300, 2.2e-308,
+        -0.0, -1.0, -1e-5, _LOW, math.nextafter(_LOW, 0.0), 1e-12, 1e-35, 1e-300, 2.2e-308,
         9.9999999999995, math.nextafter(10.0, 0.0), 10.0, 12345.678, 1e22, 1e300,
         sys.float_info.max, math.inf, -math.inf, math.nan,
     ]

@@ -13,7 +13,9 @@ from stokes_squeeze import (
     rotate,
     triphoton_state,
 )
-from stokes_squeeze.husimi import QGrid, _chebyshev_weights
+from stokes_squeeze import husimi
+from stokes_squeeze.husimi import MAX_GRID_ENTRIES, QGrid, _chebyshev_weights
+from stokes_squeeze.states import _binomial_profile
 from stokes_squeeze.verify import random_state
 
 SQRT3 = math.sqrt(3.0)
@@ -207,3 +209,63 @@ class TestQGrid:
                 assert values[i, j] == pytest.approx(
                     q_value(state, grid.thetas[i], grid.phis[j]), abs=1e-13
                 )
+
+
+def _fresh_values(state, grid) -> np.ndarray:
+    """Q as q_grid made it with a phase matrix of its own on every call."""
+    num = state.space.num_photons
+    phases = np.exp(-1j * np.outer(grid.phis, np.arange(num + 1)))
+    overlaps = (_binomial_profile(num, grid.thetas) * state.amplitudes[None, :]) @ phases.T
+    return np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
+
+
+class TestPhaseTable:
+    """`q_grid` reads its phases from one retained table per grid width."""
+
+    #: photon numbers in the order they arrive: growing by one, jumping,
+    #: shrinking, and growing by one past the largest again
+    SEQUENCE = (1, 2, 3, 4, 37, 64, 200, 64, 37, 3, 2, 1, 201, 202)
+    RANDOM_SIZES = (1, 2, 3, 37, 64, 200)
+
+    @pytest.fixture(autouse=True)
+    def _empty_table(self, monkeypatch):
+        monkeypatch.setattr(husimi, "_phase_table", np.empty((0, 0), dtype=complex))
+
+    @pytest.mark.parametrize("scheme", ["endpoint", "midpoint"])
+    def test_values_match_fresh_exponentials(self, scheme):
+        rng = np.random.default_rng(19)
+        for n_phi in (360, 97, 360):
+            grid = SphereGrid(31, n_phi, scheme=scheme)
+            largest = 0
+            for num in self.SEQUENCE:
+                largest = max(largest, num)
+                states = [noon_state(num, 0.3)]
+                if num in self.RANDOM_SIZES:
+                    states.append(random_state(build_spin_space(num), rng))
+                for state in states:
+                    values = q_grid(state, grid).values
+                    np.testing.assert_array_equal(values, _fresh_values(state, grid))
+                assert husimi._phase_table.shape == (largest + 1, n_phi)
+
+    def test_table_is_kept_for_smaller_photon_numbers(self):
+        grid = SphereGrid(5, 360)
+        q_grid(noon_state(64, 0.0), grid)
+        table = husimi._phase_table
+        for num in (1, 2, 63, 64):
+            q_grid(noon_state(num, 0.0), grid)
+            assert husimi._phase_table is table
+        q_grid(noon_state(3, 0.0), SphereGrid(5, 361))
+        assert husimi._phase_table.shape == (4, 361)
+
+    @pytest.mark.parametrize("n_phi", [2049, 2**20])
+    def test_table_is_read_only_and_bounded(self, n_phi):
+        # the largest N q_grid accepts on a 2 x n_phi grid
+        num = MAX_GRID_ENTRIES // n_phi - 1
+        grid = SphereGrid(2, n_phi, scheme="endpoint")
+        q_grid(noon_state(num, 0.0), grid)
+        table = husimi._phase_table
+        assert table.shape == (num + 1, n_phi)
+        assert table.size <= MAX_GRID_ENTRIES
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0

@@ -184,6 +184,6 @@ def test_g12_words_on_the_unit_interval(values):
 
 
 @settings(max_examples=200)
-@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(1e-13, 10.0)))
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(1e-36, 10.0)))
 def test_g12_words_on_the_kernel_range_and_below(values):
     _assert_like_percent(values)

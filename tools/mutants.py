@@ -120,8 +120,8 @@ MUTANTS = (
         # exact ties of the 12th digit of %.12g rounded up instead of to even
         "g12-ties-half-up",
         "_g12.py",
-        "np.where(tie & (err != 0), whole_x + (err > 0), np.rint(p_x))",
-        "np.where(tie, whole_x + (err >= 0), np.rint(p_x))",
+        "np.where(side == 0, np.rint(whole_x + 0.5), whole_x + (side > 0))",
+        "np.where(side == 0, whole_x + 1.0, whole_x + (side > 0))",
     ),
     (
         # p = fl(x 10^k) taken as exact: a fraction of 1/2 is then a tie
@@ -226,8 +226,15 @@ MUTANTS = (
         # the Husimi map mirrored in phi
         "q-grid-phases-conjugated",
         "husimi.py",
-        "phases = np.exp(-1j * np.outer(grid.phis, k))",
-        "phases = np.exp(1j * np.outer(grid.phis, k))",
+        "table = np.exp(-1j * np.outer(np.arange(num + 1), phis))",
+        "table = np.exp(1j * np.outer(np.arange(num + 1), phis))",
+    ),
+    (
+        # a table one row short is kept: N one above the last largest fails
+        "phase-table-grows-short",
+        "husimi.py",
+        "table.shape[0] <= num",
+        "table.shape[0] < num",
     ),
 )
 
