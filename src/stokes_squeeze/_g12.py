@@ -7,23 +7,18 @@ the `%.12g` text.  The husimi CSV writer renders its Q column this way.
 
 Values x in [10^-34, 10) are rendered in numpy:
 
-* e = floor(log10 x), then k = 11 - e lies in 11..45.  10^k = 2^k 5^k and
-  5^k has at most 105 bits, so 10^k is a double-double hi + lo exactly (lo
-  = 0 up to k = 22, where 5^k < 2^53).  Dekker's split and two
-  two-products give x 10^k as the exact sum of four doubles, fl(x hi)
-  first (numpy rounds every product and sum on its own: no fused
-  multiply-add).  Where the exact product is outside [10^11, 10^12), log10
-  was off by one next to a power of ten, and e is corrected by one step.
-* The 12 significant digits D are x 10^k rounded to the nearest integer,
-  ties to even, decided exactly.  p = fl(x hi) is a multiple of ulp(p), and
-  it is within ulp(p)/2 <= 2^-14 of x hi and within 2^-12 of x 10^k.  So
-  `np.rint(p)` is D unless p lies within that slack of a half (where lo =
-  0 for every value of the call, p is x 10^k rounded, and only a fraction
-  of exactly 1/2 is open): there the exact sign of the four-term sum less
-  floor(p) + 1/2, by Shewchuk's expansion arithmetic, decides, and an
-  exact tie takes the even neighbour.  The two-products run on those cells
-  and on p within the slack of 10^11 or 10^12 only.  D = 10^12 becomes
-  10^11, e + 1.
+* e = floor(log10 x), then k = 11 - e lies in 11..45, and p = fl(x hi)
+  with hi the double nearest 10^k (hi = 10^k up to k = 22, where 5^k <
+  2^53).  p is within ulp(p)/2 <= 2^-14 of x hi, and x hi is within 2^-13
+  of x 10^k, so p is within 2^-12 of x 10^k; where no k exceeds 22, p is
+  x 10^k rounded once.
+* The 12 significant digits D are `np.rint(p)`, x 10^k rounded to the
+  nearest integer, ties to even, wherever p decides them: p lies more than
+  that slack inside (10^11, 10^12), so e was right, and not within it of a
+  half (the slack is 0 where every k <= 22, leaving only p = 10^11, 10^12
+  or a fraction of exactly 1/2 open).
+  D = 10^12 becomes 10^11, e + 1.  The cells p does not decide, a few
+  dozen at most in a map, are rendered by `'%.12g' %` like the values below.
 * The text follows `%g`: fixed notation for -4 <= e <= 0 ("0." and -e-1
   zeros before the digits), "d.ddde-XX" below that, trailing zeros (and a
   point with nothing after it) removed.  D is four groups of three digits,
@@ -33,7 +28,7 @@ Values x in [10^-34, 10) are rendered in numpy:
 
 Every other value, +0.0 aside (it is "0"), is rendered by `'%.12g' %` one
 by one into its row: values below 10^-34, at or above 10 after rounding,
-negative, or not finite.
+negative, not finite, or undecided by p.
 """
 
 from __future__ import annotations
@@ -46,29 +41,16 @@ import numpy as np
 G12_WORDS = 6
 
 #: the smallest double that is at least 10^-34 (the double nearest 1e-34 lies
-#: just below it): from there on 10^(11-e) is a double-double
+#: just below it): the exponent words run down to e = -34
 _LOW = math.nextafter(1e-34, 1.0)
 _HIGH = 10.0
 
-#: Dekker's splitter 2^27 + 1
-_SPLITTER = 134217729.0
-
 #: |x 10^k - fl(x hi)| stays below this: ulp(p)/2 <= 2^-14 for p < 2^40,
-#: and |x lo| <= x hi 2^-53 < 2^-13 (x lo = 0 for k <= 22)
+#: and |x (10^k - hi)| <= x hi 2^-53 < 2^-13 (0 for k <= 22)
 _SLACK = 2.0**-12
 
-
-def _split(a):
-    """(hi, lo) with hi + lo = a exactly, each of at most 26 significant bits."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-#: 10^k = hi + lo exactly for k = 0..45: hi is the double nearest 10^k and
-#: lo the rest, an integer of at most 51 bits (0 where 10^k is a double)
+#: the double nearest 10^k for k = 0..45, exact up to k = 22
 _POW10 = np.array([float(10**k) for k in range(46)])
-_POW10_LO = np.array([float(10**k - int(float(10**k))) for k in range(46)])
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
@@ -127,51 +109,6 @@ _SUFFIXES = _byte_words([b"e-%02d" % -e if e < -4 else b"" for e in _EXPONENTS])
 _ZERO = _byte_words([b"", b"0", b"", b"", b"", b""])
 
 
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, err) with p = fl(a b) and p + err = a b exactly."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    err = a_hi * b_hi - p
-    err += a_hi * b_lo
-    err += a_lo * b_hi
-    err += a_lo * b_lo
-    return p, err
-
-
-def _product_terms(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Four doubles whose exact sum is x 10^k, fl(x hi) first."""
-    return (*_two_product(x, _POW10.take(k)), *_two_product(x, _POW10_LO.take(k)))
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, err) with s = fl(a + b) and s + err = a + b exactly (Knuth)."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
-
-
-def _sum_sign(*terms: np.ndarray) -> np.ndarray:
-    """The sign (-1, 0 or 1) of the exact sum of the float arrays `terms`.
-
-    Shewchuk's grow-expansion adds each term by exact two-sums into a
-    nonoverlapping expansion, its components in increasing magnitude apart
-    from zeros; the sign of such a sum is that of its largest nonzero
-    component.
-    """
-    expansion = []
-    for term in terms:
-        grown = []
-        for component in expansion:
-            term, rest = _two_sum(term, component)
-            grown.append(rest)
-        expansion = [*grown, term]
-    sign = np.zeros(np.shape(terms[0]))
-    for component in expansion:
-        sign = np.where(component != 0.0, np.sign(component), sign)
-    return sign
-
-
 def g12_words(values: np.ndarray, out: np.ndarray) -> None:
     """Write `'%.12g' % v` of each float in the 1-D `values` into the rows
     of `out`, a (len(values), G12_WORDS) '<u4' array or view, NUL-padded."""
@@ -182,35 +119,12 @@ def g12_words(values: np.ndarray, out: np.ndarray) -> None:
     np.clip(e, -34, 0, out=e)
     p = xs * _POW10.take(11 - e)
     digits = np.rint(p)  # ties to even, right wherever p decides
-    # p = fl(x hi) is a multiple of ulp(p) <= 2^-13 within _SLACK of x 10^k,
-    # so it decides the range and the digits unless it lies within the
-    # slack of 10^11, 10^12 or a half.  Where every lo is 0 the slack is 0:
-    # p is x 10^k rounded, and only p = 10^11, 10^12 or a fraction of 1/2
-    # is open
+    # p decides the range and the digits unless it lies within the slack of
+    # 10^11, 10^12 or a half; where no k exceeds 22 the slack is 0: p is
+    # x 10^k rounded, and only p = 10^11, 10^12 or a fraction of 1/2 is open
     slack = _SLACK if (e < -11).any() else 0.0
-    near_half = np.abs(digits - p) >= 0.5 - slack
-    exact = np.flatnonzero(near_half | (p <= 1e11 + slack) | (p >= 1e12 - slack))
-    if exact.size:
-        terms = _product_terms(xs[exact], 11 - e[exact])
-        p_x = terms[0]
-        if ((p_x <= 1e11 + slack) | (p_x >= 1e12 - slack)).any():
-            # x 10^k against the nearer of 10^11 and 10^12: p minus that
-            # bound is exact (Sterbenz) where p <= 2 10^11 or p >= 5.5 10^11,
-            # and at least 10^11 in between, far beyond the other terms
-            bound = np.where(p_x < 5.5e11, 1e11, 1e12)
-            side = _sum_sign(p_x - bound, *terms[1:])
-            below = (bound == 1e11) & (side < 0)
-            above = (bound == 1e12) & (side >= 0)
-            if below.any() or above.any():
-                # log10 was one off next to a power of ten
-                e[exact] += above.astype(np.intp) - below
-                terms = _product_terms(xs[exact], 11 - e[exact])
-        # x 10^k lies within the slack of [whole_x, whole_x + 1]: the side of
-        # whole_x + 1/2 decides (p - whole_x - 1/2 is exact), a tie takes the
-        # even one
-        whole_x = np.floor(terms[0])
-        side = _sum_sign(terms[0] - whole_x - 0.5, *terms[1:])
-        digits[exact] = np.where(side == 0, np.rint(whole_x + 0.5), whole_x + (side > 0))
+    undecided = np.abs(digits - p) >= 0.5 - slack
+    undecided |= (p <= 1e11 + slack) | (p >= 1e12 - slack)
     digits = digits.astype(np.int64)
     carry = digits == 10**12
     digits[carry] = 10**11
@@ -232,7 +146,7 @@ def g12_words(values: np.ndarray, out: np.ndarray) -> None:
     out[:, 3] = _GROUPS[g3 + 1000 * zero4]
     out[:, 4] = _GROUPS[g4 + 1000]
     out[:, 5] = _SUFFIXES[row]
-    other = np.flatnonzero(~inside | (e > 0))
+    other = np.flatnonzero(~inside | (e > 0) | undecided)
     if other.size:
         rest = x[other]
         zero = (rest == 0.0) & ~np.signbit(rest)

@@ -14,6 +14,7 @@ complex entries, 32 MB.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,8 @@ class SphereGrid:
     scheme: str = "midpoint"
 
     def __post_init__(self):
+        object.__setattr__(self, "n_theta", operator.index(self.n_theta))
+        object.__setattr__(self, "n_phi", operator.index(self.n_phi))
         if self.n_theta < 2 or self.n_phi < 2:
             raise ValueError("grid needs at least 2 samples per axis")
         if self.scheme not in THETA_SCHEMES:

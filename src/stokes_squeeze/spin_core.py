@@ -86,6 +86,7 @@ class SpinSpace:
     num_photons: int
 
     def __post_init__(self):
+        object.__setattr__(self, "num_photons", operator.index(self.num_photons))
         if self.num_photons < 0:
             raise ValueError(f"photon number must be >= 0, got {self.num_photons}")
 
@@ -118,7 +119,7 @@ class SpinSpace:
 
 def build_spin_space(num_photons) -> SpinSpace:
     """Spin space for a fixed photon number; s = N/2, dimension N+1."""
-    return SpinSpace(operator.index(num_photons))
+    return SpinSpace(num_photons)
 
 
 @dataclass(frozen=True, eq=False)

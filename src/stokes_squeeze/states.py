@@ -74,23 +74,25 @@ def _binomial_profile(num_photons: int, thetas) -> np.ndarray:
     the product, so every other entry is the product as written, and a pole
     (sin or cos exactly 0) still gives an exact zero.
     """
-    binom, huge = [], []
+    binom, huge, log_binom = [], [], []
+    c = 1  # C(N, j), exact: the running product stays an integer
     for j in range(num_photons + 1):
         try:
-            binom.append(float(math.comb(num_photons, j)))
+            binom.append(float(c))
         except OverflowError:
             binom.append(0.0)
             huge.append(j)
+            log_binom.append(math.log(c))
+        c = c * (num_photons - j) // (j + 1)
     k = np.arange(num_photons + 1)
     half = np.asarray(thetas, dtype=float)[..., None] / 2.0
     cos, sin = np.cos(half), np.sin(half)
     profile = np.sqrt(binom) * cos ** (num_photons - k) * sin**k
     if huge:
         k = np.array(huge)
-        log_binom = np.array([math.log(math.comb(num_photons, j)) for j in huge])
         with np.errstate(divide="ignore"):
             logs = (
-                log_binom / 2.0
+                np.array(log_binom) / 2.0
                 + (num_photons - k) * np.log(np.abs(cos))
                 + k * np.log(np.abs(sin))
             )

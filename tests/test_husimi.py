@@ -47,6 +47,13 @@ class TestSphereGrid:
         with pytest.raises(ValueError):
             SphereGrid(4, 4, scheme="gauss")
 
+    def test_non_integer_sizes_rejected(self):
+        # a float size would sample theta past pi or make a fractional grid
+        with pytest.raises(TypeError):
+            SphereGrid(3.5, 4)
+        with pytest.raises(TypeError):
+            SphereGrid(4, 2.0)
+
     # constructors only: nothing here evaluates a grid
     @pytest.mark.parametrize("shape, scheme", [
         ((10**6, 10**6), "endpoint"),

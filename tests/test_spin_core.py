@@ -10,6 +10,7 @@ from stokes_squeeze import (
     HermitianOperator,
     PolarizationState,
     SpaceMismatchError,
+    SpinSpace,
     build_spin_space,
     expectation,
     hermitian_exponential,
@@ -57,6 +58,8 @@ class TestSpinSpace:
             build_spin_space(-1)
         with pytest.raises(TypeError):
             build_spin_space(1.5)
+        with pytest.raises(TypeError):
+            SpinSpace(1.5)
 
 
 class TestStokesOperators:

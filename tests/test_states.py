@@ -143,6 +143,39 @@ class TestCoherentClosedForm:
         assert south[-1] == 1.0 and not south[:-20].any()
         assert np.isfinite(south).all()
 
+    @pytest.mark.parametrize("num_photons", [1029, 1030, 2048])
+    def test_binomial_profile_matches_per_entry_binomials(self, num_photons):
+        # the reference takes math.comb(N, j) for every j, and its log for
+        # the entries that overflow a float; the profile must keep its bits
+        binom, huge = [], []
+        for j in range(num_photons + 1):
+            try:
+                binom.append(float(math.comb(num_photons, j)))
+            except OverflowError:
+                binom.append(0.0)
+                huge.append(j)
+        rng = np.random.default_rng(num_photons)
+        thetas = np.concatenate([np.linspace(0.0, np.pi, 181), rng.uniform(-7, 7, 20)])
+        k = np.arange(num_photons + 1)
+        half = thetas[:, None] / 2.0
+        cos, sin = np.cos(half), np.sin(half)
+        expected = np.sqrt(binom) * cos ** (num_photons - k) * sin**k
+        if huge:
+            k = np.array(huge)
+            log_binom = np.array([math.log(math.comb(num_photons, j)) for j in huge])
+            with np.errstate(divide="ignore"):
+                logs = (
+                    log_binom / 2.0
+                    + (num_photons - k) * np.log(np.abs(cos))
+                    + k * np.log(np.abs(sin))
+                )
+            signs = np.sign(cos) ** (num_photons - k) * np.sign(sin) ** k
+            expected[:, k] = signs * np.exp(logs)
+        assert (len(huge) > 0) == (num_photons >= 1030)
+        np.testing.assert_array_equal(
+            _binomial_profile(num_photons, thetas).view(np.uint64), expected.view(np.uint64)
+        )
+
 
 class TestTriphotonRaw:
     def test_t_zero_is_all_horizontal(self):

@@ -117,18 +117,20 @@ MUTANTS = (
         "",
     ),
     (
-        # exact ties of the 12th digit of %.12g rounded up instead of to even
-        "g12-ties-half-up",
+        # no slack around a half where some 10^k is no double: fl(x hi) is
+        # then taken to decide the digits of cells within 2^-12 of a tie
+        "g12-slack-dropped",
         "_g12.py",
-        "np.where(side == 0, np.rint(whole_x + 0.5), whole_x + (side > 0))",
-        "np.where(side == 0, whole_x + 1.0, whole_x + (side > 0))",
+        ">= 0.5 - slack",
+        ">= 0.5",
     ),
     (
-        # p = fl(x 10^k) taken as exact: a fraction of 1/2 is then a tie
-        "g12-error-term-dropped",
+        # the cells fl(x 10^k) does not decide keep np.rint's digits instead
+        # of taking `%`
+        "g12-undecided-not-redone",
         "_g12.py",
-        "    return p, err\n",
-        "    return p, 0.0 * err\n",
+        "(e > 0) | undecided)",
+        "(e > 0))",
     ),
     (
         # <n1.S n2.S> summed by numpy's pairwise sum instead of one BLAS dot:
