@@ -13,12 +13,13 @@ argument must be finite.  Sweeps run serially, with at most
 `MAX_SWEEP_STEPS` samples, and are written `SWEEP_CHUNK_ROWS` rows at a
 time.
 
-A sweep file is rendered by column, one `%` template per row.  A column of
-floats takes the float spec of its format: `%.12g` in CSV (what `_fmt` and
-`format(x, ".12g")` give) and `%r` in JSON (`float.__repr__`, what `json`
-writes).  Any other column is rendered to text cell by cell: None is "" in
-CSV and `null` in JSON, a bool is `true` or `false`, a float takes the float
-spec.  So the bytes are those of `_fmt` on every CSV cell and of
+A sweep file is rendered by column, one `%` template per row, from the
+typed columns `sweep_records` gives per chunk.  A float array takes the
+float spec of its format: `%.12g` in CSV (what `_fmt` and `format(x,
+".12g")` give) and `%r` in JSON (`float.__repr__`, what `json` writes).  A
+list (zeta2_unbounded, or a column holding None) is rendered to text cell by
+cell: None is "" in CSV and `null` in JSON, a bool is `true` or `false`, a
+float takes the float spec.  So the bytes are those of `_fmt` on every CSV cell and of
 `json.dumps(payload, indent=2)`, whose `meta` block is still rendered by
 `json`.  A non-finite value is an error, never a `nan` cell.
 """
@@ -38,7 +39,7 @@ from ._g12 import G12_WORDS, g12_words
 from .elements import vpp_success_probabilities
 from .husimi import SphereGrid, q_grid
 from .spin_core import SpinSpace
-from .squeezing import SqueezingReport, decibels, squeezing_report, squeezing_report_rows
+from .squeezing import SqueezingReport, decibels, squeezing_columns, squeezing_report
 from .states import (
     TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_rows_from_amplitudes,
     triphoton_seed, triphoton_state,
@@ -104,42 +105,47 @@ def sweep_samples(t_min: float, t_max: float, steps: int) -> list[float]:
         raise ValueError(f"sweep bounds must be finite, got [{t_min}, {t_max}]")
     if t_min < 0 or not t_min < t_max:
         raise ValueError(f"invalid sweep range [{t_min}, {t_max}]")
-    samples = list(np.linspace(t_min, t_max, steps))
+    samples = np.linspace(t_min, t_max, steps).tolist()
     for landmark in SWEEP_LANDMARKS:
         if t_min <= landmark <= t_max and landmark not in samples:
             samples.append(landmark)
     return sorted(samples)
 
 
-def sweep_records(samples) -> list[tuple]:
-    """Sweep rows in SWEEP_FIELDS order: the triphoton report at each ratio T.
+def sweep_records(samples) -> tuple:
+    """Sweep columns in SWEEP_FIELDS order: the triphoton report at each ratio T.
 
     (c2, c3) is computed once per ratio.  All reports come from one stacked
-    `squeezing_report_rows` call, as rows of floats, and all VPP
-    probabilities from one stacked `vpp_success_probabilities` call.
+    `squeezing_columns` call and all VPP probabilities from one stacked
+    `vpp_success_probabilities` call.  A column of floats is a float array;
+    a column that can hold None or bools is a list.
     """
     amplitudes = [triphoton_amplitudes(t_ratio) for t_ratio in samples]
-    reports = squeezing_report_rows(TRIPHOTON_SPACE, triphoton_rows_from_amplitudes(amplitudes))
+    (comps, _, _), _, _, (v_minus, v_plus, xi2, zeta2, unbounded, chi2, _) = squeezing_columns(
+        TRIPHOTON_SPACE, triphoton_rows_from_amplitudes(amplitudes)
+    )
     probabilities = vpp_success_probabilities(triphoton_seed(), samples)
-    records = []
-    for t_ratio, (c2, c3), (mean, _, _, tail), probability in zip(
-        samples, amplitudes, reports, probabilities, strict=True
-    ):
-        v_minus, v_plus, xi2, zeta2, unbounded, chi2, _ = tail
-        records.append((
-            t_ratio, c2, c3, *mean[0], v_minus, v_plus, xi2, chi2, zeta2, unbounded,
-            decibels(xi2), decibels(chi2), probability,
-        ))
-    return records
+    return (
+        np.array(samples, dtype=float), *np.array(amplitudes).reshape(-1, 2).T, *comps.T,
+        v_minus, v_plus, xi2, chi2, _nullable(zeta2), unbounded.tolist(),
+        _nullable([decibels(x) for x in xi2.tolist()]),
+        _nullable([decibels(x) for x in chi2.tolist()]),
+        np.array(probabilities, dtype=float),
+    )
+
+
+def _nullable(values: list):
+    """A list of floats and None as a float array if it holds no None."""
+    return values if None in values else np.array(values, dtype=float)
 
 
 def _sweep_column(field: str, column, fmt: str) -> tuple[str, list]:
-    """The `%` spec and the cells of one sweep column in format `fmt`."""
+    """The `%` spec and the cells of one sweep column in format `fmt`: a float
+    array takes the float spec, a list is rendered cell by cell."""
     float_spec, names = _SWEEP_CELLS[fmt]
-    if set(map(type, column)) <= {float, np.float64}:
+    if isinstance(column, np.ndarray):
         # tolist gives plain floats, whose %r is float.__repr__ (np.float64's is not)
-        floats = np.array(column, dtype=float)
-        spec, cells, finite = float_spec, floats.tolist(), np.isfinite(floats).all()
+        spec, cells, finite = float_spec, column.tolist(), np.isfinite(column).all()
     else:
         numbers = [v for v in column if v is not None and not isinstance(v, bool)]
         finite = all(map(math.isfinite, numbers))
@@ -152,14 +158,15 @@ def _sweep_column(field: str, column, fmt: str) -> tuple[str, list]:
     return spec, cells
 
 
-def _sweep_rows_text(rows: list[tuple], fmt: str) -> str:
-    """The sweep rows through one `%` template: CSV lines, or JSON records,
-    joined by their separator with none after the last."""
-    specs, columns = zip(*(
+def _sweep_rows_text(columns: tuple, fmt: str) -> str:
+    """The sweep rows of `sweep_records` columns through one `%` template: CSV
+    lines, or JSON records, joined by their separator with none after the
+    last."""
+    specs, cells = zip(*(
         _sweep_column(field, column, fmt)
-        for field, column in zip(SWEEP_FIELDS, zip(*rows, strict=True), strict=True)
+        for field, column in zip(SWEEP_FIELDS, columns, strict=True)
     ))
-    cells = zip(*columns)
+    cells = zip(*cells)
     if fmt == "csv":
         return "\n".join(map(",".join(specs).__mod__, cells))
     # the layout of json.dumps(payload, indent=2): one record per template,
@@ -181,8 +188,8 @@ def _sweep_parts(samples: list, fmt: str, meta: dict):
         head = f'{{\n  "meta": {meta_text},\n  "records": [\n'
         separator, tail = ",\n", "\n  ]\n}\n"
     for start in range(0, len(samples), SWEEP_CHUNK_ROWS):
-        rows = sweep_records(samples[start : start + SWEEP_CHUNK_ROWS])
-        yield (separator if start else head) + _sweep_rows_text(rows, fmt)
+        columns = sweep_records(samples[start : start + SWEEP_CHUNK_ROWS])
+        yield (separator if start else head) + _sweep_rows_text(columns, fmt)
     yield tail
 
 

@@ -32,18 +32,20 @@ once.  `np.matvec` and `np.vecdot` make the BLAS call of `mat @ amps` and
 `np.vdot` per row, so each report is bit for bit what the row alone gives,
 in any stack.
 
-The rest runs on Python floats, one pass per row, with one function per
-stage: `_frame_row` (angles, vectors and the frame checks), `_ellipse_row`
-(snap, isotropy, gamma_opt and the ellipse check) and `_tail_row` (V-+ with
-its clamp, then xi^2, zeta^2, chi^2).  `squeezing_report_rows` returns those
-float rows, which is all a sweep reads.  The object API (`squeezing_report`,
-`squeezing_reports`, `bloch_frame`, `variance_ellipse`) wraps the same rows
-in its dataclasses without checking them a second time; a dataclass built
-directly is checked by its `__post_init__`.  atan2, hypot and log10 stay
-`math`'s per row: numpy's vectorized ones differ from them in the last bit.
-Stacks go through in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows, so a
-stacked matrix never exceeds CHUNK_ENTRIES entries below N = 181; from there
-on each chunk is one row, on the cached work matrix.
+The rest runs on Python floats for one state and on numpy columns for a
+stack, each route with the same checks, tolerances and messages.  One state
+(`squeezing_report`, `bloch_frame`, `variance_ellipse`) takes the row stages
+`_frame_row`, `_ellipse_row` and `_tail_row`: an N = 3 report takes about
+58 us on them, 150 us as a one-row stack on the columns.  A stack
+(`squeezing_reports`, and a sweep through `squeezing_columns`) keeps per row,
+in `math`, only atan2, sin, cos, hypot and the square of s/|<S>|, whose numpy
+versions may differ in the last bit; the frame vectors, the snap, V-+ with
+its clamp, xi^2, chi^2 and the QFI are columns, since + - * / round the same
+there.  The report objects wrap either without a second check; a dataclass
+built directly is checked by its `__post_init__`.  The moments go in chunks
+of max(1, CHUNK_ENTRIES // (N+1)^2) rows, so a stacked matrix never exceeds
+CHUNK_ENTRIES entries below N = 181; from there on each chunk is one row, on
+the cached work matrix.
 """
 
 from __future__ import annotations
@@ -184,13 +186,18 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    ((components, length, radius),) = _mean_rows(state.space, state.amplitudes[None])
+    components, length, radius = _mean_row(state.space, state.amplitudes)
     return _checked(MeanPolarization, _readonly(np.array(components)), length, radius)
 
 
-def _mean_rows(space: SpinSpace, amps: np.ndarray) -> list[tuple]:
-    """(components, length, radius) of each row of a (B, N+1) stack, in
-    floats: one row per state."""
+def _mean_row(space: SpinSpace, amps: np.ndarray) -> tuple:
+    """(components, length, radius) of one state, in floats."""
+    return tuple(column[0].tolist() for column in _mean_columns(space, amps[None]))
+
+
+def _mean_columns(space: SpinSpace, amps: np.ndarray) -> tuple:
+    """Components (B, 3), lengths (B,) and transverse radii (B,) of the mean
+    polarizations of a (B, N+1) stack."""
     # the diagonal S1 by its O(N) image; the dense S2 and S3 one at a time,
     # never stacked into one array
     _, s2, s3 = _stokes_matrices(space.num_photons)
@@ -204,23 +211,23 @@ def _mean_rows(space: SpinSpace, amps: np.ndarray) -> list[tuple]:
             f"mean polarization length {np.extract(over, lengths)[0]} exceeds the spin "
             f"{space.spin}"
         )
-    radii = np.hypot(comps[:, 1], comps[:, 2])
-    return list(zip(comps.tolist(), lengths.tolist(), radii.tolist()))
+    return comps, lengths, np.hypot(comps[:, 1], comps[:, 2])
+
+
+def _angles(components, length: float, radius: float, fallback) -> tuple:
+    """The frame angles (theta, phi) of one mean, in floats."""
+    if length <= DEGENERACY_TOL:
+        return fallback if fallback is not None else DEFAULT_FALLBACK_ANGLES
+    s1, s2, s3 = components
+    if radius <= DEGENERACY_TOL:
+        return (0.0 if s1 > 0 else math.pi), 0.0
+    return math.atan2(radius, s1), math.atan2(s3, s2)
 
 
 def _frame_row(components, length: float, radius: float, fallback) -> tuple:
     """Analysis frame of one mean, in floats: ((n1, n2, n3), theta, phi,
     degenerate), the frame checked as BlochFrame checks it."""
-    if length <= DEGENERACY_TOL:
-        theta, phi = fallback if fallback is not None else DEFAULT_FALLBACK_ANGLES
-        degenerate = True
-    else:
-        s1, s2, s3 = components
-        if radius <= DEGENERACY_TOL:
-            theta, phi = (0.0 if s1 > 0 else math.pi), 0.0
-        else:
-            theta, phi = math.atan2(radius, s1), math.atan2(s3, s2)
-        degenerate = False
+    theta, phi = _angles(components, length, radius, fallback)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     sin_p, cos_p = math.sin(phi), math.cos(phi)
     vectors = (
@@ -229,7 +236,7 @@ def _frame_row(components, length: float, radius: float, fallback) -> tuple:
         (cos_t, sin_t * cos_p, sin_t * sin_p),
     )
     _check_frame(*vectors)
-    return vectors, theta, phi, degenerate
+    return vectors, theta, phi, length <= DEGENERACY_TOL
 
 
 def bloch_frame(
@@ -251,26 +258,34 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
 
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
-    ((a, b, c),) = _moment_rows(state.space, state.amplitudes[None], [(frame.n1, frame.n2)])
+    a, b, c = _moment_row(state.space, state.amplitudes, frame.n1, frame.n2)
     return _checked(VarianceEllipse, *_ellipse_row(a, b, c))
 
 
-def _moment_rows(space: SpinSpace, amps: np.ndarray, bases) -> list[tuple]:
-    """Raw moments (A, B, C) of each row of a (B, N+1) stack, in floats; row i
-    in the frame whose (n1, n2, ...) is bases[i]."""
-    n1 = np.array([basis[0] for basis in bases])
-    n2 = np.array([basis[1] for basis in bases])
-    # n2.S is written over n1.S: for one row in its thread's cached work
-    # matrix (a fresh 4 MB one per call at N = 512 was most of a
-    # combination's cost), for more rows in one fresh zero stack
-    out = _work_matrix(space)[None] if len(amps) == 1 else None
-    mats = _stokes_combination(space, n1, out=out)
-    image1 = np.matvec(mats, amps)
-    image2 = np.matvec(_stokes_combination(space, n2, out=mats), amps)
-    sq1 = np.vecdot(image1, image1).real
-    sq2 = np.vecdot(image2, image2).real
-    moments = (sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2)
-    return list(zip(*(m.tolist() for m in moments)))
+def _moment_row(space: SpinSpace, amps: np.ndarray, n1, n2) -> list[float]:
+    """Raw moments [A, B, C] of one state in the frame (n1, n2, ...), in floats."""
+    return _moment_columns(space, amps[None], np.array([n1]), np.array([n2]))[:, 0].tolist()
+
+
+def _moment_columns(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
+    """Raw moments (A, B, C) of each row of a (B, N+1) stack, as the rows of
+    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  The rows go in
+    chunks of max(1, CHUNK_ENTRIES // (N+1)^2)."""
+    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
+    moments = np.empty((3, len(amps)))
+    for i in range(0, len(amps), rows):
+        chunk = amps[i : i + rows]
+        # n2.S is written over n1.S: for one row in its thread's cached work
+        # matrix (a fresh 4 MB one per call at N = 512 was most of a
+        # combination's cost), for more rows in one fresh zero stack
+        out = _work_matrix(space)[None] if len(chunk) == 1 else None
+        mats = _stokes_combination(space, n1[i : i + rows], out=out)
+        image1 = np.matvec(mats, chunk)
+        image2 = np.matvec(_stokes_combination(space, n2[i : i + rows], out=mats), chunk)
+        sq1 = np.vecdot(image1, image1).real
+        sq2 = np.vecdot(image2, image2).real
+        moments[:, i : i + rows] = sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
+    return moments
 
 
 def _ellipse_row(a: float, b: float, c: float) -> tuple:
@@ -317,12 +332,23 @@ def _tail_row(spin: float, length: float, a: float, b: float, c: float) -> tuple
     return v_minus, v_plus, xi2, zeta2, unbounded, spin / (2.0 * v_plus), 4.0 * v_plus
 
 
+def _spin(space: SpinSpace) -> float:
+    if space.spin == 0:
+        raise ValueError("squeezing analysis needs at least one photon")
+    return space.spin
+
+
 def squeezing_report(
     state: PolarizationState, fallback_frame: tuple[float, float] | None = None
 ) -> SqueezingReport:
     """Full analysis pipeline: mean -> frame -> ellipse -> V-+ -> figures of merit."""
-    rows = _report_rows(state.space, [state.amplitudes[None]], fallback_frame)
-    return _report_objects(state.space, rows)[0]
+    space, spin = state.space, _spin(state.space)
+    components, length, radius = _mean_row(space, state.amplitudes)
+    vectors, *angles = _frame_row(components, length, radius, fallback_frame)
+    ellipse = _ellipse_row(*_moment_row(space, state.amplitudes, *vectors[:2]))
+    tail = _tail_row(spin, length, *ellipse[:3])
+    blocks = _readonly(np.array([(*vectors, components)]))
+    return _report_objects(space, blocks, [(length, radius, *angles, *ellipse, *tail)])[0]
 
 
 def squeezing_reports(
@@ -334,61 +360,105 @@ def squeezing_reports(
     PolarizationState requires.  Report i is bit for bit the report of row i
     alone, for any B.
     """
-    return _report_objects(space, squeezing_report_rows(space, amplitudes, fallback_frame))
+    (comps, *mean), (vectors, *frame), ellipse, tail = squeezing_columns(
+        space, amplitudes, fallback_frame
+    )
+    columns = (*mean, *frame, *ellipse, *tail)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    blocks = _readonly(np.concatenate([vectors, comps[:, None]], axis=1))
+    return _report_objects(space, blocks, rows)
 
 
-def squeezing_report_rows(
+def squeezing_columns(
     space: SpinSpace, amplitudes, fallback_frame: tuple[float, float] | None = None
-) -> list[tuple]:
-    """`squeezing_reports` as rows of Python floats, without report objects.
-
-    Row i is (mean, frame, ellipse, tail), the fields of report i in order:
-    mean = (components, length, transverse_radius), frame = ((n1, n2, n3),
-    theta, phi, degenerate), ellipse = (A, B, C, gamma_opt, isotropic) and
-    tail = (v_minus, v_plus, xi2, zeta2, zeta2_unbounded, chi2, qfi); a
-    vector is a tuple or list of three floats.  snl is s / 2 on every row.
+) -> tuple:
+    """`squeezing_reports` as columns, without report objects: the report
+    fields in order, ((components, length, transverse_radius), (vectors,
+    theta, phi, degenerate), (A, B, C, gamma_opt, isotropic), (v_minus,
+    v_plus, xi2, zeta2, zeta2_unbounded, chi2, qfi)).  components is (B, 3),
+    vectors (B, 3, 3) of the rows' (n1, n2, n3); theta, phi and zeta2 (None
+    where unbounded) are lists, the rest (B,) arrays.  snl is s / 2.
     """
     amps = _amplitude_rows(space, amplitudes)
     _require_unit_rows(amps)
-    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
-    chunks = [amps[i : i + rows] for i in range(0, len(amps), rows)]
-    return _report_rows(space, chunks, fallback_frame)
+    spin = _spin(space)
+    comps, lengths, radii = _mean_columns(space, amps)
+    # atan2, sin, cos and hypot by `math`, row by row; the rest in columns
+    s1, s2, s3 = comps.T.tolist()
+    theta, phi = list(map(math.atan2, radii.tolist(), s1)), list(map(math.atan2, s3, s2))
+    # a vanishing mean, or one on the S1 pole, takes its angles from `_angles`
+    for i in np.flatnonzero((lengths <= DEGENERACY_TOL) | (radii <= DEGENERACY_TOL)).tolist():
+        theta[i], phi[i] = _angles(comps[i].tolist(), lengths[i], radii[i], fallback_frame)
+    sin_t, cos_t = np.array(list(map(math.sin, theta))), np.array(list(map(math.cos, theta)))
+    sin_p, cos_p = np.array(list(map(math.sin, phi))), np.array(list(map(math.cos, phi)))
+    # frames[k, j, i] is component j of n_(k+1) on row i
+    frames = np.array([
+        np.zeros_like(sin_p), -sin_p, cos_p,
+        sin_t, -cos_t * cos_p, -cos_t * sin_p,
+        cos_t, sin_t * cos_p, sin_t * sin_p,
+    ]).reshape(3, 3, -1)
+    _check_frames(frames)
+    a, b, c = _moment_columns(space, amps, frames[0].T, frames[1].T)
+    snap = MOMENT_SNAP * np.fmax(1.0, c)
+    a = np.where(np.abs(a) < snap, 0.0, a)
+    b = np.where(np.abs(b) < snap, 0.0, b)
+    a_rows, b_rows = a.tolist(), b.tolist()
+    spread = np.array(list(map(math.hypot, a_rows, b_rows)))
+    if np.any(c < spread - 1e-12):
+        raise ValueError("ellipse admits a negative variance")
+    isotropic = spread < ISOTROPY_TOL
+    atan = np.array(list(map(math.atan2, b_rows, a_rows)))
+    gamma = np.where(isotropic, 0.0, (math.pi + atan) / 2.0)
+    v_minus, v_plus = (c - spread) / 2.0, (c + spread) / 2.0
+    negative = v_minus < -1e-12
+    if np.any(negative):
+        raise ArithmeticError(f"negative extremal variance {v_minus[negative][0]:.3e}")
+    v_minus = np.where(v_minus < 0.0, 0.0, v_minus)
+    xi2 = 2.0 * v_minus / spin
+    bounded = lengths > DEGENERACY_TOL
+    zeta2 = [
+        (spin / length) ** 2 * x if ok else None
+        for length, x, ok in zip(lengths.tolist(), xi2.tolist(), bounded.tolist())
+    ]
+    chi2 = spin / (2.0 * v_plus)
+    return (
+        (comps, lengths, radii),
+        (frames.transpose(2, 0, 1), theta, phi, lengths <= DEGENERACY_TOL),
+        (a, b, c, gamma, isotropic),
+        (v_minus, v_plus, xi2, zeta2, ~bounded, chi2, 4.0 * v_plus),
+    )
 
 
-def _report_rows(space: SpinSpace, chunks, fallback_frame) -> list[tuple]:
-    """Report rows of each chunk in turn, a (rows, N+1) stack of amplitudes."""
-    spin = space.spin
-    if spin == 0:
-        raise ValueError("squeezing analysis needs at least one photon")
-    rows = []
-    for amps in chunks:
-        means = _mean_rows(space, amps)
-        frames = [_frame_row(*mean, fallback_frame) for mean in means]
-        moments = _moment_rows(space, amps, [frame[0] for frame in frames])
-        for mean, frame, raw in zip(means, frames, moments):
-            ellipse = _ellipse_row(*raw)
-            rows.append((mean, frame, ellipse, _tail_row(spin, mean[1], *ellipse[:3])))
-    return rows
+def _check_frames(frames: np.ndarray) -> None:
+    """`_check_frame` of the frames (n1, n2, n3) of a (3, 3, B) stack, one
+    per row, with its tolerances and messages."""
+    if not np.all(np.abs(np.sqrt(np.sum(frames * frames, axis=1)) - 1.0) <= 1e-12):
+        raise ValueError("frame vectors must be unit length")
+    if not np.all(np.abs(np.sum(frames * frames[[1, 2, 0]], axis=1)) <= 1e-12):
+        raise ValueError("frame vectors must be orthogonal")
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frames
+    defect = [y1 * z2 - z1 * y2 - x3, z1 * x2 - x1 * z2 - y3, x1 * y2 - y1 * x2 - z3]
+    if not np.all(np.abs(defect) <= 1e-12):
+        raise ValueError("frame must be right-handed")
 
 
-def _report_objects(space: SpinSpace, rows) -> list[SqueezingReport]:
-    """SqueezingReports of report rows.  Each report's frame vectors n1, n2,
-    n3 and mean components are the rows of one read-only (4, 3) block of a
-    single array for all reports."""
-    if not rows:
-        return []
-    blocks = _readonly(np.array([(*frame[0], mean[0]) for mean, frame, _, _ in rows]))
+def _report_objects(space: SpinSpace, blocks: np.ndarray, rows) -> list[SqueezingReport]:
+    """SqueezingReports of report rows (length, radius, theta, phi,
+    degenerate, A, B, C, gamma_opt, isotropic, v_minus, v_plus, xi2, zeta2,
+    zeta2_unbounded, chi2, qfi) of floats.  Report i's frame vectors n1, n2,
+    n3 and mean components are the rows of blocks[i], a read-only (4, 3)
+    block of one array for all reports."""
     snl = space.spin / 2.0
     return [
         _checked(
             SqueezingReport,
-            _checked(MeanPolarization, comps, *mean[1:]),
-            _checked(BlochFrame, n1, n2, n3, *frame[1:]),
-            _checked(VarianceEllipse, *ellipse),
-            *tail,
+            _checked(MeanPolarization, comps, length, radius),
+            _checked(BlochFrame, n1, n2, n3, theta, phi, deg),
+            _checked(VarianceEllipse, *rest[:5]),
+            *rest[5:],
             snl,
         )
-        for (n1, n2, n3, comps), (mean, frame, ellipse, tail) in zip(blocks, rows)
+        for (n1, n2, n3, comps), (length, radius, theta, phi, deg, *rest) in zip(blocks, rows)
     ]
 
 

@@ -29,6 +29,7 @@ from stokes_squeeze import (
     variance,
     variance_ellipse,
 )
+from stokes_squeeze.cli import main
 from stokes_squeeze.spin_core import (
     _image_variance, _stokes_combination, _stokes_matrices, _work_matrix,
 )
@@ -307,6 +308,26 @@ class TestStackedReports:
         stacked = squeezing_reports(triphoton_state(0.0).space, triphoton_state_rows(ts))
         for t, report in zip(ts, stacked, strict=True):
             assert report_fields(report) == report_fields(squeezing_report(triphoton_state(t)))
+
+    def test_routes_are_chosen_by_entry_point(self, monkeypatch, tmp_path):
+        # a stack runs on columns and one state on the float rows: each
+        # route fails loudly if it enters the other one's stages
+        def forbidden(*args, **kwargs):
+            raise AssertionError("entered the other route")
+
+        ts = [0.0, 1.0, SQRT3, 2.5]
+        with monkeypatch.context() as patch:
+            for name in ("_frame_row", "_ellipse_row", "_tail_row"):
+                patch.setattr(squeezing, name, forbidden)
+            reports = squeezing_reports(triphoton_state(0.0).space, triphoton_state_rows(ts))
+            assert [report.zeta2_unbounded for report in reports] == [False, False, True, False]
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--steps", "5", "--output", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 8  # 5 steps, 2 landmarks
+        for name in ("squeezing_columns", "_check_frames"):
+            monkeypatch.setattr(squeezing, name, forbidden)
+        report = squeezing_report(triphoton_state(1.0))
+        assert report.xi2 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_empty_stack(self):
         assert squeezing_reports(build_spin_space(3), np.zeros((0, 4), dtype=complex)) == []

@@ -56,10 +56,18 @@ MUTANTS = (
         "band = d1 * b1 - d2 * b2 + d3 * b3",
     ),
     (
+        # V- of one state (the float rows)
         "v-minus-scaled-0.999",
         "squeezing.py",
         "v_minus = (c - spread) / 2.0",
         "v_minus = 0.999 * (c - spread) / 2.0",
+    ),
+    (
+        # V- of a stack (the columns)
+        "v-minus-columns-scaled-0.999",
+        "squeezing.py",
+        "(c - spread) / 2.0, (c + spread) / 2.0",
+        "0.999 * (c - spread) / 2.0, (c + spread) / 2.0",
     ),
     (
         "ladder-coefficient-perturbed",
@@ -87,19 +95,41 @@ MUTANTS = (
         "profile = np.sqrt(binom) * cos**k * sin ** (num_photons - k)",
     ),
     (
-        # a stack's n1 directions one row late: every one-row call is unchanged
+        # a stack's n1 directions one row late: a one-row stack is unchanged
         "stacked-frames-shifted",
         "squeezing.py",
-        "np.array([basis[0] for basis in bases])",
-        "np.roll([basis[0] for basis in bases], 1, axis=0)",
+        "frames[0].T",
+        "np.roll(frames[0].T, 1, axis=0)",
     ),
     (
-        # the one frame-vector expression, which the float rows and the frame
-        # objects share: a left-handed frame
+        # the frame vectors of one state (the float rows, which the frame
+        # objects share): a left-handed frame
         "frame-n2-sign-flipped",
         "squeezing.py",
         "(sin_t, -cos_t * cos_p, -cos_t * sin_p),",
         "(-sin_t, cos_t * cos_p, cos_t * sin_p),",
+    ),
+    (
+        # the frame vectors of a stack (the columns): a left-handed frame
+        "frame-columns-n2-sign-flipped",
+        "squeezing.py",
+        "        sin_t, -cos_t * cos_p, -cos_t * sin_p,\n",
+        "        -sin_t, cos_t * cos_p, cos_t * sin_p,\n",
+    ),
+    (
+        # B of one state keeps its round-off, so atan2 of the noise can give
+        # the triphoton family gamma_opt near 0 instead of pi
+        "moment-snap-b-dropped",
+        "squeezing.py",
+        "if abs(b) < snap:",
+        "if abs(b) < 0.0:",
+    ),
+    (
+        # the same for a stack's B column
+        "moment-snap-columns-b-dropped",
+        "squeezing.py",
+        "b = np.where(np.abs(b) < snap, 0.0, b)",
+        "b = np.where(np.abs(b) < 0.0, 0.0, b)",
     ),
     (
         # an unbounded zeta2 written as Python's None instead of JSON null
@@ -223,6 +253,13 @@ MUTANTS = (
         "squeezing.py",
         "spin / (2.0 * v_plus), 4.0 * v_plus",
         "spin / (2.0 * v_plus) * (1.0 + 1e-11), 4.0 * v_plus",
+    ),
+    (
+        # the same for a stack's chi2 column
+        "chi2-columns-scaled-1e-11",
+        "squeezing.py",
+        "chi2 = spin / (2.0 * v_plus)\n",
+        "chi2 = spin / (2.0 * v_plus) * (1.0 + 1e-11)\n",
     ),
     (
         # the Husimi map mirrored in phi
