@@ -22,30 +22,34 @@ direction the band is written over a cached work matrix
 zeroed one; more rows build their combinations in one fresh zero stack per
 chunk.
 
-`squeezing_reports` runs the pipeline on a stack of states on one space,
-`amplitudes[B, N+1]`, and `squeezing_report`, `mean_polarization` and
-`variance_ellipse` pass one state's amplitudes as a one-row stack.  The mean
-applies the cached S2 and S3 to every row with `np.matvec` (S1 is diagonal:
-its image is the elementwise n * amps, bit for bit the dense product), and
-the ellipse builds the combinations n1.S, then n2.S over it, for all rows at
-once.  `np.matvec` and `np.vecdot` make the BLAS call of `mat @ amps` and
-`np.vdot` per row, so each report is bit for bit what the row alone gives,
-in any stack.
+One state goes through the four public stages on Python floats:
+`squeezing_report` is `mean_polarization` -> `bloch_frame` ->
+`variance_ellipse` -> `extremal_variances`, then xi^2, zeta^2, chi^2, the
+QFI and the shot-noise limit s/2.  Each stage checks its values before it
+builds its object: the frame unit, orthogonal and right-handed within 1e-12,
+C >= hypot(A, B) - 1e-12 after the moment snap, and the V- clamp window.
 
-The rest runs on Python floats for one state and on numpy columns for a
-stack, each route with the same checks, tolerances and messages.  One state
-(`squeezing_report`, `bloch_frame`, `variance_ellipse`) takes the row stages
-`_frame_row`, `_ellipse_row` and `_tail_row`: an N = 3 report takes about
-58 us on them, 150 us as a one-row stack on the columns.  A stack
-(`squeezing_reports`, and a sweep through `squeezing_columns`) keeps per row,
-in `math`, only atan2, sin, cos, hypot and the square of s/|<S>|, whose numpy
-versions may differ in the last bit; the frame vectors, the snap, V-+ with
-its clamp, xi^2, chi^2 and the QFI are columns, since + - * / round the same
-there.  The report objects wrap either without a second check; a dataclass
-built directly is checked by its `__post_init__`.  The moments go in chunks
-of max(1, CHUNK_ENTRIES // (N+1)^2) rows, so a stacked matrix never exceeds
-CHUNK_ENTRIES entries below N = 181; from there on each chunk is one row, on
-the cached work matrix.
+A stack (`squeezing_reports`, and a sweep through `squeezing_columns`) runs
+the same pipeline on numpy columns, with the same checks, tolerances and
+messages.  Per row it keeps, in `math`, only atan2, sin, cos, hypot and the
+square of s/|<S>|, whose numpy versions may differ in the last bit; the
+frame vectors, the snap, V-+ with its clamp, xi^2, chi^2 and the QFI are
+columns, since + - * / round the same there.  The routes stay apart because
+numpy's per-call overhead on a one-row stack costs an N = 3 report two to
+three times what the floats cost, and single reports are what large-N work
+makes.  The report objects wrap either route's values without a second
+check; a dataclass built directly is checked by its `__post_init__`.
+
+Both routes share the moments.  The mean (`_mean_columns`) applies the
+cached S2 and S3 to every row of a stack with `np.matvec` (S1 is diagonal:
+its image is the elementwise n * amps, bit for bit the dense product), and
+the ellipse (`_moment_columns`) builds the combinations n1.S, then n2.S over
+it, for all rows at once; one state is passed as a one-row stack.
+`np.matvec` and `np.vecdot` make the BLAS call of `mat @ amps` and `np.vdot`
+per row, so each report is bit for bit what the row alone gives, in any
+stack.  The moments go in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows,
+so a stacked matrix never exceeds CHUNK_ENTRIES entries below N = 181; from
+there on each chunk is one row, on the cached work matrix.
 """
 
 from __future__ import annotations
@@ -186,13 +190,8 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    components, length, radius = _mean_row(state.space, state.amplitudes)
-    return _checked(MeanPolarization, _readonly(np.array(components)), length, radius)
-
-
-def _mean_row(space: SpinSpace, amps: np.ndarray) -> tuple:
-    """(components, length, radius) of one state, in floats."""
-    return tuple(column[0].tolist() for column in _mean_columns(space, amps[None]))
+    comps, lengths, radii = _mean_columns(state.space, state.amplitudes[None])
+    return _checked(MeanPolarization, _readonly(comps[0]), lengths.item(), radii.item())
 
 
 def _mean_columns(space: SpinSpace, amps: np.ndarray) -> tuple:
@@ -224,21 +223,6 @@ def _angles(components, length: float, radius: float, fallback) -> tuple:
     return math.atan2(radius, s1), math.atan2(s3, s2)
 
 
-def _frame_row(components, length: float, radius: float, fallback) -> tuple:
-    """Analysis frame of one mean, in floats: ((n1, n2, n3), theta, phi,
-    degenerate), the frame checked as BlochFrame checks it."""
-    theta, phi = _angles(components, length, radius, fallback)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    sin_p, cos_p = math.sin(phi), math.cos(phi)
-    vectors = (
-        (0.0, -sin_p, cos_p),
-        (sin_t, -cos_t * cos_p, -cos_t * sin_p),
-        (cos_t, sin_t * cos_p, sin_t * sin_p),
-    )
-    _check_frame(*vectors)
-    return vectors, theta, phi, length <= DEGENERACY_TOL
-
-
 def bloch_frame(
     mean: MeanPolarization, fallback: tuple[float, float] | None = None
 ) -> BlochFrame:
@@ -249,8 +233,18 @@ def bloch_frame(
     marks the frame degenerate and uses the fallback angles, by default
     (pi/2, pi/2).
     """
-    vectors, *angles = _frame_row(mean.components, mean.length, mean.transverse_radius, fallback)
-    return _checked(BlochFrame, *_readonly(np.array(vectors)), *angles)
+    length = mean.length
+    theta, phi = _angles(mean.components, length, mean.transverse_radius, fallback)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    sin_p, cos_p = math.sin(phi), math.cos(phi)
+    vectors = (
+        (0.0, -sin_p, cos_p),
+        (sin_t, -cos_t * cos_p, -cos_t * sin_p),
+        (cos_t, sin_t * cos_p, sin_t * sin_p),
+    )
+    _check_frame(*vectors)
+    n1, n2, n3 = _readonly(np.array(vectors))
+    return _checked(BlochFrame, n1, n2, n3, theta, phi, length <= DEGENERACY_TOL)
 
 
 def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEllipse:
@@ -258,13 +252,19 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
 
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
-    a, b, c = _moment_row(state.space, state.amplitudes, frame.n1, frame.n2)
-    return _checked(VarianceEllipse, *_ellipse_row(a, b, c))
-
-
-def _moment_row(space: SpinSpace, amps: np.ndarray, n1, n2) -> list[float]:
-    """Raw moments [A, B, C] of one state in the frame (n1, n2, ...), in floats."""
-    return _moment_columns(space, amps[None], np.array([n1]), np.array([n2]))[:, 0].tolist()
+    n1, n2 = np.array([frame.n1]), np.array([frame.n2])
+    a, b, c = _moment_columns(state.space, state.amplitudes[None], n1, n2)[:, 0].tolist()
+    # exact-zero moments survive as +-1e-16 noise; snap them so atan2 picks a
+    # deterministic branch (the family's B = 0, A < 0 must give gamma_opt = pi)
+    snap = MOMENT_SNAP * max(1.0, c)
+    if abs(a) < snap:
+        a = 0.0
+    if abs(b) < snap:
+        b = 0.0
+    _check_ellipse(a, b, c)
+    if math.hypot(a, b) < ISOTROPY_TOL:
+        return _checked(VarianceEllipse, a, b, c, 0.0, True)
+    return _checked(VarianceEllipse, a, b, c, (math.pi + math.atan2(b, a)) / 2.0, False)
 
 
 def _moment_columns(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
@@ -288,29 +288,9 @@ def _moment_columns(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
     return moments
 
 
-def _ellipse_row(a: float, b: float, c: float) -> tuple:
-    """(A, B, C, gamma_opt, isotropic) from raw moments, checked as
-    VarianceEllipse checks them."""
-    # exact-zero moments survive as +-1e-16 noise; snap them so atan2 picks a
-    # deterministic branch (the family's B = 0, A < 0 must give gamma_opt = pi)
-    snap = MOMENT_SNAP * max(1.0, c)
-    if abs(a) < snap:
-        a = 0.0
-    if abs(b) < snap:
-        b = 0.0
-    _check_ellipse(a, b, c)
-    if math.hypot(a, b) < ISOTROPY_TOL:
-        return a, b, c, 0.0, True
-    return a, b, c, (math.pi + math.atan2(b, a)) / 2.0, False
-
-
 def extremal_variances(ellipse: VarianceEllipse) -> tuple[float, float]:
     """(V-, V+) = ([C -+ sqrt(A^2+B^2)] / 2), V- clamped at zero round-off."""
-    return _extremal(ellipse.A, ellipse.B, ellipse.C)
-
-
-def _extremal(a: float, b: float, c: float) -> tuple[float, float]:
-    spread = math.hypot(a, b)
+    c, spread = ellipse.C, math.hypot(ellipse.A, ellipse.B)
     v_minus = (c - spread) / 2.0
     v_plus = (c + spread) / 2.0
     if v_minus < 0.0:
@@ -318,18 +298,6 @@ def _extremal(a: float, b: float, c: float) -> tuple[float, float]:
             raise ArithmeticError(f"negative extremal variance {v_minus:.3e}")
         v_minus = 0.0
     return v_minus, v_plus
-
-
-def _tail_row(spin: float, length: float, a: float, b: float, c: float) -> tuple:
-    """(v_minus, v_plus, xi2, zeta2, zeta2_unbounded, chi2, qfi) of one state
-    from its mean length and snapped ellipse, in floats."""
-    v_minus, v_plus = _extremal(a, b, c)
-    xi2 = 2.0 * v_minus / spin
-    if length > DEGENERACY_TOL:
-        zeta2, unbounded = (spin / length) ** 2 * xi2, False
-    else:
-        zeta2, unbounded = None, True
-    return v_minus, v_plus, xi2, zeta2, unbounded, spin / (2.0 * v_plus), 4.0 * v_plus
 
 
 def _spin(space: SpinSpace) -> float:
@@ -342,13 +310,20 @@ def squeezing_report(
     state: PolarizationState, fallback_frame: tuple[float, float] | None = None
 ) -> SqueezingReport:
     """Full analysis pipeline: mean -> frame -> ellipse -> V-+ -> figures of merit."""
-    space, spin = state.space, _spin(state.space)
-    components, length, radius = _mean_row(space, state.amplitudes)
-    vectors, *angles = _frame_row(components, length, radius, fallback_frame)
-    ellipse = _ellipse_row(*_moment_row(space, state.amplitudes, *vectors[:2]))
-    tail = _tail_row(spin, length, *ellipse[:3])
-    blocks = _readonly(np.array([(*vectors, components)]))
-    return _report_objects(space, blocks, [(length, radius, *angles, *ellipse, *tail)])[0]
+    spin = _spin(state.space)
+    mean = mean_polarization(state)
+    frame = bloch_frame(mean, fallback_frame)
+    ellipse = variance_ellipse(state, frame)
+    v_minus, v_plus = extremal_variances(ellipse)
+    xi2 = 2.0 * v_minus / spin
+    if mean.length > DEGENERACY_TOL:
+        zeta2, unbounded = (spin / mean.length) ** 2 * xi2, False
+    else:
+        zeta2, unbounded = None, True
+    return _checked(
+        SqueezingReport, mean, frame, ellipse, v_minus, v_plus, xi2, zeta2, unbounded,
+        spin / (2.0 * v_plus), 4.0 * v_plus, spin / 2.0,
+    )
 
 
 def squeezing_reports(
@@ -365,8 +340,20 @@ def squeezing_reports(
     )
     columns = (*mean, *frame, *ellipse, *tail)
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    # one read-only array holds every report's frame vectors and mean components
     blocks = _readonly(np.concatenate([vectors, comps[:, None]], axis=1))
-    return _report_objects(space, blocks, rows)
+    snl = space.spin / 2.0
+    return [
+        _checked(
+            SqueezingReport,
+            _checked(MeanPolarization, comps, length, radius),
+            _checked(BlochFrame, n1, n2, n3, theta, phi, deg),
+            _checked(VarianceEllipse, *rest[:5]),
+            *rest[5:],
+            snl,
+        )
+        for (n1, n2, n3, comps), (length, radius, theta, phi, deg, *rest) in zip(blocks, rows)
+    ]
 
 
 def squeezing_columns(
@@ -442,32 +429,12 @@ def _check_frames(frames: np.ndarray) -> None:
         raise ValueError("frame must be right-handed")
 
 
-def _report_objects(space: SpinSpace, blocks: np.ndarray, rows) -> list[SqueezingReport]:
-    """SqueezingReports of report rows (length, radius, theta, phi,
-    degenerate, A, B, C, gamma_opt, isotropic, v_minus, v_plus, xi2, zeta2,
-    zeta2_unbounded, chi2, qfi) of floats.  Report i's frame vectors n1, n2,
-    n3 and mean components are the rows of blocks[i], a read-only (4, 3)
-    block of one array for all reports."""
-    snl = space.spin / 2.0
-    return [
-        _checked(
-            SqueezingReport,
-            _checked(MeanPolarization, comps, length, radius),
-            _checked(BlochFrame, n1, n2, n3, theta, phi, deg),
-            _checked(VarianceEllipse, *rest[:5]),
-            *rest[5:],
-            snl,
-        )
-        for (n1, n2, n3, comps), (length, radius, theta, phi, deg, *rest) in zip(blocks, rows)
-    ]
-
-
 def _checked(cls, *values):
     """A `cls` dataclass instance of `values`, in field order, built without
-    `__init__`: the stage functions have checked them as floats already, so
-    the `__post_init__` checks run only on objects built directly.  It also
-    skips the frozen `__init__`'s one `object.__setattr__` per field, which
-    keeps a single N = 3 report as fast as it was with per-row objects."""
+    `__init__`: each stage has checked its values already (on floats for one
+    state, in columns for a stack), so the `__post_init__` checks run only on
+    objects built directly.  It also skips the frozen `__init__`'s one
+    `object.__setattr__` per field, a few microseconds of each report."""
     instance = object.__new__(cls)
     instance.__dict__.update(zip(cls.__dataclass_fields__, values))
     return instance

@@ -1,9 +1,9 @@
 """Property tests on random states, N <= 64: SU(2) rotations, the
 covariance of the Husimi Q under them, the uncertainty bound of the
-squeezing report and the analysis frame; `sweep` files over random ranges
-against the per-cell writers; and the `%.12g` kernel of the husimi CSV
-against `%`.  Stacked against single-state reports is in
-test_report_oracle.py."""
+squeezing report and the analysis frame; the invariance of the report under
+rotations, N <= 512; `sweep` files over random ranges against the per-cell
+writers; and the `%.12g` kernel of the husimi CSV against `%`.  Stacked
+against single-state reports is in test_report_oracle.py."""
 
 import math
 
@@ -126,6 +126,36 @@ def test_report_obeys_uncertainty_bound(case):
     assert (
         report.v_minus * report.v_plus >= report.mean.length**2 / 4 - 1e-12 * spin**2
     )
+
+
+#: the round-off units of a moment, eps (s+1)^2, and of |<S>|, eps (s+1)
+EPS = 2.0**-52
+#: bounds in those units.  Over 900 random states at N <= 512, each turned
+#: about a random axis, V-+ moved by at most 58 units and |<S>| by 20 (both
+#: grow about as sqrt(N)); the bounds leave a factor of 3 to 4 above that.
+ROTATED_MOMENT_UNITS, ROTATED_MEAN_UNITS = 256.0, 64.0
+
+
+@given(st.integers(min_value=1, max_value=512), seeds, axes, angles)
+def test_report_is_rotation_invariant(num_photons, seed, axis, angle):
+    # V-+, |<S>| and the figures of merit made of them do not depend on the
+    # orientation of the state on the Poincare sphere
+    state = _state(num_photons, seed)
+    before = squeezing_report(state)
+    after = squeezing_report(rotate_about(state, axis, angle))
+    spin = num_photons / 2
+    tol_v = ROTATED_MOMENT_UNITS * EPS * (spin + 1) ** 2
+    tol_length = ROTATED_MEAN_UNITS * EPS * (spin + 1)
+    assert abs(after.v_minus - before.v_minus) <= tol_v
+    assert abs(after.v_plus - before.v_plus) <= tol_v
+    assert abs(after.mean.length - before.mean.length) <= tol_length
+    # propagated to first order, plus a few roundings of the quotients
+    tol_xi2 = 2.0 * tol_v / spin + 4.0 * EPS * before.xi2
+    assert abs(after.xi2 - before.xi2) <= tol_xi2
+    assert abs(after.chi2 - before.chi2) <= before.chi2 * (tol_v / before.v_plus + 4.0 * EPS)
+    assert not (before.zeta2_unbounded or after.zeta2_unbounded)
+    relative = tol_xi2 / before.xi2 + 2.0 * tol_length / before.mean.length + 8.0 * EPS
+    assert abs(after.zeta2 - before.zeta2) <= before.zeta2 * relative
 
 
 def _mean(components) -> MeanPolarization:

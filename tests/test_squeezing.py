@@ -34,7 +34,7 @@ from stokes_squeeze.spin_core import (
     _image_variance, _stokes_combination, _stokes_matrices, _work_matrix,
 )
 from stokes_squeeze.squeezing import (
-    CHUNK_ENTRIES, BlochFrame, MeanPolarization, _ellipse_row,
+    CHUNK_ENTRIES, MOMENT_SNAP, BlochFrame, MeanPolarization,
 )
 from stokes_squeeze.verify import (
     angle_mod_pi_distance,
@@ -310,14 +310,16 @@ class TestStackedReports:
             assert report_fields(report) == report_fields(squeezing_report(triphoton_state(t)))
 
     def test_routes_are_chosen_by_entry_point(self, monkeypatch, tmp_path):
-        # a stack runs on columns and one state on the float rows: each
-        # route fails loudly if it enters the other one's stages
+        # one state goes through the four public stages, each entered once;
+        # a stack runs on columns and never enters them
+        stages = ("mean_polarization", "bloch_frame", "variance_ellipse", "extremal_variances")
+
         def forbidden(*args, **kwargs):
             raise AssertionError("entered the other route")
 
         ts = [0.0, 1.0, SQRT3, 2.5]
         with monkeypatch.context() as patch:
-            for name in ("_frame_row", "_ellipse_row", "_tail_row"):
+            for name in stages:
                 patch.setattr(squeezing, name, forbidden)
             reports = squeezing_reports(triphoton_state(0.0).space, triphoton_state_rows(ts))
             assert [report.zeta2_unbounded for report in reports] == [False, False, True, False]
@@ -326,8 +328,17 @@ class TestStackedReports:
             assert len(out.read_text().splitlines()) == 8  # 5 steps, 2 landmarks
         for name in ("squeezing_columns", "_check_frames"):
             monkeypatch.setattr(squeezing, name, forbidden)
+        calls = []
+
+        def spy(name):
+            stage = getattr(squeezing, name)
+            return lambda *args, **kwargs: calls.append(name) or stage(*args, **kwargs)
+
+        for name in stages:
+            monkeypatch.setattr(squeezing, name, spy(name))
         report = squeezing_report(triphoton_state(1.0))
         assert report.xi2 == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert calls == list(stages)
 
     def test_empty_stack(self):
         assert squeezing_reports(build_spin_space(3), np.zeros((0, 4), dtype=complex)) == []
@@ -476,7 +487,10 @@ def _fresh_ellipse(state, frame) -> tuple:
     image1 = _stokes_combination(state.space, frame.n1) @ amps
     image2 = _stokes_combination(state.space, frame.n2) @ amps
     sq1, sq2 = np.vdot(image1, image1).real, np.vdot(image2, image2).real
-    return _ellipse_row(sq1 - sq2, 2.0 * np.vdot(image1, image2).real, sq1 + sq2)[:3]
+    a, b, c = sq1 - sq2, 2.0 * np.vdot(image1, image2).real, sq1 + sq2
+    # the moment snap of `variance_ellipse`
+    snap = MOMENT_SNAP * max(1.0, c)
+    return (0.0 if abs(a) < snap else a), (0.0 if abs(b) < snap else b), c
 
 
 def _fresh_qfi(state, direction) -> float:

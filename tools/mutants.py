@@ -56,7 +56,7 @@ MUTANTS = (
         "band = d1 * b1 - d2 * b2 + d3 * b3",
     ),
     (
-        # V- of one state (the float rows)
+        # V- of one state (extremal_variances)
         "v-minus-scaled-0.999",
         "squeezing.py",
         "v_minus = (c - spread) / 2.0",
@@ -102,8 +102,7 @@ MUTANTS = (
         "np.roll(frames[0].T, 1, axis=0)",
     ),
     (
-        # the frame vectors of one state (the float rows, which the frame
-        # objects share): a left-handed frame
+        # the frame vectors of one state (bloch_frame): a left-handed frame
         "frame-n2-sign-flipped",
         "squeezing.py",
         "(sin_t, -cos_t * cos_p, -cos_t * sin_p),",
@@ -117,8 +116,8 @@ MUTANTS = (
         "        -sin_t, cos_t * cos_p, cos_t * sin_p,\n",
     ),
     (
-        # B of one state keeps its round-off, so atan2 of the noise can give
-        # the triphoton family gamma_opt near 0 instead of pi
+        # B of one state (variance_ellipse) keeps its round-off, so atan2 of
+        # the noise can give the triphoton family gamma_opt near 0 instead of pi
         "moment-snap-b-dropped",
         "squeezing.py",
         "if abs(b) < snap:",
@@ -303,7 +302,7 @@ def _run(dest: Path, *args: str) -> subprocess.CompletedProcess:
 
 def _failing_tests(dest: Path) -> set[str]:
     proc = _run(
-        dest, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+        dest, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider",
         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py", "tests",
     )
     failing = set()
