@@ -7,12 +7,13 @@ last index is |0,N>_HV.  Every value is immutable after construction.
 
 Every Stokes and ladder array derives from the N ladder coefficients
 c = sqrt((s-n)(s+n+1)) of S+: `_stokes_band` computes the 3N+1 band entries
-of S1, S2 and S3 from c, `_stokes_matrices` caches S1..S3 dense and
-read-only, and `stokes_operator` wraps those without a copy (S0 = s I is
-built on request).  Size-keyed caches keep at most CACHED_SIZES entries each.
-A dense matrix on the space (these, S0, S+- and the work matrices below) is
-refused with a ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is
-from N = 2048 on, before it is made.
+of S1, S2 and S3 from c.  `_stokes_matrices` caches S1..S3 dense and
+read-only for `stokes_operator`, which wraps them without a copy (S0 = s I is
+built on request), and for `verify`; the report route never builds them.
+Size-keyed caches keep at most CACHED_SIZES entries each.  A dense matrix on
+the space (these, S0, S+- and the work matrices below) is refused with a
+ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is from N = 2048 on,
+before it is made.
 
 SU(2) rotations, the wave plate and coherent states never exponentiate a
 dense generator.  S1 is diagonal, so exp(-i x S1) is a vector of phases, and
@@ -23,14 +24,16 @@ when it is first built.  After that, each factor costs O(N^2), and V keeps
 route the tests compare against.
 
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
-main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`, the
-only writer of band entries into a dense matrix (S1..S3 are its unit-axis
-combinations), writes those 3N+1 entries into a zeroed matrix with the same
-elementwise arithmetic as the dense sum; a real d makes it Hermitian by
-construction.  For one direction the pipeline passes it `_work_matrix`, one
-cached zero matrix per size and thread, whose band every combination
-overwrites: no (N+1)^2 zero fill per call (at N = 512 that fill was most of
-a combination's cost).  A stack of directions gets one fresh zero stack.
+main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
+(S1..S3 are its unit-axis combinations) writes those 3N+1 entries into a
+zeroed matrix with the same elementwise arithmetic as the dense sum; a real d
+makes it Hermitian by construction.  For one direction the pipeline passes
+it `_work_matrix`, one cached zero matrix per size and thread, whose band
+every combination overwrites: no (N+1)^2 zero fill per call (at N = 512 that
+fill was most of a combination's cost).  A stack of directions gets one
+fresh zero stack.  The mean writes the S2 and S3 bands of `_stokes_band`
+themselves over the same work matrix, bit for bit the cached S2 and S3, so a
+report holds one (N+1)^2 matrix per thread and size, 16 (N+1)^2 bytes.
 The matrix is then applied by one BLAS product, which is O(N^2).  A banded
 O(N) matvec would be cheaper, but it accumulates in another order than BLAS
 (which fuses multiply-adds) and moves the low bits of published sweep
@@ -66,7 +69,8 @@ VARIANCE_ROUNDOFF = 16 * np.finfo(float).eps
 #: `husimi`); 16 covers N = 0..12 and three large sizes without eviction
 CACHED_SIZES = 16
 #: most entries of one dense (N+1) x (N+1) Stokes matrix, so N <= 2047; a
-#: report holds about 64 (N+1)^2 bytes of them (282 MB peak at N = 2048)
+#: report holds one, its work matrix of 16 (N+1)^2 bytes (`noon --N 2047`
+#: peaks at about 94 MB resident)
 MAX_DENSE_ENTRIES = 2**22
 
 
@@ -291,7 +295,8 @@ def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=CACHED_SIZES)
 def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
-    """(S1, S2, S3), dense and read-only: the combinations of the unit axes."""
+    """(S1, S2, S3), dense and read-only: the combinations of the unit axes,
+    for `stokes_operator` and `verify`; no report reads them."""
     space = SpinSpace(num_photons)
     return tuple(_readonly(_stokes_combination(space, axis)) for axis in np.eye(3))
 

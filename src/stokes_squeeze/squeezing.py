@@ -14,13 +14,14 @@ coefficients, extremal variances) doubles every matrix result and is kept
 strictly separate so the two paths cross-validate each other.
 
 The transverse operators n.S and the QFI generator d.S are built on their
-three diagonals by `spin_core._stokes_combination` (O(N)), which also builds
-the cached S1..S3, and applied by one BLAS matrix-vector product, which keeps
-every published value bit for bit as the dense sum gave it.  For one
-direction the band is written over a cached work matrix
-(`spin_core._work_matrix`, one per size and thread) instead of a freshly
-zeroed one; more rows build their combinations in one fresh zero stack per
-chunk.
+three diagonals by `spin_core._stokes_combination` (O(N)) and applied by one
+BLAS matrix-vector product, which keeps every published value bit for bit as
+the dense sum gave it.  For one direction the band is written over a cached
+work matrix (`spin_core._work_matrix`, one per size and thread) instead of a
+freshly zeroed one; more rows build their combinations in one fresh zero
+stack per chunk.  The mean writes the S2 and S3 bands over the same work
+matrix, so a report holds no other (N+1)^2 array: the cached dense S1..S3
+serve only `stokes_operator` and `verify`.
 
 One state goes through the four public stages on Python floats:
 `squeezing_report` is `mean_polarization` -> `bloch_frame` ->
@@ -40,11 +41,14 @@ three times what the floats cost, and single reports are what large-N work
 makes.  The report objects wrap either route's values without a second
 check; a dataclass built directly is checked by its `__post_init__`.
 
-Both routes share the moments.  The mean (`_mean_columns`) applies the
-cached S2 and S3 to every row of a stack with `np.matvec` (S1 is diagonal:
-its image is the elementwise n * amps, bit for bit the dense product), and
-the ellipse (`_moment_columns`) builds the combinations n1.S, then n2.S over
-it, for all rows at once; one state is passed as a one-row stack.
+Both routes share the moments.  The mean (`_mean_columns`) writes S2's band
+into the work matrix and applies it to every row of a stack with
+`np.matvec`, then does the same with S3's band (S1 is diagonal: its image is
+the elementwise n * amps, bit for bit the dense product).  The written bands
+are bit for bit the entries of the dense S2 and S3, so each product is the
+one the dense matrix gives.  The ellipse (`_moment_columns`) builds the
+combinations n1.S, then n2.S over it, for all rows at once; one state is
+passed as a one-row stack.
 `np.matvec` and `np.vecdot` make the BLAS call of `mat @ amps` and `np.vdot`
 per row, so each report is bit for bit what the row alone gives, in any
 stack.  The moments go in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows,
@@ -68,8 +72,8 @@ from .spin_core import (
     _readonly,
     _require_unit_rows,
     _s1_image,
+    _stokes_band,
     _stokes_combination,
-    _stokes_matrices,
     _unit_direction,
     _work_matrix,
 )
@@ -197,10 +201,14 @@ def mean_polarization(state: PolarizationState) -> MeanPolarization:
 def _mean_columns(space: SpinSpace, amps: np.ndarray) -> tuple:
     """Components (B, 3), lengths (B,) and transverse radii (B,) of the mean
     polarizations of a (B, N+1) stack."""
-    # the diagonal S1 by its O(N) image; the dense S2 and S3 one at a time,
-    # never stacked into one array
-    _, s2, s3 = _stokes_matrices(space.num_photons)
-    images = (_s1_image(space, amps), np.matvec(s2, amps), np.matvec(s3, amps))
+    # the diagonal S1 by its O(N) image; S2, then S3 over it, by their bands
+    # written into the thread's work matrix, which is zero off the band
+    flat, _, b2, b3 = _stokes_band(space.num_photons)
+    work = _work_matrix(space)
+    np.put(work, flat, b2)
+    image2 = np.matvec(work, amps)
+    np.put(work, flat, b3)
+    images = (_s1_image(space, amps), image2, np.matvec(work, amps))
     raw = np.array([np.vecdot(amps, image) for image in images]).T
     comps = np.ascontiguousarray(_real_expectation(raw))
     lengths = np.sqrt(np.vecdot(comps, comps))
@@ -244,7 +252,7 @@ def bloch_frame(
     )
     _check_frame(*vectors)
     n1, n2, n3 = _readonly(np.array(vectors))
-    return _checked(BlochFrame, n1, n2, n3, theta, phi, length <= DEGENERACY_TOL)
+    return _checked(BlochFrame, n1, n2, n3, theta, phi, bool(length <= DEGENERACY_TOL))
 
 
 def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEllipse:

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from stokes_squeeze.spin_core import (
     _image_variance, _stokes_combination, _stokes_matrices, _work_matrix,
 )
 from stokes_squeeze.squeezing import (
-    CHUNK_ENTRIES, MOMENT_SNAP, BlochFrame, MeanPolarization,
+    CHUNK_ENTRIES, DEGENERACY_TOL, MOMENT_SNAP, BlochFrame, MeanPolarization,
 )
 from stokes_squeeze.verify import (
     angle_mod_pi_distance,
@@ -112,6 +113,16 @@ class TestBlochFrame:
         custom = bloch_frame(_mean([0.0, 0.0, 0.0]), fallback=(0.3, 1.1))
         assert custom.theta == pytest.approx(0.3)
         assert custom.phi == pytest.approx(1.1)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_degenerate_is_a_bool_for_a_numpy_length(self, scale):
+        # a length from np.linalg.norm is an np.float64, on either side of the tolerance
+        comps = np.array([0.0, 0.0, scale * DEGENERACY_TOL])
+        mean = MeanPolarization(comps, np.linalg.norm(comps), np.hypot(comps[1], comps[2]))
+        frame = bloch_frame(mean)
+        assert type(mean.length) is np.float64
+        assert type(frame.degenerate) is bool
+        assert frame.degenerate is (scale < 1.0)
 
     def test_orthonormal_right_handed_on_random_states(self):
         for trial in range(100):
@@ -605,6 +616,23 @@ class TestWorkMatrices:
             thread.join(timeout=60)
             assert not thread.is_alive()
         assert got == serial
+
+    def test_report_route_holds_one_dense_matrix(self):
+        # cold caches at N = 1023: the mean, the ellipse and the QFI share the
+        # thread's one (N+1)^2 work matrix and never build the dense S1..S3
+        space, state = build_spin_space(1023), noon_state(1023, 0.3)
+        _stokes_matrices.cache_clear()
+        spin_core._zero_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            squeezing_report(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * space.dimension**2
+        squeezing_reports(space, [state.amplitudes, state.amplitudes])
+        qfi_pure(state, (0.0, 0.6, 0.8))
+        assert _stokes_matrices.cache_info().currsize == 0
 
     def test_each_thread_has_its_own_work_matrix(self):
         space = build_spin_space(64)

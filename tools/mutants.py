@@ -83,6 +83,13 @@ MUTANTS = (
         "s3 = -np.concatenate(",
     ),
     (
+        # the mean's S2 image taken with S3's band, so <S2> reads <S3>
+        "mean-s2-band-written-as-s3",
+        "squeezing.py",
+        "np.put(work, flat, b2)",
+        "np.put(work, flat, b3)",
+    ),
+    (
         "qwp-angle-sign-flipped",
         "elements.py",
         "_s2_rotate(state.space, -np.pi / 2, state.amplitudes)",
