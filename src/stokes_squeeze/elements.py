@@ -21,6 +21,7 @@ import numpy as np
 from .spin_core import (
     PolarizationState,
     SpinSpace,
+    _require_finite,
     _s1_phases,
     _s2_rotate,
     _unit_direction,
@@ -131,6 +132,7 @@ def rotate_about(state: PolarizationState, direction, angle: float) -> Polarizat
     D(beta) W(theta) carries S1 onto d.S.  That is four O(N^2) products.
     """
     d = _unit_direction(direction)
+    _require_finite(angle=angle)
     space = state.space
     theta = math.atan2(math.hypot(d[1], d[2]), d[0])
     beta = math.atan2(d[1], -d[2])

@@ -27,14 +27,15 @@ A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
 (S1..S3 are its unit-axis combinations) writes those 3N+1 entries into a
 zeroed matrix with the same elementwise arithmetic as the dense sum; a real d
-makes it Hermitian by construction.  For one direction the pipeline passes
-it `_work_matrix`, one cached zero matrix per size and thread, whose band
-every combination overwrites: no (N+1)^2 zero fill per call (at N = 512 that
-fill was most of a combination's cost).  A stack of directions gets one
-fresh zero stack.  The mean writes the S2 and S3 bands of `_stokes_band`
-themselves over the same work matrix, bit for bit the cached S2 and S3, so a
-report holds one (N+1)^2 matrix per thread and size, 16 (N+1)^2 bytes.
-The matrix is then applied by one BLAS product, which is O(N^2).  A banded
+makes it Hermitian by construction.  The moment kernel makes every product
+of a squeezing report: `_mean_moments` gives <S1..S3> (S1 by the O(N)
+`_s1_image`, S2 and S3 by their `_stokes_band` entries, bit for bit the
+cached matrices), `_transverse_moments` the second moments of n1.S and n2.S,
+and `_direction_variance` the variance of one d.S for the QFI.  The mean and
+one-row chunks write over `_work_matrix`, one cached zero matrix per size and
+thread, whose band every write overwrites: no (N+1)^2 zero fill per call.
+Larger chunks get one fresh zero stack of at most CHUNK_ENTRIES entries.
+Each matrix is applied by one BLAS product, which is O(N^2).  A banded
 O(N) matvec would be cheaper, but it accumulates in another order than BLAS
 (which fuses multiply-adds) and moves the low bits of published sweep
 values, so it needs the golden outputs re-recorded first.
@@ -51,6 +52,7 @@ are not used there.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -72,10 +74,21 @@ CACHED_SIZES = 16
 #: report holds one, its work matrix of 16 (N+1)^2 bytes (`noon --N 2047`
 #: peaks at about 94 MB resident)
 MAX_DENSE_ENTRIES = 2**22
+#: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
+#: holds CHUNK_ENTRIES // (N+1)^2 states, 4096 at N = 3 and two at N = 180;
+#: from N = 181 on a chunk is one row, as a single-state report is
+CHUNK_ENTRIES = 2**16
 
 
 class SpaceMismatchError(ValueError):
     """A state and an operator were combined across different spin spaces."""
+
+
+def _require_finite(**values) -> None:
+    """Raise a ValueError naming the first argument that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -109,6 +122,7 @@ class SpinSpace:
 
     def index_of(self, n: float) -> int:
         """Basis index of |s,n>."""
+        _require_finite(n=n)
         k = self.spin - n
         if abs(k - round(k)) > 1e-9 or not 0 <= round(k) < self.dimension:
             raise ValueError(f"n={n} is not an eigenvalue for spin s={self.spin}")
@@ -335,15 +349,54 @@ def _zero_matrix(num_photons: int, thread: int) -> np.ndarray:
 
 
 def _work_matrix(space: SpinSpace) -> np.ndarray:
-    """A matrix to pass as `out` to `_stokes_combination(space, d)` for one
-    direction d: zero off the band, cached per photon number and thread.
-
-    Every combination on one space writes the whole band, so the result is
-    the matrix a fresh call gives, without zero-filling (N+1)^2 entries.  The
-    caller must be done with it before its thread builds the next combination
-    on that space; a thread never sees another thread's matrix.
-    """
+    """The moment kernel's matrix for one band at a time on `space`: zero off
+    the band, cached per photon number and thread.  Every write covers the
+    whole band, so the result is the matrix a fresh zero one gives, without
+    zero-filling (N+1)^2 entries.  The caller must be done with it before its
+    thread writes the next band there; no thread sees another's matrix."""
     return _zero_matrix(space.num_photons, threading.get_ident())
+
+
+def _mean_moments(space: SpinSpace, amps: np.ndarray) -> np.ndarray:
+    """(<S1>, <S2>, <S3>) of each row of a (B, N+1) stack, as a (B, 3) array;
+    every imaginary part must round off."""
+    # the diagonal S1 by its O(N) image; S2, then S3 over it, by their bands
+    # written into the thread's work matrix, which is zero off the band
+    flat, _, b2, b3 = _stokes_band(space.num_photons)
+    work = _work_matrix(space)
+    np.put(work, flat, b2)
+    image2 = np.matvec(work, amps)
+    np.put(work, flat, b3)
+    images = (_s1_image(space, amps), image2, np.matvec(work, amps))
+    raw = np.array([np.vecdot(amps, image) for image in images]).T
+    return np.ascontiguousarray(_real_expectation(raw))
+
+
+def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
+    """Raw moments (A, B, C) of each row of a (B, N+1) stack, as the rows of
+    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  The rows go in
+    chunks of max(1, CHUNK_ENTRIES // (N+1)^2)."""
+    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
+    moments = np.empty((3, len(amps)))
+    for i in range(0, len(amps), rows):
+        chunk = amps[i : i + rows]
+        # n2.S is written over n1.S: for one row in its thread's cached work
+        # matrix, for more rows in one fresh zero stack
+        out = _work_matrix(space)[None] if len(chunk) == 1 else None
+        mats = _stokes_combination(space, n1[i : i + rows], out=out)
+        image1 = np.matvec(mats, chunk)
+        image2 = np.matvec(_stokes_combination(space, n2[i : i + rows], out=mats), chunk)
+        sq1 = np.vecdot(image1, image1).real
+        sq2 = np.vecdot(image2, image2).real
+        moments[:, i : i + rows] = sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
+    return moments
+
+
+def _direction_variance(space: SpinSpace, amps: np.ndarray, direction) -> float:
+    """`variance` of d.S for the unit 3-vector d = `direction`, on the work matrix."""
+    d = _unit_direction(direction)
+    generator = _stokes_combination(space, d, out=_work_matrix(space))
+    return _image_variance(amps, generator @ amps)
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:

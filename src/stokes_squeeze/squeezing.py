@@ -13,15 +13,10 @@ A closed-form route for the triphoton family (amplitudes, ellipse
 coefficients, extremal variances) doubles every matrix result and is kept
 strictly separate so the two paths cross-validate each other.
 
-The transverse operators n.S and the QFI generator d.S are built on their
-three diagonals by `spin_core._stokes_combination` (O(N)) and applied by one
-BLAS matrix-vector product, which keeps every published value bit for bit as
-the dense sum gave it.  For one direction the band is written over a cached
-work matrix (`spin_core._work_matrix`, one per size and thread) instead of a
-freshly zeroed one; more rows build their combinations in one fresh zero
-stack per chunk.  The mean writes the S2 and S3 bands over the same work
-matrix, so a report holds no other (N+1)^2 array: the cached dense S1..S3
-serve only `stokes_operator` and `verify`.
+Every operator product comes from the moment kernel of `spin_core`: the
+mean from `_mean_moments`, the ellipse from `_transverse_moments` and the QFI
+from `_direction_variance`.  One state is passed as a one-row stack, and each
+row's moments are bit for bit what the row alone gives, in any stack.
 
 One state goes through the four public stages on Python floats:
 `squeezing_report` is `mean_polarization` -> `bloch_frame` ->
@@ -40,20 +35,6 @@ numpy's per-call overhead on a one-row stack costs an N = 3 report two to
 three times what the floats cost, and single reports are what large-N work
 makes.  The report objects wrap either route's values without a second
 check; a dataclass built directly is checked by its `__post_init__`.
-
-Both routes share the moments.  The mean (`_mean_columns`) writes S2's band
-into the work matrix and applies it to every row of a stack with
-`np.matvec`, then does the same with S3's band (S1 is diagonal: its image is
-the elementwise n * amps, bit for bit the dense product).  The written bands
-are bit for bit the entries of the dense S2 and S3, so each product is the
-one the dense matrix gives.  The ellipse (`_moment_columns`) builds the
-combinations n1.S, then n2.S over it, for all rows at once; one state is
-passed as a one-row stack.
-`np.matvec` and `np.vecdot` make the BLAS call of `mat @ amps` and `np.vdot`
-per row, so each report is bit for bit what the row alone gives, in any
-stack.  The moments go in chunks of max(1, CHUNK_ENTRIES // (N+1)^2) rows,
-so a stacked matrix never exceeds CHUNK_ENTRIES entries below N = 181; from
-there on each chunk is one row, on the cached work matrix.
 """
 
 from __future__ import annotations
@@ -66,16 +47,12 @@ import numpy as np
 from .spin_core import (
     PolarizationState,
     SpinSpace,
-    _image_variance,
-    _real_expectation,
     _amplitude_rows,
+    _direction_variance,
+    _mean_moments,
     _readonly,
     _require_unit_rows,
-    _s1_image,
-    _stokes_band,
-    _stokes_combination,
-    _unit_direction,
-    _work_matrix,
+    _transverse_moments,
 )
 from .states import triphoton_amplitudes
 
@@ -90,11 +67,6 @@ MOMENT_SNAP = 1e-12
 #: analysis frame used when the mean polarization vanishes; continues the
 #: triphoton family's frame through the NOON point
 DEFAULT_FALLBACK_ANGLES = (math.pi / 2, math.pi / 2)
-
-#: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
-#: holds CHUNK_ENTRIES // (N+1)^2 states, 4096 at N = 3 and two at N = 180;
-#: from N = 181 on a chunk is one row, as a single-state report is
-CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,16 +173,7 @@ def mean_polarization(state: PolarizationState) -> MeanPolarization:
 def _mean_columns(space: SpinSpace, amps: np.ndarray) -> tuple:
     """Components (B, 3), lengths (B,) and transverse radii (B,) of the mean
     polarizations of a (B, N+1) stack."""
-    # the diagonal S1 by its O(N) image; S2, then S3 over it, by their bands
-    # written into the thread's work matrix, which is zero off the band
-    flat, _, b2, b3 = _stokes_band(space.num_photons)
-    work = _work_matrix(space)
-    np.put(work, flat, b2)
-    image2 = np.matvec(work, amps)
-    np.put(work, flat, b3)
-    images = (_s1_image(space, amps), image2, np.matvec(work, amps))
-    raw = np.array([np.vecdot(amps, image) for image in images]).T
-    comps = np.ascontiguousarray(_real_expectation(raw))
+    comps = _mean_moments(space, amps)
     lengths = np.sqrt(np.vecdot(comps, comps))
     over = lengths > space.spin + 1e-12
     if np.count_nonzero(over):
@@ -261,7 +224,7 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
     n1, n2 = np.array([frame.n1]), np.array([frame.n2])
-    a, b, c = _moment_columns(state.space, state.amplitudes[None], n1, n2)[:, 0].tolist()
+    a, b, c = _transverse_moments(state.space, state.amplitudes[None], n1, n2)[:, 0].tolist()
     # exact-zero moments survive as +-1e-16 noise; snap them so atan2 picks a
     # deterministic branch (the family's B = 0, A < 0 must give gamma_opt = pi)
     snap = MOMENT_SNAP * max(1.0, c)
@@ -273,27 +236,6 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
     if math.hypot(a, b) < ISOTROPY_TOL:
         return _checked(VarianceEllipse, a, b, c, 0.0, True)
     return _checked(VarianceEllipse, a, b, c, (math.pi + math.atan2(b, a)) / 2.0, False)
-
-
-def _moment_columns(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
-    """Raw moments (A, B, C) of each row of a (B, N+1) stack, as the rows of
-    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  The rows go in
-    chunks of max(1, CHUNK_ENTRIES // (N+1)^2)."""
-    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
-    moments = np.empty((3, len(amps)))
-    for i in range(0, len(amps), rows):
-        chunk = amps[i : i + rows]
-        # n2.S is written over n1.S: for one row in its thread's cached work
-        # matrix (a fresh 4 MB one per call at N = 512 was most of a
-        # combination's cost), for more rows in one fresh zero stack
-        out = _work_matrix(space)[None] if len(chunk) == 1 else None
-        mats = _stokes_combination(space, n1[i : i + rows], out=out)
-        image1 = np.matvec(mats, chunk)
-        image2 = np.matvec(_stokes_combination(space, n2[i : i + rows], out=mats), chunk)
-        sq1 = np.vecdot(image1, image1).real
-        sq2 = np.vecdot(image2, image2).real
-        moments[:, i : i + rows] = sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
-    return moments
 
 
 def extremal_variances(ellipse: VarianceEllipse) -> tuple[float, float]:
@@ -393,7 +335,7 @@ def squeezing_columns(
         cos_t, sin_t * cos_p, sin_t * sin_p,
     ]).reshape(3, 3, -1)
     _check_frames(frames)
-    a, b, c = _moment_columns(space, amps, frames[0].T, frames[1].T)
+    a, b, c = _transverse_moments(space, amps, frames[0].T, frames[1].T)
     snap = MOMENT_SNAP * np.fmax(1.0, c)
     a = np.where(np.abs(a) < snap, 0.0, a)
     b = np.where(np.abs(b) < snap, 0.0, b)
@@ -453,9 +395,7 @@ def qfi_pure(state: PolarizationState, direction) -> float:
 
     `direction` must be a unit 3-vector on the Poincare sphere.
     """
-    d = _unit_direction(direction)
-    generator = _stokes_combination(state.space, d, out=_work_matrix(state.space))
-    return 4.0 * _image_variance(state.amplitudes, generator @ state.amplitudes)
+    return 4.0 * _direction_variance(state.space, state.amplitudes, direction)
 
 
 def decibels(value: float) -> float | None:

@@ -21,9 +21,11 @@ import numpy as np
 
 from .spin_core import (
     PolarizationState,
+    SpaceMismatchError,
     SpinSpace,
     _normalized_rows,
     _real_matvec,
+    _require_finite,
     _s2_eigenbasis,
     build_spin_space,
     normalized_state,
@@ -42,7 +44,7 @@ def basis_state(space: SpinSpace, n: float) -> PolarizationState:
 def fidelity(a: PolarizationState, b: PolarizationState) -> float:
     """|<a|b>|^2; the phase-insensitive overlap of two states."""
     if a.space != b.space:
-        raise ValueError("fidelity of states on different spaces")
+        raise SpaceMismatchError("fidelity of states on different spaces")
     return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
@@ -58,6 +60,7 @@ def coherent_state(space: SpinSpace, theta: float, phi: float) -> PolarizationSt
     included, are exp(i k (phi + pi/2)) times column 0 of exp(-i theta S2),
     with k the basis index.
     """
+    _require_finite(theta=theta, phi=phi)
     eigvals, eigvecs = _s2_eigenbasis(space.num_photons)
     column = _real_matvec(eigvecs, np.exp(-1j * theta * eigvals) * eigvecs[0])
     phases = np.exp(1j * (phi + np.pi / 2) * np.arange(space.dimension))
@@ -110,6 +113,7 @@ def coherent_state_closed_form(
         sqrt(C(2s, k)) * cos(theta/2)^(2s-k) * sin(theta/2)^k * exp(i k phi)
     Independent of the exponential construction; used to cross-validate it.
     """
+    _require_finite(theta=theta, phi=phi)
     k = np.arange(space.dimension)
     amps = _binomial_profile(space.num_photons, theta) * np.exp(1j * k * phi)
     return normalized_state(space, amps)
@@ -220,6 +224,7 @@ def noon_state(num_photons: int, noon_phase: float = 0.0) -> PolarizationState:
         raise TypeError("photon number must be an integer, not a bool")
     if num_photons < 1:
         raise ValueError(f"NOON state needs at least one photon, got {num_photons}")
+    _require_finite(noon_phase=float(noon_phase))
     phase = float(noon_phase) % (2.0 * math.pi)
     space = build_spin_space(num_photons)
     amps = np.zeros(space.dimension, dtype=complex)

@@ -449,8 +449,9 @@ class TestNoon:
 
     def test_oversize_photon_number_rejected(self, capsys, monkeypatch):
         # 2049^2 entries per dense matrix: refused before any matrix is filled.
-        # S1..S3 and every d.S are filled from a band that `_stokes_band`
-        # returned, so the spy records a band only if one could be filled.
+        # S1..S3, the mean's S2 and S3 and every d.S are filled from a band
+        # that `spin_core._stokes_band` returned, so the spy records a band
+        # only if one could be filled.
         filled = []
         band = spin_core._stokes_band
 

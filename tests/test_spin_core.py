@@ -30,7 +30,7 @@ from stokes_squeeze.spin_core import (
     _stokes_matrices,
     _work_matrix,
 )
-from stokes_squeeze.states import basis_state, coherent_state, triphoton_state
+from stokes_squeeze.states import basis_state, coherent_state, fidelity, triphoton_state
 from stokes_squeeze.verify import random_state
 
 
@@ -52,6 +52,13 @@ class TestSpinSpace:
         assert space.index_of(-1.5) == 3
         assert space.basis_label(0) == "|3,0>_HV"
         assert space.basis_label(3) == "|0,3>_HV"
+
+    @pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_n_rejected(self, n):
+        space = build_spin_space(3)
+        for lookup in (lambda: space.index_of(n), lambda: basis_state(space, n)):
+            with pytest.raises(ValueError, match=r"^n must be finite"):
+                lookup()
 
     def test_rejects_bad_photon_numbers(self):
         with pytest.raises(ValueError):
@@ -235,6 +242,8 @@ class TestExpectationVariance:
             expectation(state, op)
         with pytest.raises(SpaceMismatchError):
             variance(state, op)
+        with pytest.raises(SpaceMismatchError):
+            fidelity(state, basis_state(build_spin_space(3), 1.5))
 
     def test_eigenstate_variance_is_zero(self):
         space = build_spin_space(3)

@@ -32,10 +32,10 @@ from stokes_squeeze import (
 )
 from stokes_squeeze.cli import main
 from stokes_squeeze.spin_core import (
-    _image_variance, _stokes_combination, _stokes_matrices, _work_matrix,
+    CHUNK_ENTRIES, _image_variance, _stokes_combination, _stokes_matrices, _work_matrix,
 )
 from stokes_squeeze.squeezing import (
-    CHUNK_ENTRIES, DEGENERACY_TOL, MOMENT_SNAP, BlochFrame, MeanPolarization,
+    DEGENERACY_TOL, MOMENT_SNAP, BlochFrame, MeanPolarization,
 )
 from stokes_squeeze.verify import (
     angle_mod_pi_distance,
@@ -596,14 +596,14 @@ class TestWorkMatrices:
         # both threads write their n.S, then both apply it: a matrix shared
         # across threads would hold the other thread's band at every product
         written = threading.Barrier(2, timeout=10)
-        combination = squeezing._stokes_combination
+        combination = spin_core._stokes_combination
 
         def write_then_wait(*args, **kwargs):
             mats = combination(*args, **kwargs)
             written.wait()
             return mats
 
-        monkeypatch.setattr(squeezing, "_stokes_combination", write_then_wait)
+        monkeypatch.setattr(spin_core, "_stokes_combination", write_then_wait)
         got = [None, None]
 
         def run(which):
@@ -633,6 +633,18 @@ class TestWorkMatrices:
         squeezing_reports(space, [state.amplitudes, state.amplitudes])
         qfi_pure(state, (0.0, 0.6, 0.8))
         assert _stokes_matrices.cache_info().currsize == 0
+
+    def test_report_reads_every_band_through_spin_core(self, monkeypatch):
+        # the mean's S2 and S3 bands, then the n1.S and n2.S combinations
+        reads, band = [], spin_core._stokes_band
+
+        def spy(num_photons):
+            reads.append(num_photons)
+            return band(num_photons)
+
+        monkeypatch.setattr(spin_core, "_stokes_band", spy)
+        squeezing_report(noon_state(5, 0.3))
+        assert reads == [5, 5, 5]
 
     def test_each_thread_has_its_own_work_matrix(self):
         space = build_spin_space(64)

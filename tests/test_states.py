@@ -17,6 +17,8 @@ from stokes_squeeze import (
     noon_state,
     normalized_state,
     qwp_apply,
+    rotate,
+    rotate_about,
     triphoton_amplitudes,
     triphoton_raw,
     triphoton_seed,
@@ -396,6 +398,30 @@ class TestNoonState:
         b = noon_state(4, 3 * np.pi / 2)
         assert fidelity(a, b) > 1 - 1e-15
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-15)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name, build", [
+    pytest.param("theta", lambda x: coherent_state(SPACE3, x, 0.4), id="coherent-theta"),
+    pytest.param("phi", lambda x: coherent_state(SPACE3, 0.4, x), id="coherent-phi"),
+    pytest.param(
+        "theta", lambda x: coherent_state_closed_form(SPACE3, x, 0.4), id="closed-form-theta"
+    ),
+    pytest.param(
+        "phi", lambda x: coherent_state_closed_form(SPACE3, 0.4, x), id="closed-form-phi"
+    ),
+    pytest.param(
+        "angle", lambda x: rotate_about(triphoton_state(1.0), (0.0, 0.6, 0.8), x),
+        id="rotate-about",
+    ),
+    pytest.param("angle", lambda x: rotate(triphoton_state(1.0), 2, x), id="rotate"),
+    pytest.param("noon_phase", lambda x: noon_state(3, x), id="noon"),
+])
+def test_non_finite_angles_rejected(name, build, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build(value)
 
 
 class TestFockSuperposition:

@@ -85,7 +85,7 @@ MUTANTS = (
     (
         # the mean's S2 image taken with S3's band, so <S2> reads <S3>
         "mean-s2-band-written-as-s3",
-        "squeezing.py",
+        "spin_core.py",
         "np.put(work, flat, b2)",
         "np.put(work, flat, b3)",
     ),
@@ -172,7 +172,7 @@ MUTANTS = (
         # <n1.S n2.S> summed by numpy's pairwise sum instead of one BLAS dot:
         # it differs in the last bit on most random rows
         "moment-dot-summed-in-numpy",
-        "squeezing.py",
+        "spin_core.py",
         "np.vecdot(image1, image2)",
         "(image1.conj() * image2).sum(axis=-1)",
     ),
