@@ -293,8 +293,6 @@ def _print_report(args, parameters, state, title, text_lines=(), json_fields=Non
 
 
 def cmd_state(args) -> int:
-    if args.T < 0:
-        raise ValueError(f"transmissivity ratio must be >= 0, got {args.T}")
     state = triphoton_state(args.T)
     space = state.space
     c2, c3 = triphoton_amplitudes(args.T)

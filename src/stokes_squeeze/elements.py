@@ -2,19 +2,20 @@
 
 The variable partial polarizer (VPP) is a non-unitary mode-selective
 attenuation followed by post-selection; the quarter-wave plate (QWP) and the
-generic axis rotation are unitary.  All functions return fresh states and
-never mutate their input.
+generic axis rotation are unitary.  Each element is one function, which
+checks its own arguments (the VPP ratio as `spin_core._require_ratio` does).
+All functions return fresh states and never mutate their input.
 
 Every unitary goes through the cached S2 eigenbasis of `spin_core`, O(N^2)
 per call after one `eigh` per photon number: the QWP is the S2 rotation by
 -pi/2, and a rotation about any axis is its Euler form in S1 phases and S2
-rotations.  No dense exponential is built here.
+rotations.  No dense exponential is built here, but V is a dense (N+1)^2
+matrix, so the unitaries keep the dense bound: N >= 2048 is refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .spin_core import (
     PolarizationState,
     SpinSpace,
     _require_finite,
+    _require_ratio,
     _s1_phases,
     _s2_rotate,
     _unit_direction,
@@ -42,9 +44,9 @@ def _vpp_weights(space: SpinSpace, t_ratios) -> np.ndarray:
     routine, and so the same bits, as one row at a time.
     """
     t_ratios = np.asarray(t_ratios, dtype=float)
-    negative = t_ratios[t_ratios < 0]
-    if negative.size:
-        raise ValueError(f"transmissivity ratio must be >= 0, got {negative[0]}")
+    invalid = t_ratios[~(t_ratios >= 0)]
+    if invalid.size:
+        _require_ratio(invalid[0])
     k = np.arange(space.dimension, dtype=float)
     # T^(-n) = T^(k-s); divide by the largest weight: k=0 for T<=1, k=N above
     exponent = np.where(t_ratios[:, None] <= 1.0, k, k - space.num_photons)
@@ -139,40 +141,3 @@ def rotate_about(state: PolarizationState, direction, angle: float) -> Polarizat
     amps = _s2_rotate(space, -theta, _s1_phases(space, -beta) * state.amplitudes)
     amps = _s2_rotate(space, theta, _s1_phases(space, angle) * amps)
     return normalized_state(space, _s1_phases(space, beta) * amps)
-
-
-@dataclass(frozen=True)
-class ElementDescriptor:
-    """Declarative description of one optical element.
-
-    kind 'vpp' takes the transmissivity ratio as `parameter`; 'rotation'
-    takes the angle plus an `axis`; 'qwp' takes neither.
-    """
-
-    kind: str
-    parameter: float | None = None
-    axis: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "vpp":
-            if self.parameter is None or not 0 <= self.parameter < math.inf:
-                raise ValueError("vpp needs a finite transmissivity ratio >= 0")
-        elif self.kind == "rotation":
-            if self.parameter is None or not np.isfinite(self.parameter):
-                raise ValueError("rotation needs a finite angle")
-            if isinstance(self.axis, bool) or self.axis not in (1, 2, 3):
-                raise ValueError("rotation axis must be 1, 2 or 3")
-        elif self.kind == "qwp":
-            if self.parameter is not None or self.axis is not None:
-                raise ValueError("qwp takes no parameters")
-        else:
-            raise ValueError(f"unknown element kind {self.kind!r}")
-
-
-def apply_element(state: PolarizationState, element: ElementDescriptor) -> PolarizationState:
-    """Apply a described element to a state."""
-    if element.kind == "vpp":
-        return vpp_apply(state, element.parameter)
-    if element.kind == "qwp":
-        return qwp_apply(state)
-    return rotate(state, element.axis, element.parameter)

@@ -11,9 +11,10 @@ of S1, S2 and S3 from c.  `_stokes_matrices` caches S1..S3 dense and
 read-only for `stokes_operator`, which wraps them without a copy (S0 = s I is
 built on request), and for `verify`; the report route never builds them.
 Size-keyed caches keep at most CACHED_SIZES entries each.  A dense matrix on
-the space (these, S0, S+- and the work matrices below) is refused with a
-ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is from N = 2048 on,
-before it is made.
+the space (these, S0, S+-, the work matrices and the S2 eigenbasis below) is
+refused with a ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is
+from N = 2048 on, before it is made.  `SpinSpace` itself refuses more than
+MAX_PHOTONS = 2^20 photons, so no O(N) array is made for a huge N either.
 
 SU(2) rotations, the wave plate and coherent states never exponentiate a
 dense generator.  S1 is diagonal, so exp(-i x S1) is a vector of phases, and
@@ -70,6 +71,9 @@ VARIANCE_ROUNDOFF = 16 * np.finfo(float).eps
 #: entries each size-keyed cache keeps (photon numbers, or grid sizes in
 #: `husimi`); 16 covers N = 0..12 and three large sizes without eviction
 CACHED_SIZES = 16
+#: most photons of a `SpinSpace`, so a state holds at most 16 MB; every route
+#: stops below it (reports at N = 2047, Husimi maps at 5824 on 360 columns)
+MAX_PHOTONS = 2**20
 #: most entries of one dense (N+1) x (N+1) Stokes matrix, so N <= 2047; a
 #: report holds one, its work matrix of 16 (N+1)^2 bytes (`noon --N 2047`
 #: peaks at about 94 MB resident)
@@ -91,6 +95,12 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_ratio(t_ratio) -> None:
+    """Raise unless T >= 0: NaN fails, +inf (the T -> infinity limit) passes."""
+    if not t_ratio >= 0:
+        raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -106,6 +116,8 @@ class SpinSpace:
         object.__setattr__(self, "num_photons", operator.index(self.num_photons))
         if self.num_photons < 0:
             raise ValueError(f"photon number must be >= 0, got {self.num_photons}")
+        if self.num_photons > MAX_PHOTONS:
+            raise ValueError(f"N = {self.num_photons} exceeds MAX_PHOTONS = {MAX_PHOTONS}")
 
     @property
     def spin(self) -> float:
@@ -422,11 +434,11 @@ def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
     S2 is real tridiagonal, built from c alone, so one real `eigh` per N gives
     S2 = V diag(k - s) V^T.  The basis is validated here, once: V^T V = I and
     the computed eigenvalues equal k - s, both within HERMITICITY_TOL.  The
-    exact values k - s are returned.
+    exact values k - s are returned.  S2 is dense, so N >= 2048 is refused.
     """
+    dim = _dense_dimension(num_photons)
     half = _ladder_coefficients(SpinSpace(num_photons)) / 2
     eigvals, eigvecs = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
-    dim = num_photons + 1
     exact = np.arange(dim) - num_photons / 2
     orthogonality = np.abs(eigvecs.T @ eigvecs - np.eye(dim)).max()
     if orthogonality > HERMITICITY_TOL:

@@ -21,9 +21,11 @@ row's moments are bit for bit what the row alone gives, in any stack.
 One state goes through the four public stages on Python floats:
 `squeezing_report` is `mean_polarization` -> `bloch_frame` ->
 `variance_ellipse` -> `extremal_variances`, then xi^2, zeta^2, chi^2, the
-QFI and the shot-noise limit s/2.  Each stage checks its values before it
-builds its object: the frame unit, orthogonal and right-handed within 1e-12,
-C >= hypot(A, B) - 1e-12 after the moment snap, and the V- clamp window.
+QFI and the shot-noise limit s/2.  The stages build their objects with the
+constructors, so the checks of one state live in the report types: the
+frame unit, orthogonal and right-handed within 1e-12 in `BlochFrame`, and
+C >= hypot(A, B) - 1e-12 after the moment snap in `VarianceEllipse`.
+`extremal_variances` keeps the V- clamp window.
 
 A stack (`squeezing_reports`, and a sweep through `squeezing_columns`) runs
 the same pipeline on numpy columns, with the same checks, tolerances and
@@ -33,8 +35,9 @@ frame vectors, the snap, V-+ with its clamp, xi^2, chi^2 and the QFI are
 columns, since + - * / round the same there.  The routes stay apart because
 numpy's per-call overhead on a one-row stack costs an N = 3 report two to
 three times what the floats cost, and single reports are what large-N work
-makes.  The report objects wrap either route's values without a second
-check; a dataclass built directly is checked by its `__post_init__`.
+makes.  `squeezing_reports` builds its report objects with the
+constructors as well, so a stack's rows are checked once as columns and
+once more by their types; `sweep` reads the columns and builds no objects.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ class SqueezingReport:
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
     comps, lengths, radii = _mean_columns(state.space, state.amplitudes[None])
-    return _checked(MeanPolarization, _readonly(comps[0]), lengths.item(), radii.item())
+    return MeanPolarization(_readonly(comps[0]), lengths.item(), radii.item())
 
 
 def _mean_columns(space: SpinSpace, amps: np.ndarray) -> tuple:
@@ -213,9 +216,8 @@ def bloch_frame(
         (sin_t, -cos_t * cos_p, -cos_t * sin_p),
         (cos_t, sin_t * cos_p, sin_t * sin_p),
     )
-    _check_frame(*vectors)
     n1, n2, n3 = _readonly(np.array(vectors))
-    return _checked(BlochFrame, n1, n2, n3, theta, phi, bool(length <= DEGENERACY_TOL))
+    return BlochFrame(n1, n2, n3, theta, phi, bool(length <= DEGENERACY_TOL))
 
 
 def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEllipse:
@@ -232,10 +234,9 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
         a = 0.0
     if abs(b) < snap:
         b = 0.0
-    _check_ellipse(a, b, c)
     if math.hypot(a, b) < ISOTROPY_TOL:
-        return _checked(VarianceEllipse, a, b, c, 0.0, True)
-    return _checked(VarianceEllipse, a, b, c, (math.pi + math.atan2(b, a)) / 2.0, False)
+        return VarianceEllipse(a, b, c, 0.0, True)
+    return VarianceEllipse(a, b, c, (math.pi + math.atan2(b, a)) / 2.0, False)
 
 
 def extremal_variances(ellipse: VarianceEllipse) -> tuple[float, float]:
@@ -270,8 +271,8 @@ def squeezing_report(
         zeta2, unbounded = (spin / mean.length) ** 2 * xi2, False
     else:
         zeta2, unbounded = None, True
-    return _checked(
-        SqueezingReport, mean, frame, ellipse, v_minus, v_plus, xi2, zeta2, unbounded,
+    return SqueezingReport(
+        mean, frame, ellipse, v_minus, v_plus, xi2, zeta2, unbounded,
         spin / (2.0 * v_plus), 4.0 * v_plus, spin / 2.0,
     )
 
@@ -294,11 +295,10 @@ def squeezing_reports(
     blocks = _readonly(np.concatenate([vectors, comps[:, None]], axis=1))
     snl = space.spin / 2.0
     return [
-        _checked(
-            SqueezingReport,
-            _checked(MeanPolarization, comps, length, radius),
-            _checked(BlochFrame, n1, n2, n3, theta, phi, deg),
-            _checked(VarianceEllipse, *rest[:5]),
+        SqueezingReport(
+            MeanPolarization(comps, length, radius),
+            BlochFrame(n1, n2, n3, theta, phi, deg),
+            VarianceEllipse(*rest[:5]),
             *rest[5:],
             snl,
         )
@@ -377,17 +377,6 @@ def _check_frames(frames: np.ndarray) -> None:
     defect = [y1 * z2 - z1 * y2 - x3, z1 * x2 - x1 * z2 - y3, x1 * y2 - y1 * x2 - z3]
     if not np.all(np.abs(defect) <= 1e-12):
         raise ValueError("frame must be right-handed")
-
-
-def _checked(cls, *values):
-    """A `cls` dataclass instance of `values`, in field order, built without
-    `__init__`: each stage has checked its values already (on floats for one
-    state, in columns for a stack), so the `__post_init__` checks run only on
-    objects built directly.  It also skips the frozen `__init__`'s one
-    `object.__setattr__` per field, a few microseconds of each report."""
-    instance = object.__new__(cls)
-    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return instance
 
 
 def qfi_pure(state: PolarizationState, direction) -> float:

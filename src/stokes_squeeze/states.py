@@ -26,6 +26,7 @@ from .spin_core import (
     _normalized_rows,
     _real_matvec,
     _require_finite,
+    _require_ratio,
     _s2_eigenbasis,
     build_spin_space,
     normalized_state,
@@ -134,8 +135,7 @@ def triphoton_amplitudes(t_ratio: float) -> tuple[float, float]:
     c2 = (3u - 1) / (2 sqrt(2) sqrt(3u^2 + 1)), which tends to -1/(2 sqrt(2)),
     and c3 = (1/2) sqrt(3/2) (u + 1) / sqrt(3u^2 + 1), to sqrt(3/2)/2.
     """
-    if t_ratio < 0:
-        raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
+    _require_ratio(t_ratio)
     # a compare, so a float and an np.float64 T take the same branch
     if t_ratio < _T4_BOUND:
         root = math.sqrt(3.0 + t_ratio**4)
@@ -172,8 +172,7 @@ def triphoton_raw(t_ratio: float) -> PolarizationState:
     _T4_BOUND on), the amplitudes are taken over T^2, sqrt(3) u and -1 with
     u = (1/T)^2, which tend to the basis state |1,2>_HV.
     """
-    if t_ratio < 0:
-        raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
+    _require_ratio(t_ratio)
     if t_ratio < _T4_BOUND:
         amps = [math.sqrt(3.0), 0.0, -(t_ratio**2), 0.0]
     else:

@@ -472,6 +472,18 @@ class TestNoon:
                      "--format", "pgm", "--output", str(out)]) == 0
         assert out.read_bytes().startswith(b"P5\n8 5\n255\n")
 
+    @pytest.mark.parametrize("command", ["noon", "husimi"])
+    def test_huge_photon_number_refused_before_its_state(self, tmp_path, capsys, command):
+        # 10^12 + 1 amplitudes would take 14.6 TiB: refused before any is made
+        out = tmp_path / "noon.pgm"
+        argv = [command, "--N", str(10**12)]
+        if command == "husimi":
+            argv += ["--format", "pgm", "--output", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "MAX_PHOTONS = 1048576" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["state", "--T", "nan"],

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from stokes_squeeze import (
-    ElementDescriptor,
     HermitianOperator,
-    apply_element,
     build_spin_space,
     fidelity,
     hermitian_exponential,
@@ -289,46 +287,6 @@ class TestRotate:
         state = random_state(SPACE3, RNG)
         with pytest.raises(ValueError, match="direction must be a unit 3-vector"):
             rotate_about(state, direction, 0.7)
-
-
-class TestElementDescriptor:
-    def test_dispatch(self):
-        state = random_state(SPACE3, RNG)
-        np.testing.assert_array_equal(
-            apply_element(state, ElementDescriptor("vpp", parameter=0.5)).amplitudes,
-            vpp_apply(state, 0.5).amplitudes,
-        )
-        np.testing.assert_array_equal(
-            apply_element(state, ElementDescriptor("qwp")).amplitudes,
-            qwp_apply(state).amplitudes,
-        )
-        np.testing.assert_array_equal(
-            apply_element(
-                state, ElementDescriptor("rotation", parameter=0.4, axis=3)
-            ).amplitudes,
-            rotate(state, 3, 0.4).amplitudes,
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ElementDescriptor("vpp", parameter=-1.0)
-        with pytest.raises(ValueError):
-            ElementDescriptor("rotation", parameter=math.inf, axis=1)
-        with pytest.raises(ValueError):
-            ElementDescriptor("rotation", parameter=0.2, axis=5)
-        with pytest.raises(ValueError):
-            ElementDescriptor("qwp", parameter=1.0)
-        with pytest.raises(ValueError):
-            ElementDescriptor("polarizer")
-
-    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
-    def test_non_finite_vpp_ratio_rejected(self, ratio):
-        with pytest.raises(ValueError):
-            ElementDescriptor("vpp", parameter=ratio)
-
-    def test_bool_rotation_axis_rejected(self):
-        with pytest.raises(ValueError):
-            ElementDescriptor("rotation", parameter=0.3, axis=True)
 
 
 class TestRotateAboutOracle:

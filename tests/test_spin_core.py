@@ -15,7 +15,10 @@ from stokes_squeeze import (
     expectation,
     hermitian_exponential,
     ladder_operator,
+    noon_state,
     normalized_state,
+    qwp_apply,
+    rotate,
     rotate_about,
     spin_core,
     stokes_operator,
@@ -59,6 +62,12 @@ class TestSpinSpace:
         for lookup in (lambda: space.index_of(n), lambda: basis_state(space, n)):
             with pytest.raises(ValueError, match=r"^n must be finite"):
                 lookup()
+
+    def test_photon_bound(self):
+        assert SpinSpace(spin_core.MAX_PHOTONS).dimension == 2**20 + 1
+        # refused by a compare, before any O(N) array could be made
+        with pytest.raises(ValueError, match=r"^N = 1000000000000 exceeds MAX_PHOTONS = 1048576"):
+            SpinSpace(10**12)
 
     def test_rejects_bad_photon_numbers(self):
         with pytest.raises(ValueError):
@@ -451,13 +460,23 @@ class TestDenseBound:
     def test_largest_photon_number_accepted(self):
         assert len(_stokes_band(2047)[0]) == 3 * 2047 + 1  # (2047 + 1)^2 = 2^22 entries
 
-    def test_every_dense_matrix_refused_above_the_bound(self):
+    def test_every_dense_matrix_refused_above_the_bound(self, monkeypatch):
+        # the S2 eigenbasis must be refused before its eigh, not after it
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh reached above the dense bound")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         space = build_spin_space(2048)
+        noon = noon_state(2048)
         for build in (
             lambda: _stokes_band(2048),
             lambda: stokes_operator(space, 0),
             lambda: ladder_operator(space, +1),
             lambda: _work_matrix(space),
+            lambda: coherent_state(space, 1.0, 0.5),
+            lambda: rotate_about(noon, (1.0, 0.0, 0.0), 0.3),
+            lambda: rotate(noon, 2, 0.3),
+            lambda: qwp_apply(noon),
         ):
             with pytest.raises(ValueError, match="MAX_DENSE_ENTRIES = 4194304"):
                 build()

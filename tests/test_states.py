@@ -26,6 +26,7 @@ from stokes_squeeze import (
     triphoton_state_rows,
     variance,
     vpp_apply,
+    vpp_success_probabilities,
 )
 from stokes_squeeze.squeezing import bloch_frame
 from stokes_squeeze.spin_core import (
@@ -422,6 +423,25 @@ def test_non_finite_angles_rejected(name, build, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             build(value)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(triphoton_amplitudes, id="amplitudes"),
+    pytest.param(triphoton_raw, id="raw"),
+    pytest.param(triphoton_state, id="state"),
+    pytest.param(lambda t: triphoton_state_rows([0.5, t]), id="state-rows"),
+    pytest.param(lambda t: vpp_apply(triphoton_seed(), t), id="vpp-apply"),
+    pytest.param(
+        lambda t: vpp_success_probabilities(triphoton_seed(), [0.5, t]),
+        id="vpp-success-probabilities",
+    ),
+])
+def test_non_finite_ratio_rejected(build):
+    # one rule, spin_core._require_ratio, behind every entry point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^transmissivity ratio must be >= 0, got nan$"):
+            build(math.nan)
 
 
 class TestFockSuperposition:

@@ -268,6 +268,34 @@ MUTANTS = (
         "chi2 = spin / (2.0 * v_plus) * (1.0 + 1e-11)\n",
     ),
     (
+        # the one transmissivity-ratio rule lets NaN through
+        "ratio-admits-nan",
+        "spin_core.py",
+        "if not t_ratio >= 0:",
+        "if t_ratio < 0:",
+    ),
+    (
+        # a BlochFrame no longer checks its vectors
+        "frame-post-init-check-dropped",
+        "squeezing.py",
+        "        _check_frame(*(v.tolist() for v in (self.n1, self.n2, self.n3)))\n",
+        "        pass\n",
+    ),
+    (
+        # a VarianceEllipse no longer checks C >= hypot(A, B)
+        "ellipse-post-init-check-dropped",
+        "squeezing.py",
+        "        _check_ellipse(self.A, self.B, self.C)\n",
+        "        pass\n",
+    ),
+    (
+        # the S2 eigenbasis built at any N, past the dense bound
+        "eigenbasis-bound-dropped",
+        "spin_core.py",
+        "    dim = _dense_dimension(num_photons)\n    half =",
+        "    dim = num_photons + 1\n    half =",
+    ),
+    (
         # the Husimi map mirrored in phi
         "q-grid-phases-conjugated",
         "husimi.py",
