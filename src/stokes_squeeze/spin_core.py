@@ -5,13 +5,13 @@ spin s = N/2.  The basis |s,n> = |s+n, s-n>_HV diagonalizes the population
 imbalance S1 and is ordered by descending n, so index 0 is |N,0>_HV and the
 last index is |0,N>_HV.  Every value is immutable after construction.
 
-Every Stokes and ladder array derives from the N ladder coefficients
-c = sqrt((s-n)(s+n+1)) of S+: `_stokes_band` computes the 3N+1 band entries
-of S1, S2 and S3 from c.  `_stokes_matrices` caches S1..S3 dense and
-read-only for `stokes_operator`, which wraps them without a copy (S0 = s I is
-built on request), and for `verify`; the report route never builds them.
+Every Stokes and ladder array derives from the N ladder coefficients c =
+sqrt((s-n)(s+n+1)) of S+: `_stokes_band` computes the 3N+1 band entries of
+S1, S2 and S3 from c.  Each call of `stokes_operator` builds one dense S0..S3
+in a `HermitianOperator`, the one dense operator type, and each call of
+`ladder_operator` one read-only S+-; only `verify` and the tests read them.
 Size-keyed caches keep at most CACHED_SIZES entries each.  A dense matrix on
-the space (these, S0, S+-, the work matrices and the S2 eigenbasis below) is
+the space (S0..S3, S+-, the work matrices and the S2 eigenbasis below) is
 refused with a ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is
 from N = 2048 on, before it is made.  `SpinSpace` itself refuses more than
 MAX_PHOTONS = 2^20 photons, so no O(N) array is made for a huge N either.
@@ -52,6 +52,7 @@ are not used there.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -91,7 +92,7 @@ class SpaceMismatchError(ValueError):
 def _require_finite(**values) -> None:
     """Raise a ValueError naming the first argument that is not a finite number."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -234,44 +235,23 @@ def normalized_state(space: SpinSpace, amplitudes) -> PolarizationState:
 
 
 @dataclass(frozen=True, eq=False)
-class _DenseOperator:
-    """Dense complex (N+1, N+1) matrix on `space`, read-only.
-
-    A read-only complex array that owns its data is kept as it is; anything
-    else (writable, a view, another dtype) is copied first.
-    """
+class HermitianOperator:
+    """Dense complex (N+1, N+1) matrix on `space`, Hermitian within
+    HERMITICITY_TOL; it keeps its own read-only copy of `matrix`."""
 
     space: SpinSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = self.matrix
-        if not (
-            isinstance(mat, np.ndarray)
-            and mat.dtype == complex
-            and not mat.flags.writeable
-            and mat.base is None
-        ):
-            mat = np.array(mat, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         dim = self.space.dimension
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
-        object.__setattr__(self, "matrix", _readonly(mat))
-
-
-class HermitianOperator(_DenseOperator):
-    """Dense complex matrix on `space`, Hermitian within HERMITICITY_TOL."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        mat = self.matrix
-        defect = np.abs(mat - mat.conj().T).max()
-        if defect > HERMITICITY_TOL:
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
+            defect = np.abs(mat - mat.conj().T).max()
+        if not defect <= HERMITICITY_TOL:  # also rejects NaN and inf entries
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-
-
-class LadderOperator(_DenseOperator):
-    """Dense raising/lowering matrix on `space` (not Hermitian)."""
+        object.__setattr__(self, "matrix", _readonly(mat))
 
 
 def _dense_dimension(num_photons: int) -> int:
@@ -317,14 +297,6 @@ def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
     s2 = np.concatenate([zeros, cc / 2, cc / 2])
     s3 = np.concatenate([zeros, cc / 2j, (0 - cc.conj()) / 2j])
     return tuple(_readonly(a) for a in (flat, s1, s2, s3))
-
-
-@functools.lru_cache(maxsize=CACHED_SIZES)
-def _stokes_matrices(num_photons: int) -> tuple[np.ndarray, ...]:
-    """(S1, S2, S3), dense and read-only: the combinations of the unit axes,
-    for `stokes_operator` and `verify`; no report reads them."""
-    space = SpinSpace(num_photons)
-    return tuple(_readonly(_stokes_combination(space, axis)) for axis in np.eye(3))
 
 
 def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> np.ndarray:
@@ -415,16 +387,15 @@ def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
     """Stokes operator S0, S1, S2 or S3 on `space`.
 
     S1 is diagonal with entries n; S2 = (S+ + S-)/2 and S3 = (S+ - S-)/(2i)
-    come from the ladder coefficients; S0 = s * identity is built on request.
-    S1..S3 share the cached read-only matrix of `_stokes_matrices`, which is
-    not copied but is checked for Hermiticity on every call.
+    come from the ladder coefficients; S0 = s * identity.  Each call builds
+    its one matrix, S1..S3 as `_stokes_combination` of their unit axis.
     """
     if which not in (0, 1, 2, 3):
         raise ValueError(f"Stokes axis must be 0, 1, 2 or 3, got {which}")
     if which == 0:
         dim = _dense_dimension(space.num_photons)
         return HermitianOperator(space, space.spin * np.eye(dim, dtype=complex))
-    return HermitianOperator(space, _stokes_matrices(space.num_photons)[which - 1])
+    return HermitianOperator(space, _stokes_combination(space, np.eye(3)[which - 1]))
 
 
 @functools.lru_cache(maxsize=CACHED_SIZES)
@@ -473,13 +444,13 @@ def _s2_rotate(space: SpinSpace, x: float, amps: np.ndarray) -> np.ndarray:
     return _real_matvec(eigvecs, coeffs)
 
 
-def ladder_operator(space: SpinSpace, sign: int) -> LadderOperator:
-    """Raising (+1) or lowering (-1) operator S+- = S2 +- i S3."""
+def ladder_operator(space: SpinSpace, sign: int) -> np.ndarray:
+    """Raising (+1) or lowering (-1) matrix S+- = S2 +- i S3, dense and read-only."""
     if sign not in (+1, -1):
         raise ValueError(f"ladder sign must be +1 or -1, got {sign}")
     _dense_dimension(space.num_photons)
     sp = np.diag(_ladder_coefficients(space), k=1).astype(complex)
-    return LadderOperator(space, sp if sign == +1 else sp.conj().T)
+    return _readonly(sp if sign == +1 else sp.T.conj())
 
 
 def _unit_direction(direction) -> np.ndarray:
@@ -546,19 +517,25 @@ def _image_variance(amps: np.ndarray, image: np.ndarray) -> float:
 def hermitian_exponential(op: HermitianOperator, scale: complex) -> np.ndarray:
     """exp(scale * M) for Hermitian M, via eigendecomposition.
 
-    A purely imaginary scale yields a unitary, a purely real scale a Hermitian
-    positive-definite matrix; both properties are checked post hoc at 1e-12.
+    The scale must be finite, and so must the result: an exponent that
+    overflows raises ArithmeticError.  A purely imaginary scale yields a
+    unitary, a purely real scale a Hermitian positive-definite matrix; both
+    properties are checked post hoc at 1e-12.
     """
+    _require_finite(scale=scale)
     scale = complex(scale)
     eigvals, eigvecs = np.linalg.eigh(op.matrix)
-    result = (eigvecs * np.exp(scale * eigvals)) @ eigvecs.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        result = (eigvecs * np.exp(scale * eigvals)) @ eigvecs.conj().T
+    if not np.isfinite(result).all():
+        raise ArithmeticError(f"exponential of scale {scale} overflowed")
     dim = op.space.dimension
     if scale.real == 0.0:
         defect = np.abs(result.conj().T @ result - np.eye(dim)).max()
-        if defect > HERMITICITY_TOL:
+        if not defect <= HERMITICITY_TOL:
             raise ArithmeticError(f"exponential lost unitarity (defect {defect:.3e})")
     elif scale.imag == 0.0:
         defect = np.abs(result - result.conj().T).max()
-        if defect > HERMITICITY_TOL:
+        if not defect <= HERMITICITY_TOL:
             raise ArithmeticError(f"exponential lost Hermiticity (defect {defect:.3e})")
     return result

@@ -89,8 +89,8 @@ class BlochFrame:
     n2 = (sin(theta), -cos(theta)cos(phi), -cos(theta)sin(phi))
     n3 = (cos(theta), sin(theta)cos(phi), sin(theta)sin(phi))
 
-    `degenerate` marks a vanishing mean, where the angles come from a caller
-    fallback instead of the state.
+    `degenerate` marks a vanishing mean, where the angles are
+    DEFAULT_FALLBACK_ANGLES instead of the state's.
     """
 
     n1: np.ndarray
@@ -187,28 +187,25 @@ def _mean_columns(space: SpinSpace, amps: np.ndarray) -> tuple:
     return comps, lengths, np.hypot(comps[:, 1], comps[:, 2])
 
 
-def _angles(components, length: float, radius: float, fallback) -> tuple:
+def _angles(components, length: float, radius: float) -> tuple:
     """The frame angles (theta, phi) of one mean, in floats."""
     if length <= DEGENERACY_TOL:
-        return fallback if fallback is not None else DEFAULT_FALLBACK_ANGLES
+        return DEFAULT_FALLBACK_ANGLES
     s1, s2, s3 = components
     if radius <= DEGENERACY_TOL:
         return (0.0 if s1 > 0 else math.pi), 0.0
     return math.atan2(radius, s1), math.atan2(s3, s2)
 
 
-def bloch_frame(
-    mean: MeanPolarization, fallback: tuple[float, float] | None = None
-) -> BlochFrame:
+def bloch_frame(mean: MeanPolarization) -> BlochFrame:
     """Analysis frame for a mean polarization.
 
     theta comes from atan2(r, <S1>) and phi from atan2(<S3>, <S2>).  A mean
     along the +-S1 pole (r ~ 0) fixes phi = 0 by convention; a vanishing mean
-    marks the frame degenerate and uses the fallback angles, by default
-    (pi/2, pi/2).
+    marks the frame degenerate and uses DEFAULT_FALLBACK_ANGLES = (pi/2, pi/2).
     """
     length = mean.length
-    theta, phi = _angles(mean.components, length, mean.transverse_radius, fallback)
+    theta, phi = _angles(mean.components, length, mean.transverse_radius)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     sin_p, cos_p = math.sin(phi), math.cos(phi)
     vectors = (
@@ -257,13 +254,11 @@ def _spin(space: SpinSpace) -> float:
     return space.spin
 
 
-def squeezing_report(
-    state: PolarizationState, fallback_frame: tuple[float, float] | None = None
-) -> SqueezingReport:
+def squeezing_report(state: PolarizationState) -> SqueezingReport:
     """Full analysis pipeline: mean -> frame -> ellipse -> V-+ -> figures of merit."""
     spin = _spin(state.space)
     mean = mean_polarization(state)
-    frame = bloch_frame(mean, fallback_frame)
+    frame = bloch_frame(mean)
     ellipse = variance_ellipse(state, frame)
     v_minus, v_plus = extremal_variances(ellipse)
     xi2 = 2.0 * v_minus / spin
@@ -277,18 +272,14 @@ def squeezing_report(
     )
 
 
-def squeezing_reports(
-    space: SpinSpace, amplitudes, fallback_frame: tuple[float, float] | None = None
-) -> list[SqueezingReport]:
+def squeezing_reports(space: SpinSpace, amplitudes) -> list[SqueezingReport]:
     """`squeezing_report` of every row of a (B, N+1) stack of states on `space`.
 
     Each row must be a unit amplitude vector, within NORM_TOL as
     PolarizationState requires.  Report i is bit for bit the report of row i
     alone, for any B.
     """
-    (comps, *mean), (vectors, *frame), ellipse, tail = squeezing_columns(
-        space, amplitudes, fallback_frame
-    )
+    (comps, *mean), (vectors, *frame), ellipse, tail = squeezing_columns(space, amplitudes)
     columns = (*mean, *frame, *ellipse, *tail)
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     # one read-only array holds every report's frame vectors and mean components
@@ -306,9 +297,7 @@ def squeezing_reports(
     ]
 
 
-def squeezing_columns(
-    space: SpinSpace, amplitudes, fallback_frame: tuple[float, float] | None = None
-) -> tuple:
+def squeezing_columns(space: SpinSpace, amplitudes) -> tuple:
     """`squeezing_reports` as columns, without report objects: the report
     fields in order, ((components, length, transverse_radius), (vectors,
     theta, phi, degenerate), (A, B, C, gamma_opt, isotropic), (v_minus,
@@ -325,7 +314,7 @@ def squeezing_columns(
     theta, phi = list(map(math.atan2, radii.tolist(), s1)), list(map(math.atan2, s3, s2))
     # a vanishing mean, or one on the S1 pole, takes its angles from `_angles`
     for i in np.flatnonzero((lengths <= DEGENERACY_TOL) | (radii <= DEGENERACY_TOL)).tolist():
-        theta[i], phi[i] = _angles(comps[i].tolist(), lengths[i], radii[i], fallback_frame)
+        theta[i], phi[i] = _angles(comps[i].tolist(), lengths[i], radii[i])
     sin_t, cos_t = np.array(list(map(math.sin, theta))), np.array(list(map(math.cos, theta)))
     sin_p, cos_p = np.array(list(map(math.sin, phi))), np.array(list(map(math.cos, phi)))
     # frames[k, j, i] is component j of n_(k+1) on row i

@@ -30,7 +30,6 @@ from .spin_core import (
     HermitianOperator,
     PolarizationState,
     _stokes_combination,
-    _stokes_matrices,
     build_spin_space,
     hermitian_exponential,
     ladder_operator,
@@ -90,6 +89,15 @@ def _random_states(rng, count: int):
     """
     for trial in range(count):
         yield random_state(build_spin_space(1 + trial % 8), rng)
+
+
+def _random_state_operators() -> dict:
+    """(S1, S2, S3) as operators on each space `_random_states` draws from,
+    keyed by photon number."""
+    return {
+        num: [stokes_operator(build_spin_space(num), axis) for axis in (1, 2, 3)]
+        for num in range(1, 9)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +217,15 @@ class _Fixtures:
 
     @functools.cached_property
     def ladder_stokes(self) -> list:
-        """The pipeline's (S1, S2, S3) of `_stokes_matrices` for N = 0..12.
+        """The pipeline's (S1, S2, S3) of `stokes_operator` for N = 0..12.
 
         A harness hook adds the perturbation to the first ladder coefficient
         of S+ = S2 + i S3, on copies, to confirm the algebra checks catch it.
         """
         stokes = []
         for num in range(0, 13):
-            s1, s2, s3 = _stokes_matrices(num)
+            space = build_spin_space(num)
+            s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
             if self.ladder_perturbation and num >= 1:
                 bump = np.zeros_like(s2)  # S+ gains it at (0, 1), S- at (1, 0)
                 bump[0, 1] = self.ladder_perturbation
@@ -266,27 +275,27 @@ def _ladder_adjoint(fx, rng):
     for num, (_, s2, s3) in enumerate(fx.ladder_stokes):
         space = build_spin_space(num)
         for sign in (+1, -1):
-            ladder = ladder_operator(space, sign).matrix
+            ladder = ladder_operator(space, sign)
             worst = max(worst, float(np.abs(ladder - (s2 + sign * 1j * s3)).max()))
     return worst < 1e-12, f"max |S+- - (S2 +- i S3)| = {worst:.3e}"
 
 
 def _expectation_real(fx, rng):
     worst = 0.0
+    operators = _random_state_operators()
     for state in _random_states(rng, 1000):
-        for axis in (1, 2, 3):
-            raw = np.vdot(
-                state.amplitudes, stokes_operator(state.space, axis).matrix @ state.amplitudes
-            )
+        for op in operators[state.space.num_photons]:
+            raw = np.vdot(state.amplitudes, op.matrix @ state.amplitudes)
             worst = max(worst, abs(raw.imag))
     return worst < 1e-12, f"max residual imaginary part = {worst:.3e}"
 
 
 def _variance_nonnegative(fx, rng):
     smallest = np.inf
+    operators = _random_state_operators()
     for state in _random_states(rng, 400):
-        for axis in (1, 2, 3):
-            smallest = min(smallest, variance(state, stokes_operator(state.space, axis)))
+        for op in operators[state.space.num_photons]:
+            smallest = min(smallest, variance(state, op))
     return smallest >= 0.0, f"min clamped variance = {smallest:.3e}"
 
 
@@ -294,10 +303,12 @@ def _exponential_unitarity(fx, rng):
     # exp(i a S_k) psi is kept in norm, and equals the rotation by -a about
     # axis k, which `rotate_about` builds from the S1 phases and S2 eigenbasis
     drift = offset = 0.0
+    operators = _random_state_operators()
     for trial, state in enumerate(_random_states(rng, 200)):
         angle = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
         axis = 1 + trial % 3
-        unitary = hermitian_exponential(stokes_operator(state.space, axis), 1j * angle)
+        op = operators[state.space.num_photons][axis - 1]
+        unitary = hermitian_exponential(op, 1j * angle)
         image = unitary @ state.amplitudes
         rotated = rotate_about(state, np.eye(3)[axis - 1], -angle).amplitudes
         drift = max(drift, abs(np.linalg.norm(image) - 1.0))

@@ -20,7 +20,7 @@ from stokes_squeeze import (
     vpp_success_probability,
 )
 from stokes_squeeze.elements import _vpp_weights
-from stokes_squeeze.spin_core import _stokes_matrices, normalized_state
+from stokes_squeeze.spin_core import normalized_state
 from stokes_squeeze.states import basis_state, coherent_state, fock_superposition
 from stokes_squeeze.verify import random_state
 
@@ -296,7 +296,7 @@ class TestRotateAboutOracle:
     def test_matches_dense_exponential(self, num_photons):
         space = build_spin_space(num_photons)
         rng = np.random.default_rng(100 + num_photons)
-        s1, s2, s3 = _stokes_matrices(num_photons)
+        s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
         axes = [
             (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),     # the poles, where theta = 0 or pi
             (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),      # the other basis axes

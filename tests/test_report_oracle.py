@@ -31,7 +31,7 @@ from stokes_squeeze import (  # noqa: E402
 from stokes_squeeze.spin_core import (  # noqa: E402
     _real_expectation,
     _stokes_combination,
-    _stokes_matrices,
+    stokes_operator,
 )
 from stokes_squeeze.squeezing import (  # noqa: E402
     DEFAULT_FALLBACK_ANGLES,
@@ -66,9 +66,9 @@ def _fields(report) -> dict:
 # --- the per-row object tail, as copied ------------------------------------
 
 
-def _oracle_frame(components, length, radius, fallback):
+def _oracle_frame(components, length, radius):
     if length <= DEGENERACY_TOL:
-        theta, phi = fallback if fallback is not None else DEFAULT_FALLBACK_ANGLES
+        theta, phi = DEFAULT_FALLBACK_ANGLES
         degenerate = True
     elif radius <= DEGENERACY_TOL:
         theta, phi, degenerate = (0.0 if components[0] > 0 else math.pi), 0.0, False
@@ -115,13 +115,13 @@ def _oracle_tail(spin, length, ellipse):
     }
 
 
-def _oracle_fields(state, fallback=None) -> dict:
+def _oracle_fields(state) -> dict:
     space, amps = state.space, state.amplitudes
-    raw = np.array([np.vdot(amps, s @ amps) for s in _stokes_matrices(space.num_photons)])
+    raw = np.array([np.vdot(amps, stokes_operator(space, k).matrix @ amps) for k in (1, 2, 3)])
     comps = np.ascontiguousarray(_real_expectation(raw))
     length = float(np.sqrt(np.vdot(comps, comps)))
     radius = float(np.hypot(comps[1], comps[2]))
-    frame = _oracle_frame(comps, length, radius, fallback)
+    frame = _oracle_frame(comps, length, radius)
     image1 = _stokes_combination(space, frame["n1"]) @ amps
     image2 = _stokes_combination(space, frame["n2"]) @ amps
     sq1, sq2 = np.vdot(image1, image1).real, np.vdot(image2, image2).real
@@ -153,8 +153,6 @@ def _stack_member(kind: str, num_photons: int, rng):
     return random_state(space, rng)
 
 
-angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
-fallbacks = st.one_of(st.none(), st.tuples(angles, angles))
 stack_kinds = st.lists(
     st.sampled_from(["random", "coherent", "noon", "basis"]), min_size=1, max_size=12
 )
@@ -164,15 +162,14 @@ stack_kinds = st.lists(
     st.integers(min_value=1, max_value=40),
     stack_kinds,
     st.integers(min_value=0, max_value=2**32 - 1),
-    fallbacks,
 )
-def test_stacked_and_single_reports_match_per_row_tail(num_photons, kinds, seed, fallback):
+def test_stacked_and_single_reports_match_per_row_tail(num_photons, kinds, seed):
     rng = np.random.default_rng(seed)
     states = [_stack_member(kind, num_photons, rng) for kind in kinds]
-    expected = [_oracle_fields(state, fallback) for state in states]
-    stacked = squeezing_reports(states[0].space, [s.amplitudes for s in states], fallback)
+    expected = [_oracle_fields(state) for state in states]
+    stacked = squeezing_reports(states[0].space, [s.amplitudes for s in states])
     assert [_fields(report) for report in stacked] == expected
-    assert [_fields(squeezing_report(state, fallback)) for state in states] == expected
+    assert [_fields(squeezing_report(state)) for state in states] == expected
 
 
 @pytest.mark.parametrize("num_photons", [128, 512])
@@ -194,12 +191,12 @@ means = st.one_of(
 )
 
 
-@given(means, fallbacks)
-def test_frame_matches_per_row_tail(components, fallback):
+@given(means)
+def test_frame_matches_per_row_tail(components):
     comps = np.asarray(components, dtype=float)
     length, radius = float(np.linalg.norm(comps)), float(np.hypot(comps[1], comps[2]))
-    frame = bloch_frame(MeanPolarization(comps, length, radius), fallback)
-    expected = _oracle_frame(comps, length, radius, fallback)
+    frame = bloch_frame(MeanPolarization(comps, length, radius))
+    expected = _oracle_frame(comps, length, radius)
     assert {name: _value(value) for name, value in vars(frame).items()} == {
         name: _value(value) for name, value in expected.items()
     }

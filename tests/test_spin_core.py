@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,6 @@ from stokes_squeeze.spin_core import (
     _s2_eigenbasis,
     _stokes_band,
     _stokes_combination,
-    _stokes_matrices,
     _work_matrix,
 )
 from stokes_squeeze.states import basis_state, coherent_state, fidelity, triphoton_state
@@ -94,41 +94,47 @@ class TestStokesOperators:
     def test_raising_matrix_element(self):
         # <3/2,3/2| S+ |3/2,1/2> = sqrt((s-n)(s+n+1)) at n=1/2 -> sqrt(3)
         space = build_spin_space(3)
-        raising = ladder_operator(space, +1).matrix
+        raising = ladder_operator(space, +1)
         assert raising[0, 1] == pytest.approx(np.sqrt(3), abs=1e-15)
 
     def test_raising_from_lowest_state(self):
         # S+ |3/2,-3/2> = sqrt(3) |3/2,-1/2>
         space = build_spin_space(3)
-        raising = ladder_operator(space, +1).matrix
+        raising = ladder_operator(space, +1)
         column = raising @ basis_state(space, -1.5).amplitudes
         expected = np.sqrt(3) * basis_state(space, -0.5).amplitudes
         np.testing.assert_allclose(column, expected, atol=1e-15)
 
     def test_spin_half_raising_single_element(self):
         space = build_spin_space(1)
-        raising = ladder_operator(space, +1).matrix
+        raising = ladder_operator(space, +1)
         np.testing.assert_allclose(raising, [[0, 1], [0, 0]], atol=0)
 
     def test_ladder_adjoint_pair(self):
         for num in (1, 3, 8):
             space = build_spin_space(num)
-            raising = ladder_operator(space, +1).matrix
-            lowering = ladder_operator(space, -1).matrix
+            raising = ladder_operator(space, +1)
+            lowering = ladder_operator(space, -1)
             np.testing.assert_allclose(raising.conj().T, lowering, atol=1e-12)
 
-    def test_operator_shares_cached_matrix_read_only(self):
-        # S1..S3 wrap the cached matrix without a copy; S0 is built per call
+    def test_each_call_builds_its_own_read_only_matrix(self):
+        # no cache: two calls give two arrays, each the band combination of
+        # its unit axis bit for bit
         space = build_spin_space(7)
         for axis in (1, 2, 3):
-            op = stokes_operator(space, axis)
-            assert op.matrix is _stokes_matrices(7)[axis - 1]
-            assert op.space == space
+            first, second = stokes_operator(space, axis), stokes_operator(space, axis)
+            assert first.space == space
+            assert first.matrix is not second.matrix
+            assert not np.shares_memory(first.matrix, second.matrix)
+            for matrix in (first.matrix, second.matrix):
+                _assert_bitwise(matrix, _stokes_combination(space, np.eye(3)[axis - 1]))
         for axis in (0, 1, 2, 3):
             matrix = stokes_operator(space, axis).matrix
             assert not matrix.flags.writeable
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1.0
+        for sign in (+1, -1):
+            assert not ladder_operator(space, sign).flags.writeable
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -183,17 +189,18 @@ class TestBandIsTheSource:
 
     @pytest.mark.parametrize("num_photons", SIZES)
     def test_dense_matrices(self, num_photons):
+        # S1..S3 are the band combinations of the unit axes
+        space = build_spin_space(num_photons)
         _, _, *expected = _dense_ladder_oracle(num_photons)
-        for actual, oracle in zip(_stokes_matrices(num_photons), expected, strict=True):
-            _assert_bitwise(actual, oracle)
-            assert not actual.flags.writeable
+        for axis, oracle in zip(np.eye(3), expected, strict=True):
+            _assert_bitwise(_stokes_combination(space, axis), oracle)
 
     @pytest.mark.parametrize("num_photons", SIZES)
     def test_ladder_and_stokes_operators(self, num_photons):
         space = build_spin_space(num_photons)
         sp, *stokes = _dense_ladder_oracle(num_photons)
-        _assert_bitwise(ladder_operator(space, +1).matrix, sp)
-        _assert_bitwise(ladder_operator(space, -1).matrix, sp.conj().T)
+        _assert_bitwise(ladder_operator(space, +1), sp)
+        _assert_bitwise(ladder_operator(space, -1), sp.conj().T)
         for axis, oracle in enumerate(stokes):
             _assert_bitwise(stokes_operator(space, axis).matrix, oracle)
 
@@ -218,7 +225,7 @@ class TestS1Image:
     @pytest.mark.parametrize("num_photons", [1, 2, 3, 8, 31, 64, 128, 255, 512])
     def test_equals_dense_product(self, num_photons):
         space = build_spin_space(num_photons)
-        s1 = _stokes_matrices(num_photons)[0]
+        s1 = stokes_operator(space, 1).matrix
         rng = np.random.default_rng(num_photons)
         for count in (1, 7, 300 if num_photons <= 64 else 3):
             rows = self._rows(num_photons, count, rng)
@@ -303,12 +310,28 @@ class TestHermitianExponential:
         assert np.abs(result - result.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(result).min() > 0
 
+    @pytest.mark.parametrize(
+        "scale, shown",
+        [(np.nan, "nan"), (np.inf, "inf"), (complex(np.nan, np.nan), "(nan+nanj)"),
+         (complex(0.0, -np.inf), "-infj")],
+        ids=["nan", "inf", "nan-nanj", "-infj"],
+    )
+    def test_non_finite_scale_rejected(self, scale, shown):
+        with pytest.raises(ValueError, match=f"^scale must be finite, got {re.escape(shown)}$"):
+            hermitian_exponential(stokes_operator(build_spin_space(2), 1), scale)
+
+    @pytest.mark.parametrize("scale", [800.0, complex(800.0, 0.5)], ids=["real", "complex"])
+    def test_overflow_raises(self, scale):
+        # exp(800) is inf, and the zero entries of V turn it into NaN
+        with pytest.raises(ArithmeticError, match="overflowed"):
+            hermitian_exponential(stokes_operator(build_spin_space(2), 1), scale)
+
 
 class TestS2Eigenbasis:
     @pytest.mark.parametrize("num_photons", [0, 1, 4, 33])
     def test_diagonalizes_s2(self, num_photons):
         eigvals, eigvecs = _s2_eigenbasis(num_photons)
-        s2 = _stokes_matrices(num_photons)[1]
+        s2 = stokes_operator(build_spin_space(num_photons), 2).matrix
         spin = num_photons / 2
         np.testing.assert_array_equal(eigvals, np.arange(num_photons + 1) - spin)
         np.testing.assert_allclose(
@@ -323,15 +346,16 @@ class TestS2Eigenbasis:
         assert _s2_eigenbasis(19) is first
         assert _s2_eigenbasis.cache_info().hits == hits + 1
 
-    def test_built_without_dense_stokes_matrices(self):
+    def test_built_without_the_stokes_band(self, monkeypatch):
         # S2 comes from the ladder coefficients, so a coherent state and a
-        # rotation at a new N add no dense (S1, S2, S3) to the cache
+        # rotation at a new N read no Stokes band
+        def band(num_photons):
+            raise AssertionError("Stokes band read")
+
         _s2_eigenbasis.cache_clear()
-        _stokes_matrices.cache_clear()
-        before = _stokes_matrices.cache_info().currsize
+        monkeypatch.setattr(spin_core, "_stokes_band", band)
         state = coherent_state(build_spin_space(45), 0.8, 2.1)
         rotate_about(state, _unit([1.0, -2.0, 0.5]), 0.9)
-        assert _stokes_matrices.cache_info().currsize == before
 
     def test_non_orthogonal_basis_rejected(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -373,7 +397,7 @@ class TestStokesCombination:
     @pytest.mark.parametrize("num_photons", [1, 2, 3, 8, 32, 128, 512])
     def test_product_bitwise_equals_dense(self, num_photons):
         space = build_spin_space(num_photons)
-        s1, s2, s3 = _stokes_matrices(num_photons)
+        s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
         rng = np.random.default_rng(num_photons)
         for d in COMBINATION_DIRECTIONS:
             dense = d[0] * s1 + d[1] * s2 + d[2] * s3
@@ -387,7 +411,7 @@ class TestStokesCombination:
     @pytest.mark.parametrize("num_photons", [0, 1, 5, 64])
     def test_band_entries_equal_dense_and_rest_zero(self, num_photons):
         space = build_spin_space(num_photons)
-        s1, s2, s3 = _stokes_matrices(num_photons)
+        s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
         for d in COMBINATION_DIRECTIONS:
             banded = _stokes_combination(space, d)
             dense = d[0] * s1 + d[1] * s2 + d[2] * s3
@@ -438,14 +462,25 @@ class TestValidation:
         assert op.matrix[0, 0] == 0.5
         frozen = np.diag([0.5, -0.5]).astype(complex)
         frozen.setflags(write=False)
-        assert HermitianOperator(space, frozen).matrix is frozen
-        view = frozen[:, :]  # read-only, but shares the buffer of another array
-        assert HermitianOperator(space, view).matrix is not view
+        view = frozen[:, :]
+        for matrix in (frozen, view):  # read-only input is copied as well
+            assert not np.shares_memory(HermitianOperator(space, matrix).matrix, frozen)
 
     def test_non_hermitian_matrix_rejected(self):
         space = build_spin_space(1)
         with pytest.raises(ValueError):
             HermitianOperator(space, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nanj"]
+    )
+    def test_non_finite_matrix_rejected(self, entry):
+        # a NaN defect compares false with any bound, so it must fail the check
+        space = build_spin_space(2)
+        with pytest.raises(ValueError, match=r"not Hermitian \(defect nan\)"):
+            HermitianOperator(space, np.diag([entry, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            variance(basis_state(space, 1.0), HermitianOperator(space, np.diag([entry, 0, 0])))
 
     def test_states_are_immutable(self):
         state = basis_state(build_spin_space(2), 1.0)

@@ -33,7 +33,7 @@ from stokes_squeeze.spin_core import (
     HermitianOperator,
     _normalized_rows,
     _stokes_combination,
-    _stokes_matrices,
+    stokes_operator,
 )
 from stokes_squeeze.states import _binomial_profile, basis_state
 
@@ -83,7 +83,7 @@ class TestCoherentStateOracle:
     def test_matches_dense_exponential(self, num_photons):
         space = build_spin_space(num_photons)
         rng = np.random.default_rng(200 + num_photons)
-        _, s2, s3 = _stokes_matrices(num_photons)
+        s2, s3 = (stokes_operator(space, axis).matrix for axis in (2, 3))
         angles = [(0.0, 1.3), (np.pi, 0.4), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)]
         angles += [(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(2)]
         tol = max(1e-12, 1e-13 * (num_photons + 1))

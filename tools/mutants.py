@@ -187,8 +187,17 @@ MUTANTS = (
         # the Hermitian operator takes any square matrix, as the ladder does
         "operator-hermiticity-removed",
         "spin_core.py",
-        "        if defect > HERMITICITY_TOL:\n            raise ValueError",
+        "        if not defect <= HERMITICITY_TOL:  # also rejects NaN and inf entries\n"
+        "            raise ValueError",
         "        if False:\n            raise ValueError",
+    ),
+    (
+        # stokes_operator(space, k) built on the unit axis of S(k+1): S1 reads
+        # S2, S2 reads S3 and S3 reads S1
+        "stokes-operator-axis-shifted",
+        "spin_core.py",
+        "np.eye(3)[which - 1]",
+        "np.eye(3)[which % 3]",
     ),
     (
         # S+ written below the diagonal, so S+ is the lowering operator
