@@ -7,15 +7,16 @@ checks its own arguments (the VPP ratio as `spin_core._require_ratio` does).
 All functions return fresh states and never mutate their input.
 
 Every unitary goes through the cached S2 eigenbasis of `spin_core`, O(N^2)
-per call after one `eigh` per photon number: the QWP is the S2 rotation by
--pi/2, and a rotation about any axis is its Euler form in S1 phases and S2
-rotations.  No dense exponential is built here, but V is a dense (N+1)^2
-matrix, so the unitaries keep the dense bound: N >= 2048 is refused.
+per call after two half-size `eigh`s per N: the QWP is the S2 rotation by
+-pi/2, and a rotation about any axis is one Euler product of S1 phases and
+one S2 rotation.  No dense exponential is built here, but V is a dense
+(N+1)^2 matrix, so the unitaries keep the dense bound: N >= 2048 is refused.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -118,9 +119,9 @@ def rotate(state: PolarizationState, axis: int, angle: float) -> PolarizationSta
     """Rotation exp(-i * angle * S_axis) about Stokes axis 1, 2 or 3.
 
     With this sign convention rotate(state, 2, -pi/2) coincides with the
-    quarter-wave plate.
+    quarter-wave plate.  The axis must be an integer, not a bool or a float.
     """
-    if isinstance(axis, bool) or axis not in (1, 2, 3):
+    if isinstance(axis, bool) or not isinstance(axis, Integral) or axis not in (1, 2, 3):
         raise ValueError(f"rotation axis must be 1, 2 or 3, got {axis!r}")
     return rotate_about(state, np.eye(3)[axis - 1], angle)
 
@@ -128,16 +129,18 @@ def rotate(state: PolarizationState, axis: int, angle: float) -> PolarizationSta
 def rotate_about(state: PolarizationState, direction, angle: float) -> PolarizationState:
     """Rotation exp(-i * angle * d.S) about an arbitrary unit Poincare direction.
 
-    With D(x) = exp(-i x S1) and W(x) = exp(-i x S2), the exact operator,
-    global phase included, is D(beta) W(theta) D(angle) W(-theta) D(-beta)
-    for theta = atan2(hypot(d2, d3), d1) and beta = atan2(d2, -d3), since
-    D(beta) W(theta) carries S1 onto d.S.  That is four O(N^2) products.
+    With D(x) = exp(-i x S1) and W(x) = exp(-i x S2) it is D(a) W(b) D(c),
+    global phase included, since both are one SU(2) element.  On spin 1/2,
+    where S = (sigma_z, sigma_x, sigma_y)/2, with u, v = cos, sin(angle/2):
+    b = 2 atan2(v hypot(d2, d3), hypot(u, v d1)), a + c = 2 atan2(v d1, u) and
+    a - c = 2 atan2(d3, d2).  That is one S2 rotation, two O(N^2) products.
     """
     d = _unit_direction(direction)
     _require_finite(angle=angle)
     space = state.space
-    theta = math.atan2(math.hypot(d[1], d[2]), d[0])
-    beta = math.atan2(d[1], -d[2])
-    amps = _s2_rotate(space, -theta, _s1_phases(space, -beta) * state.amplitudes)
-    amps = _s2_rotate(space, theta, _s1_phases(space, angle) * amps)
-    return normalized_state(space, _s1_phases(space, beta) * amps)
+    u, v = math.cos(angle / 2), math.sin(angle / 2)
+    tilt = 2.0 * math.atan2(v * math.hypot(d[1], d[2]), math.hypot(u, v * d[0]))  # b
+    total = 2.0 * math.atan2(v * d[0], u)  # a + c
+    spread = 2.0 * math.atan2(d[2], d[1])  # a - c
+    amps = _s2_rotate(space, tilt, _s1_phases(space, (total - spread) / 2) * state.amplitudes)
+    return normalized_state(space, _s1_phases(space, (total + spread) / 2) * amps)

@@ -18,11 +18,12 @@ MAX_PHOTONS = 2^20 photons, so no O(N) array is made for a huge N either.
 
 SU(2) rotations, the wave plate and coherent states never exponentiate a
 dense generator.  S1 is diagonal, so exp(-i x S1) is a vector of phases, and
-exp(-i x S2) = V diag(e^{-i x (k - s)}) V^T comes from one `eigh` of the real
-tridiagonal S2 (c/2 off the diagonal) per photon number, cached and validated
-when it is first built.  After that, each factor costs O(N^2), and V keeps
-8 (N+1)^2 bytes per cached N.  `hermitian_exponential` stays as the dense
-route the tests compare against.
+exp(-i x S2) = V diag(e^{-i x (k - s)}) V^T comes from the real tridiagonal
+S2 (c/2 off the diagonal), which the flip k -> N - k splits into two blocks
+of half the size: one `eigh` per block and photon number, cached and
+validated when it is first built.  After that, each factor costs O(N^2), and
+V keeps 8 (N+1)^2 bytes per cached N.  `hermitian_exponential` stays as the
+dense route the tests compare against.
 
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
@@ -58,6 +59,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -390,7 +392,7 @@ def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
     come from the ladder coefficients; S0 = s * identity.  Each call builds
     its one matrix, S1..S3 as `_stokes_combination` of their unit axis.
     """
-    if which not in (0, 1, 2, 3):
+    if not isinstance(which, Integral) or which not in (0, 1, 2, 3):
         raise ValueError(f"Stokes axis must be 0, 1, 2 or 3, got {which}")
     if which == 0:
         dim = _dense_dimension(space.num_photons)
@@ -402,23 +404,46 @@ def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
 def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues k - s in ascending order, V) of S2, with V real orthogonal.
 
-    S2 is real tridiagonal, built from c alone, so one real `eigh` per N gives
-    S2 = V diag(k - s) V^T.  The basis is validated here, once: V^T V = I and
-    the computed eigenvalues equal k - s, both within HERMITICITY_TOL.  The
-    exact values k - s are returned.  S2 is dense, so N >= 2048 is refused.
+    S2 is real tridiagonal with the symmetric c/2 off the diagonal, so it is
+    two blocks on the flip-even (e_j + e_{N-j})/sqrt2, e_{N/2} and flip-odd
+    (e_j - e_{N-j})/sqrt2, j < (N+1)//2: c/2 off the diagonal, plus +-c/2 on
+    the last entry for odd N, and sqrt2 c/2 to e_{N/2} for even N.  The even
+    block (size N//2 + 1) holds k - s for k = N mod 2.  Each block's real
+    `eigh` is validated once (U^T U = I and eigenvalues k - s, both within
+    HERMITICITY_TOL) and written in place into V.  N >= 2048 is refused.
     """
     dim = _dense_dimension(num_photons)
     half = _ladder_coefficients(SpinSpace(num_photons)) / 2
-    eigvals, eigvecs = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
-    exact = np.arange(dim) - num_photons / 2
-    orthogonality = np.abs(eigvecs.T @ eigvecs - np.eye(dim)).max()
-    if orthogonality > HERMITICITY_TOL:
-        raise ArithmeticError(
-            f"S2 eigenbasis is not orthogonal (defect {orthogonality:.3e})"
-        )
-    spectrum = np.abs(eigvals - exact).max()
-    if spectrum > HERMITICITY_TOL:
-        raise ArithmeticError(f"S2 eigenvalues deviate from k - s by {spectrum:.3e}")
+    pairs, odd, exact = dim // 2, num_photons % 2, np.arange(dim) - num_photons / 2
+    eigvecs = np.zeros((dim, dim))  # the flip-odd columns vanish at e_{N/2}
+    # the flip-even block, then the flip-odd one, which N = 0 does not have
+    for sign, cols in ((1.0, slice(odd, None, 2)), (-1.0, slice(1 - odd, None, 2))):
+        size = len(exact[cols])
+        if not size:
+            continue
+        off = half[: size - 1].copy()
+        if size > pairs > 0:
+            off[-1] *= math.sqrt(2.0)  # the last pair's coupling to e_{N/2}
+        block = np.zeros((size, size))
+        block.flat[1 :: size + 1] = block.flat[size :: size + 1] = off
+        if odd:
+            block[-1, -1] = sign * half[pairs - 1]  # the last pair is adjacent
+        eigvals, vecs = np.linalg.eigh(block)
+        # U^T U - I, written over the block, which eigh is done with
+        np.matmul(vecs.T, vecs, out=block)
+        block.flat[:: size + 1] -= 1.0
+        orthogonality = np.abs(block, out=block).max()
+        if orthogonality > HERMITICITY_TOL:
+            raise ArithmeticError(f"S2 eigenbasis is not orthogonal (defect {orthogonality:.3e})")
+        spectrum = np.abs(eigvals - exact[cols]).max()
+        if spectrum > HERMITICITY_TOL:
+            raise ArithmeticError(f"S2 eigenvalues deviate from k - s by {spectrum:.3e}")
+        vecs[:pairs] /= math.sqrt(2.0)
+        eigvecs[:pairs, cols] = vecs[:pairs]
+        np.multiply(vecs[:pairs], sign, out=eigvecs[::-1][:pairs, cols])
+        if size > pairs:
+            eigvecs[pairs, cols] = vecs[pairs]
+        del block, vecs  # before the next block is built
     return _readonly(exact), _readonly(eigvecs)
 
 
@@ -446,7 +471,7 @@ def _s2_rotate(space: SpinSpace, x: float, amps: np.ndarray) -> np.ndarray:
 
 def ladder_operator(space: SpinSpace, sign: int) -> np.ndarray:
     """Raising (+1) or lowering (-1) matrix S+- = S2 +- i S3, dense and read-only."""
-    if sign not in (+1, -1):
+    if not isinstance(sign, Integral) or sign not in (+1, -1):
         raise ValueError(f"ladder sign must be +1 or -1, got {sign}")
     _dense_dimension(space.num_photons)
     sp = np.diag(_ladder_coefficients(space), k=1).astype(complex)

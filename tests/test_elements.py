@@ -6,6 +6,7 @@ import pytest
 from stokes_squeeze import (
     HermitianOperator,
     build_spin_space,
+    elements,
     fidelity,
     hermitian_exponential,
     qwp_apply,
@@ -277,6 +278,15 @@ class TestRotate:
         with pytest.raises(ValueError):
             rotate(random_state(SPACE3, RNG), True, 1.0)
 
+    def test_float_axis_rejected(self):
+        # 2.0 in (1, 2, 3) holds, and an index 1.0 raised a bare IndexError
+        state = random_state(SPACE3, RNG)
+        with pytest.raises(ValueError, match=r"^rotation axis must be 1, 2 or 3, got 2\.0$"):
+            rotate(state, 2.0, 0.3)
+        np.testing.assert_array_equal(
+            rotate(state, np.int64(2), 0.3).amplitudes, rotate(state, 2, 0.3).amplitudes
+        )
+
     @pytest.mark.parametrize(
         "direction",
         [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0), (math.nan, 0.0, 0.0), (1.0, 1.0, 0.0)],
@@ -316,4 +326,68 @@ class TestRotateAboutOracle:
                 rtol=0.0,
                 atol=oracle_tol(num_photons),
                 err_msg=f"axis {d}, angle {angle}",
+            )
+
+
+#: the six +-axes and an axis 1e-9 off the S1 pole, where b of the Euler
+#: form is about 1e-9 and a - c comes from a tiny (d2, d3)
+EULER_EDGE_AXES = [
+    *(sign * row for row in np.eye(3) for sign in (1.0, -1.0)),
+    np.array([math.cos(1e-9), 0.6 * math.sin(1e-9), 0.8 * math.sin(1e-9)]),
+]
+EULER_EDGE_ANGLES = [0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi, 1e-9]
+
+
+def _rotation_matrix(space, direction, angle):
+    """The operator of `rotate_about`, column by column on the basis states."""
+    basis = np.eye(space.dimension)
+    return np.column_stack(
+        [rotate_about(normalized_state(space, e), direction, angle).amplitudes for e in basis]
+    )
+
+
+class TestRotateAboutEuler:
+    """rotate_about is one Euler product D(a) W(b) D(c), exact with its phase."""
+
+    def test_one_s2_rotation_per_call(self, monkeypatch):
+        calls, s2_rotate = [], elements._s2_rotate
+
+        def spy(space, x, amps):
+            calls.append(x)
+            return s2_rotate(space, x, amps)
+
+        monkeypatch.setattr(elements, "_s2_rotate", spy)
+        state = random_state(build_spin_space(6), RNG)
+        rotate_about(state, _unit([0.3, -1.0, 0.5]), 1.1)
+        assert len(calls) == 1
+        rotate(state, 3, 0.4)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("num_photons", [1, 2, 3, 6])
+    def test_edge_axes_and_angles_match_dense_exponential(self, num_photons):
+        space = build_spin_space(num_photons)
+        s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
+        for d in EULER_EDGE_AXES:
+            generator = HermitianOperator(space, d[0] * s1 + d[1] * s2 + d[2] * s3)
+            for angle in EULER_EDGE_ANGLES:
+                np.testing.assert_allclose(
+                    _rotation_matrix(space, d, angle),
+                    hermitian_exponential(generator, -1j * angle),
+                    rtol=0.0,
+                    atol=oracle_tol(num_photons),
+                    err_msg=f"axis {d}, angle {angle}",
+                )
+
+    @pytest.mark.parametrize("num_photons", [1, 2, 3, 6])
+    def test_full_turn_is_parity_times_identity(self, num_photons):
+        # exp(-2 pi i d.S) = (-1)^N: a half-integer spin keeps its sign flip
+        space = build_spin_space(num_photons)
+        rng = np.random.default_rng(700 + num_photons)
+        for d in [*EULER_EDGE_AXES, *(_unit(rng.normal(size=3)) for _ in range(4))]:
+            np.testing.assert_allclose(
+                _rotation_matrix(space, d, 2 * np.pi),
+                (-1) ** num_photons * np.eye(space.dimension),
+                rtol=0.0,
+                atol=oracle_tol(num_photons),
+                err_msg=f"axis {d}",
             )

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,20 @@ class TestStokesOperators:
             stokes_operator(build_spin_space(2), 4)
         with pytest.raises(ValueError):
             ladder_operator(build_spin_space(2), 0)
+
+    def test_float_stokes_axis_rejected(self):
+        # 1.0 in (0, 1, 2, 3) holds, and an index 1.0 raised a bare IndexError
+        space = build_spin_space(2)
+        with pytest.raises(ValueError, match=r"^Stokes axis must be 0, 1, 2 or 3, got 1\.0$"):
+            stokes_operator(space, 1.0)
+        _assert_bitwise(stokes_operator(space, np.int64(2)).matrix, stokes_operator(space, 2).matrix)
+
+    def test_float_ladder_sign_rejected(self):
+        # 1.0 in (+1, -1) holds, and a float sign gave S+
+        space = build_spin_space(2)
+        with pytest.raises(ValueError, match=r"^ladder sign must be \+1 or -1, got 1\.0$"):
+            ladder_operator(space, 1.0)
+        np.testing.assert_array_equal(ladder_operator(space, np.int8(-1)), ladder_operator(space, -1))
 
 
 def _dense_ladder_oracle(num_photons):
@@ -356,6 +371,32 @@ class TestS2Eigenbasis:
         monkeypatch.setattr(spin_core, "_stokes_band", band)
         state = coherent_state(build_spin_space(45), 0.8, 2.1)
         rotate_about(state, _unit([1.0, -2.0, 0.5]), 0.9)
+
+    @pytest.mark.parametrize("num_photons", [0, 1, 2, 7, 8])
+    def test_one_eigh_per_flip_block(self, num_photons, monkeypatch):
+        # the flip-even block of size N//2 + 1, then the flip-odd one of size
+        # (N+1)//2, which N = 0 does not have; never the whole S2
+        sizes, eigh = [], np.linalg.eigh
+
+        def spy(matrix):
+            sizes.append(len(matrix))
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        _s2_eigenbasis.__wrapped__(num_photons)
+        expected = [num_photons // 2 + 1, (num_photons + 1) // 2]
+        assert sizes == (expected[:1] if num_photons == 0 else expected)
+
+    def test_build_peak_memory_is_bounded(self):
+        # V itself is 8 (N+1)^2 bytes; one eigh of the whole S2 held three
+        # times that, one half-size block at a time holds about 1.5 times
+        tracemalloc.start()
+        try:
+            _s2_eigenbasis.__wrapped__(512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 513**2
 
     def test_non_orthogonal_basis_rejected(self, monkeypatch):
         eigh = np.linalg.eigh

@@ -38,16 +38,32 @@ PACKAGE = "src/stokes_squeeze"
 #: (name, file, text, replacement): each text must occur exactly once
 MUTANTS = (
     (
+        # a - c of the Euler form with d2 and d3 swapped
         "beta-atan2-d2-d3",
         "elements.py",
-        "beta = math.atan2(d[1], -d[2])",
-        "beta = math.atan2(d[1], d[2])",
+        "atan2(d[2], d[1])",
+        "atan2(d[1], d[2])",
     ),
     (
+        # a + c of the Euler form with the sign of sin(angle/2) d1 flipped
         "alpha-negated",
         "elements.py",
-        "_s1_phases(space, angle) * amps",
-        "_s1_phases(space, -angle) * amps",
+        "atan2(v * d[0], u)",
+        "atan2(-v * d[0], u)",
+    ),
+    (
+        # the flip-odd block of S2 takes +c/2 on its middle entry (odd N)
+        "s2-odd-block-sign",
+        "spin_core.py",
+        "block[-1, -1] = sign * half[pairs - 1]",
+        "block[-1, -1] = half[pairs - 1]",
+    ),
+    (
+        # the last even pair couples to e_{N/2} by c/2, not sqrt2 c/2 (even N)
+        "s2-middle-coupling-unscaled",
+        "spin_core.py",
+        "off[-1] *= math.sqrt(2.0)",
+        "off[-1] *= 1.0",
     ),
     (
         "d2-sign-flipped",
