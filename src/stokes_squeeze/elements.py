@@ -16,13 +16,13 @@ one S2 rotation.  No dense exponential is built here, but V is a dense
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
 from .spin_core import (
     PolarizationState,
     SpinSpace,
+    _require_choice,
     _require_finite,
     _require_ratio,
     _s1_phases,
@@ -121,8 +121,7 @@ def rotate(state: PolarizationState, axis: int, angle: float) -> PolarizationSta
     With this sign convention rotate(state, 2, -pi/2) coincides with the
     quarter-wave plate.  The axis must be an integer, not a bool or a float.
     """
-    if isinstance(axis, bool) or not isinstance(axis, Integral) or axis not in (1, 2, 3):
-        raise ValueError(f"rotation axis must be 1, 2 or 3, got {axis!r}")
+    _require_choice(axis, (1, 2, 3), "rotation axis must be 1, 2 or 3")
     return rotate_about(state, np.eye(3)[axis - 1], angle)
 
 

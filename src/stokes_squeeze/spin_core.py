@@ -31,8 +31,8 @@ main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
 zeroed matrix with the same elementwise arithmetic as the dense sum; a real d
 makes it Hermitian by construction.  The moment kernel makes every product
 of a squeezing report: `_mean_moments` gives <S1..S3> (S1 by the O(N)
-`_s1_image`, S2 and S3 by their `_stokes_band` entries, bit for bit the
-cached matrices), `_transverse_moments` the second moments of n1.S and n2.S,
+`_s1_image`, S2 and S3 by their `_stokes_band` entries written into the work
+matrix), `_transverse_moments` the second moments of n1.S and n2.S,
 and `_direction_variance` the variance of one d.S for the QFI.  The mean and
 one-row chunks write over `_work_matrix`, one cached zero matrix per size and
 thread, whose band every write overwrites: no (N+1)^2 zero fill per call.
@@ -102,6 +102,13 @@ def _require_ratio(t_ratio) -> None:
     """Raise unless T >= 0: NaN fails, +inf (the T -> infinity limit) passes."""
     if not t_ratio >= 0:
         raise ValueError(f"transmissivity ratio must be >= 0, got {t_ratio}")
+
+
+def _require_choice(value, allowed: tuple, rule: str) -> None:
+    """Raise a ValueError "<rule>, got <value>" unless `value` is an integer
+    in `allowed`; a bool, a float and a numpy bool are refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value not in allowed:
+        raise ValueError(f"{rule}, got {value!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -392,8 +399,7 @@ def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
     come from the ladder coefficients; S0 = s * identity.  Each call builds
     its one matrix, S1..S3 as `_stokes_combination` of their unit axis.
     """
-    if not isinstance(which, Integral) or which not in (0, 1, 2, 3):
-        raise ValueError(f"Stokes axis must be 0, 1, 2 or 3, got {which}")
+    _require_choice(which, (0, 1, 2, 3), "Stokes axis must be 0, 1, 2 or 3")
     if which == 0:
         dim = _dense_dimension(space.num_photons)
         return HermitianOperator(space, space.spin * np.eye(dim, dtype=complex))
@@ -471,8 +477,7 @@ def _s2_rotate(space: SpinSpace, x: float, amps: np.ndarray) -> np.ndarray:
 
 def ladder_operator(space: SpinSpace, sign: int) -> np.ndarray:
     """Raising (+1) or lowering (-1) matrix S+- = S2 +- i S3, dense and read-only."""
-    if not isinstance(sign, Integral) or sign not in (+1, -1):
-        raise ValueError(f"ladder sign must be +1 or -1, got {sign}")
+    _require_choice(sign, (+1, -1), "ladder sign must be +1 or -1")
     _dense_dimension(space.num_photons)
     sp = np.diag(_ladder_coefficients(space), k=1).astype(complex)
     return _readonly(sp if sign == +1 else sp.T.conj())

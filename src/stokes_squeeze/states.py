@@ -8,8 +8,9 @@ amplitude-wise, since optical transformations fix them only up to a global
 phase.
 
 `coherent_state` is one O(N^2) product with the cached S2 eigenbasis of
-`spin_core` (one `eigh` per photon number), not a dense exponential.  Its
-oracle is the binomial expansion of `_binomial_profile`, shared with `husimi`.
+`spin_core` (two half-size `eigh`s per photon number, one per flip block),
+not a dense exponential.  Its oracle is the binomial expansion of
+`_binomial_profile`, shared with `husimi`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 Every check is deterministic (fixed RNG seeds) and independent of the code
 path it validates wherever a second route exists: closed forms are compared
 against dense-matrix results, extremal variances against a brute-force angle
-scan, and Husimi features against direct grid evaluation.
+scan, and Husimi features against direct grid evaluation.  Every dense
+oracle is built from public `spin_core` names (`stokes_operator`,
+`ladder_operator`); the scan evaluates one quadratic in (cos, sin) whose
+five coefficients are moments of the images of n1.S and n2.S.
 
 The suite is one ordered table, `CHECKS`.  Each entry holds a check's name,
 its seed offset and its function, which takes the run's shared fixtures and a
@@ -12,7 +15,8 @@ fresh generator seeded with `SEED + offset`; an offset of None means the check
 draws nothing and gets no generator.  `run_checks`, `stokes-squeeze verify`
 and the tests all read this table.  Inputs read by several checks are built
 by `_Fixtures` once per `run_checks` call, on first use, never at import: the
-200-point triphoton family pass and the pipeline's Stokes matrices.
+200-point triphoton family pass and the operators S0..S3 for N = 0..12,
+which the algebra checks and the random-state checks read.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ import numpy as np
 from .elements import qwp_apply, rotate_about, vpp_apply
 from .husimi import SphereGrid, q_grid, q_value
 from .spin_core import (
-    HermitianOperator,
     PolarizationState,
-    _stokes_combination,
     build_spin_space,
     hermitian_exponential,
     ladder_operator,
@@ -66,6 +68,8 @@ SQRT3 = math.sqrt(3.0)
 SEED = 20260809
 #: NOON phase reached by the triphoton family at T = sqrt(3)
 FAMILY_NOON_PHASE = -math.pi / 2
+#: bracket width at which `_golden_minimize` stops
+GOLDEN_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -91,35 +95,19 @@ def _random_states(rng, count: int):
         yield random_state(build_spin_space(1 + trial % 8), rng)
 
 
-def _random_state_operators() -> dict:
-    """(S1, S2, S3) as operators on each space `_random_states` draws from,
-    keyed by photon number."""
-    return {
-        num: [stokes_operator(build_spin_space(num), axis) for axis in (1, 2, 3)]
-        for num in range(1, 9)
-    }
-
-
 # ---------------------------------------------------------------------------
 # brute-force transverse-variance scan (independent of the ellipse formulas)
 # ---------------------------------------------------------------------------
 
 
-def transverse_variance(state: PolarizationState, frame: BlochFrame, gamma: float) -> float:
-    """Variance of S_gamma = cos(gamma) S_n1 + sin(gamma) S_n2 from the matrices."""
-    op1, op2 = (_stokes_combination(state.space, n) for n in (frame.n1, frame.n2))
-    matrix = math.cos(gamma) * op1 + math.sin(gamma) * op2
-    return variance(state, HermitianOperator(state.space, matrix))
-
-
-def _golden_minimize(func, lo: float, hi: float, tol: float = 1e-11):
-    """Golden-section minimizer on [lo, hi]; returns (argmin, min)."""
+def _golden_minimize(func, lo: float, hi: float):
+    """Golden-section minimizer on [lo, hi] down to GOLDEN_TOL; returns (argmin, min)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = func(c), func(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -135,35 +123,33 @@ def _golden_minimize(func, lo: float, hi: float, tol: float = 1e-11):
 def scan_transverse_variance(
     state: PolarizationState, frame: BlochFrame, samples: int = 3600
 ) -> dict:
-    """Scan the transverse variance over [0, 2pi) and refine both extrema.
+    """Scan the transverse variance V(gamma) over [0, 2pi) and refine both extrema.
 
-    Returns the raw grid extrema plus golden-section-refined extrema of the
-    matrix-route variance; the refinement gives the stated 1e-10 agreement
-    with the closed-form V-+ that the raw grid resolution cannot.
+    With u, w the images of psi under n1.S and n2.S (dense sums of
+    `stokes_operator`'s S1..S3), V = cos^2 <u|u> + 2 cos sin Re<u|w> + sin^2
+    <w|w> - (cos Re<psi|u> + sin Re<psi|w>)^2, term for term the matrix-route
+    variance of cos(gamma) S_n1 + sin(gamma) S_n2.  The grid and both
+    golden-section refinements evaluate V; the refinement gives the stated
+    1e-10 agreement with the closed-form V-+ that the grid cannot.
     """
-    op1, op2 = (_stokes_combination(state.space, n) for n in (frame.n1, frame.n2))
+    s1, s2, s3 = (stokes_operator(state.space, axis).matrix for axis in (1, 2, 3))
     psi = state.amplitudes
-    image1, image2 = op1 @ psi, op2 @ psi
+    image1, image2 = ((n[0] * s1 + n[1] * s2 + n[2] * s3) @ psi for n in (frame.n1, frame.n2))
     sq11 = np.vdot(image1, image1).real
     sq22 = np.vdot(image2, image2).real
     sq12 = np.vdot(image1, image2).real
     m1 = np.vdot(psi, image1).real
     m2 = np.vdot(psi, image2).real
 
+    def var_at(gamma):
+        cos_g, sin_g = np.cos(gamma), np.sin(gamma)
+        quadratic = cos_g**2 * sq11 + 2.0 * cos_g * sin_g * sq12 + sin_g**2 * sq22
+        return quadratic - (cos_g * m1 + sin_g * m2) ** 2
+
     gammas = np.arange(samples) * 2.0 * np.pi / samples
-    cos_g, sin_g = np.cos(gammas), np.sin(gammas)
-    values = (
-        cos_g**2 * sq11
-        + 2.0 * cos_g * sin_g * sq12
-        + sin_g**2 * sq22
-        - (cos_g * m1 + sin_g * m2) ** 2
-    )
+    values = var_at(gammas)
     i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
     step = 2.0 * np.pi / samples
-
-    def var_at(g):
-        return transverse_variance(state, frame, g)
-
     gamma_min, v_min = _golden_minimize(var_at, gammas[i_min] - step, gammas[i_min] + step)
     gamma_max, neg_v_max = _golden_minimize(
         lambda g: -var_at(g), gammas[i_max] - step, gammas[i_max] + step
@@ -172,8 +158,8 @@ def scan_transverse_variance(
         "grid_min": float(values[i_min]),
         "grid_max": float(values[i_max]),
         "grid_argmin": float(gammas[i_min]),
-        "v_min": v_min,
-        "v_max": -neg_v_max,
+        "v_min": float(v_min),
+        "v_max": -float(neg_v_max),
         "gamma_min": gamma_min,
         "gamma_max": gamma_max,
     }
@@ -216,16 +202,23 @@ class _Fixtures:
         return [(t, report.mean, report.ellipse) for t, report in zip(ts, reports)]
 
     @functools.cached_property
+    def stokes(self) -> list:
+        """The operators S0..S3 of `stokes_operator` on N = 0..12, indexed by N."""
+        return [
+            [stokes_operator(build_spin_space(num), axis) for axis in range(4)]
+            for num in range(0, 13)
+        ]
+
+    @functools.cached_property
     def ladder_stokes(self) -> list:
-        """The pipeline's (S1, S2, S3) of `stokes_operator` for N = 0..12.
+        """The matrices (S1, S2, S3) of `stokes` for N = 0..12.
 
         A harness hook adds the perturbation to the first ladder coefficient
         of S+ = S2 + i S3, on copies, to confirm the algebra checks catch it.
         """
         stokes = []
-        for num in range(0, 13):
-            space = build_spin_space(num)
-            s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
+        for num, (_, *operators) in enumerate(self.stokes):
+            s1, s2, s3 = (op.matrix for op in operators)
             if self.ladder_perturbation and num >= 1:
                 bump = np.zeros_like(s2)  # S+ gains it at (0, 1), S- at (1, 0)
                 bump[0, 1] = self.ladder_perturbation
@@ -261,12 +254,10 @@ def _casimir(fx, rng):
 
 def _s0_commutes(fx, rng):
     worst = 0.0
-    for num in range(0, 13):
-        space = build_spin_space(num)
-        s0 = stokes_operator(space, 0).matrix
-        for axis in (1, 2, 3):
-            op = stokes_operator(space, axis).matrix
-            worst = max(worst, float(np.abs(s0 @ op - op @ s0).max()))
+    for s0, *operators in fx.stokes:
+        for op in operators:
+            commutator = s0.matrix @ op.matrix - op.matrix @ s0.matrix
+            worst = max(worst, float(np.abs(commutator).max()))
     return worst == 0.0, f"max |[S0,Si]| = {worst:.3e}"
 
 
@@ -282,9 +273,8 @@ def _ladder_adjoint(fx, rng):
 
 def _expectation_real(fx, rng):
     worst = 0.0
-    operators = _random_state_operators()
     for state in _random_states(rng, 1000):
-        for op in operators[state.space.num_photons]:
+        for op in fx.stokes[state.space.num_photons][1:]:
             raw = np.vdot(state.amplitudes, op.matrix @ state.amplitudes)
             worst = max(worst, abs(raw.imag))
     return worst < 1e-12, f"max residual imaginary part = {worst:.3e}"
@@ -292,9 +282,8 @@ def _expectation_real(fx, rng):
 
 def _variance_nonnegative(fx, rng):
     smallest = np.inf
-    operators = _random_state_operators()
     for state in _random_states(rng, 400):
-        for op in operators[state.space.num_photons]:
+        for op in fx.stokes[state.space.num_photons][1:]:
             smallest = min(smallest, variance(state, op))
     return smallest >= 0.0, f"min clamped variance = {smallest:.3e}"
 
@@ -303,11 +292,10 @@ def _exponential_unitarity(fx, rng):
     # exp(i a S_k) psi is kept in norm, and equals the rotation by -a about
     # axis k, which `rotate_about` builds from the S1 phases and S2 eigenbasis
     drift = offset = 0.0
-    operators = _random_state_operators()
     for trial, state in enumerate(_random_states(rng, 200)):
         angle = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
         axis = 1 + trial % 3
-        op = operators[state.space.num_photons][axis - 1]
+        op = fx.stokes[state.space.num_photons][axis]
         unitary = hermitian_exponential(op, 1j * angle)
         image = unitary @ state.amplitudes
         rotated = rotate_about(state, np.eye(3)[axis - 1], -angle).amplitudes

@@ -275,7 +275,7 @@ class TestRotate:
             rotate(random_state(SPACE3, RNG), 0, 1.0)
 
     def test_bool_axis_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rotation axis must be 1, 2 or 3, got True$"):
             rotate(random_state(SPACE3, RNG), True, 1.0)
 
     def test_float_axis_rejected(self):

@@ -150,6 +150,16 @@ class TestStokesOperators:
             stokes_operator(space, 1.0)
         _assert_bitwise(stokes_operator(space, np.int64(2)).matrix, stokes_operator(space, 2).matrix)
 
+    def test_bool_stokes_axis_rejected(self):
+        # True == 1, so True in (0, 1, 2, 3) holds and gave S1
+        with pytest.raises(ValueError, match=r"^Stokes axis must be 0, 1, 2 or 3, got True$"):
+            stokes_operator(build_spin_space(2), True)
+
+    def test_bool_ladder_sign_rejected(self):
+        # True == 1, so a bool sign gave S+
+        with pytest.raises(ValueError, match=r"^ladder sign must be \+1 or -1, got True$"):
+            ladder_operator(build_spin_space(2), True)
+
     def test_float_ladder_sign_rejected(self):
         # 1.0 in (+1, -1) holds, and a float sign gave S+
         space = build_spin_space(2)

@@ -29,6 +29,7 @@ from stokes_squeeze import (
     triphoton_state_rows,
     variance,
     variance_ellipse,
+    verify,
 )
 from stokes_squeeze.cli import main
 from stokes_squeeze.spin_core import (
@@ -468,6 +469,8 @@ class TestGammaScan:
     def test_scan_recovers_extremes_and_argmin(self):
         states = [triphoton_state(t) for t in np.linspace(0.1, 1.8, 10)]
         states += [random_state(build_spin_space(1 + k), RNG) for k in range(6)]
+        large = np.random.default_rng(467)  # leaves the module's RNG stream as it was
+        states += [random_state(build_spin_space(num), large) for num in (32, 128, 512)]
         for state in states:
             report = squeezing_report(state)
             scan = scan_transverse_variance(state, report.frame, samples=3600)
@@ -480,6 +483,19 @@ class TestGammaScan:
                     scan["gamma_min"], report.ellipse.gamma_opt
                 )
                 assert offset < 1e-6
+
+    @pytest.mark.parametrize("num", [3, 64])
+    def test_scan_takes_no_variance_call(self, monkeypatch, num):
+        # the grid and both refinements read the images' five moments only
+        def refuse(*args):
+            raise AssertionError("variance called")
+
+        monkeypatch.setattr(verify, "variance", refuse)
+        state = random_state(build_spin_space(num), np.random.default_rng(num))
+        report = squeezing_report(state)
+        scan = scan_transverse_variance(state, report.frame)
+        assert scan["v_min"] == pytest.approx(report.v_minus, abs=1e-10)
+        assert scan["v_max"] == pytest.approx(report.v_plus, abs=1e-10)
 
 
 def test_decibels():

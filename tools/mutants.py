@@ -66,6 +66,14 @@ MUTANTS = (
         "off[-1] *= 1.0",
     ),
     (
+        # the scan's cross term negated: V(gamma) reads V(-gamma), so the
+        # extrema keep their values and the argmin moves to -gamma_opt
+        "scan-cross-term-sign",
+        "verify.py",
+        "2.0 * cos_g * sin_g",
+        "-2.0 * cos_g * sin_g",
+    ),
+    (
         "d2-sign-flipped",
         "spin_core.py",
         "band = d1 * b1 + d2 * b2 + d3 * b3",
