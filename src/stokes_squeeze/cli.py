@@ -328,8 +328,10 @@ def _husimi_state(args):
     if (args.T is None) == (args.N is None):
         raise ValueError("choose a state with either --T (triphoton) or --N (NOON)")
     if args.T is not None:
+        if args.noon_phase is not None:
+            raise ValueError("--noon-phase applies to a NOON state (--N), not to --T")
         return triphoton_state(args.T)
-    return noon_state(args.N, args.noon_phase)
+    return noon_state(args.N, 0.0 if args.noon_phase is None else args.noon_phase)
 
 
 def _text_words(texts) -> np.ndarray:
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     husimi = sub.add_parser("husimi", help="evaluate the Husimi Q distribution")
     husimi.add_argument("--T", type=float, default=None)
     husimi.add_argument("--N", type=int, default=None)
-    husimi.add_argument("--noon-phase", type=float, default=0.0)
+    husimi.add_argument("--noon-phase", type=float, default=None)
     husimi.add_argument("--n-theta", type=int, default=181)
     husimi.add_argument("--n-phi", type=int, default=360)
     husimi.add_argument("--scheme", choices=("endpoint", "midpoint"), default="endpoint")

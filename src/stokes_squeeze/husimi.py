@@ -5,10 +5,12 @@ coherent state at (theta, phi); it is everywhere in [0, 1] and satisfies
 (2s+1)/(4pi) * integral Q dOmega = 1.  Grids sample theta on [0, pi] (either
 cell midpoints or endpoints) and phi uniformly on [0, 2pi).
 
-The phases e^{-i k phi_j} depend only on n_phi, so `q_grid` reads them from
-one retained read-only table, k = 0..K by phi, rebuilt when a larger N or
-another n_phi arrives.  `MAX_GRID_ENTRIES` bounds it too: at most 2^21
-complex entries, 32 MB.
+`q_grid` sums only over the state's support S, the k with a_k != 0, so a
+map costs O(n_theta n_phi |S|): two terms per cell for a NOON state, not
+N + 1.  The phases e^{-i k phi_j} depend only on n_phi, so `q_grid` reads
+its rows S from one retained read-only table, k = 0..K by phi, rebuilt when
+a larger N or another n_phi arrives.  `MAX_GRID_ENTRIES` bounds it too: at
+most 2^21 complex entries, 32 MB.
 """
 
 from __future__ import annotations
@@ -156,7 +158,17 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
 
     The coherent amplitudes factor as b_k(theta) e^{i k phi}, with b the
     binomial profile that `coherent_state_closed_form` also uses, so each
-    theta row is a short Fourier sum evaluated for all phi at once.
+    theta row is a short Fourier sum evaluated for all phi at once: one
+    (n_theta x |S|) @ (|S| x n_phi) product over the support S, in
+    O(n_theta n_phi |S|).
+
+    A dense state passes the same numbers to the same product as a sum over
+    all N + 1 terms, and a sparse one the same nonzero terms: below 128
+    terms OpenBLAS sums an overlap in one block, where a zero term changes
+    no bit.  From N = 128 on it sums in blocks of 128, which the zero terms
+    fill otherwise than the support does, so a sparse map may move in its
+    last bits; so may a one-term complex support on the last column of an
+    odd n_phi.  The N cap stays at N + 1 table rows.
     """
     num = state.space.num_photons
     entries = max(grid.n_theta, grid.n_phi) * (num + 1)
@@ -165,8 +177,13 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
             f"{grid.n_theta} x {grid.n_phi} grid at N = {num} needs {entries} coefficients "
             f"per array, above the bound MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}"
         )
-    profile = _binomial_profile(num, grid.thetas)
-    overlaps = (profile * state.amplitudes[None, :]) @ _phases(grid.phis, num)
+    support = np.flatnonzero(state.amplitudes)
+    if support.size == num + 1:
+        # every column: a view of the phase table, not a copy
+        columns, profile = slice(None), _binomial_profile(num, grid.thetas)
+    else:
+        columns, profile = support, _binomial_profile(num, grid.thetas, support)
+    overlaps = (profile * state.amplitudes[columns]) @ _phases(grid.phis, num)[columns]
     values = np.abs(overlaps)
     np.square(values, out=values)
     np.clip(values, 0.0, 1.0, out=values)

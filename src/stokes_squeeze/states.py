@@ -16,6 +16,7 @@ not a dense exponential.  Its oracle is the binomial expansion of
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -69,32 +70,51 @@ def coherent_state(space: SpinSpace, theta: float, phi: float) -> PolarizationSt
     return normalized_state(space, phases * column)
 
 
-def _binomial_profile(num_photons: int, thetas) -> np.ndarray:
+#: the least integer that float() rounds past the largest double: the
+#: midpoint (2^53 - 1/2) 2^971 between it and 2^1024 rounds up, to even
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _binomial_profile(num_photons: int, thetas, ks=None) -> np.ndarray:
     """Real factors b_k(theta) of the coherent amplitudes b_k(theta) e^{i k phi}
-    (Arecchi et al., PRA 6, 2211 (1972)), shape thetas.shape + (N+1,).
+    (Arecchi et al., PRA 6, 2211 (1972)) for the columns k in `ks` (default
+    k = 0..N), shape thetas.shape + (len(ks),).
 
     b_k = sqrt(C(N,k)) cos(theta/2)^(N-k) sin(theta/2)^k.  From N = 1030 on,
     the middle C(N,k) exceed the float range; only those entries are taken in
     log space, exp(log C / 2 + (N-k) log|cos| + k log|sin|) with the sign of
     the product, so every other entry is the product as written, and a pole
-    (sin or cos exactly 0) still gives an exact zero.
+    (sin or cos exactly 0) still gives an exact zero.  Every entry is
+    elementwise in its own k and C(N,k), the exact integer either way (one
+    running product for all k, `math.comb` for a subset), so column j of a
+    subset is bit for bit column ks[j] of the whole profile.
     """
+    if ks is None:
+        k = np.arange(num_photons + 1)
+        # C(N, j+1) = C(N, j) (N-j) / (j+1): the running product stays an integer
+        exact = itertools.accumulate(
+            range(num_photons), lambda c, j: c * (num_photons - j) // (j + 1), initial=1
+        )
+    else:
+        k = np.asarray(ks, dtype=int)
+        if k.size == 1:
+            # one exponent for a whole loop makes numpy square in place of
+            # pow(x, 2); two columns take the power loop of the whole profile
+            return _binomial_profile(num_photons, thetas, np.repeat(k, 2))[..., :1]
+        exact = [math.comb(num_photons, j) for j in k.tolist()]
     binom, huge, log_binom = [], [], []
-    c = 1  # C(N, j), exact: the running product stays an integer
-    for j in range(num_photons + 1):
-        try:
+    for column, c in enumerate(exact):
+        if c < _FLOAT_LIMIT:
             binom.append(float(c))
-        except OverflowError:
+        else:
             binom.append(0.0)
-            huge.append(j)
+            huge.append(column)
             log_binom.append(math.log(c))
-        c = c * (num_photons - j) // (j + 1)
-    k = np.arange(num_photons + 1)
     half = np.asarray(thetas, dtype=float)[..., None] / 2.0
     cos, sin = np.cos(half), np.sin(half)
     profile = np.sqrt(binom) * cos ** (num_photons - k) * sin**k
     if huge:
-        k = np.array(huge)
+        k = k[huge]
         with np.errstate(divide="ignore"):
             logs = (
                 np.array(log_binom) / 2.0
@@ -102,7 +122,7 @@ def _binomial_profile(num_photons: int, thetas) -> np.ndarray:
                 + k * np.log(np.abs(sin))
             )
         signs = np.sign(cos) ** (num_photons - k) * np.sign(sin) ** k
-        profile[..., k] = signs * np.exp(logs)
+        profile[..., huge] = signs * np.exp(logs)
     return profile
 
 

@@ -569,6 +569,23 @@ class TestHusimi:
         assert main(["husimi", "--output", out]) == 1
         assert main(["husimi", "--T", "1", "--N", "3", "--output", out]) == 1
 
+    @pytest.mark.parametrize("phase", ["0.5", "0"])
+    def test_noon_phase_needs_a_noon_state(self, tmp_path, capsys, phase):
+        # a triphoton map has no NOON phase to set: refused, not ignored
+        out = tmp_path / "x.pgm"
+        argv = ["husimi", "--T", "1", "--noon-phase", phase, "--format", "pgm"]
+        assert main(argv + ["--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --noon-phase applies to a NOON state (--N), not to --T\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_noon_phase_defaults_to_zero(self, tmp_path):
+        paths = [tmp_path / "default.pgm", tmp_path / "zero.pgm"]
+        argv = ["husimi", "--N", "5", "--n-theta", "31", "--n-phi", "40", "--format", "pgm"]
+        assert main(argv + ["--output", str(paths[0])]) == 0
+        assert main(argv + ["--noon-phase", "0", "--output", str(paths[1])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_tiny_grid_rejected(self, tmp_path):
         assert main(["husimi", "--T", "1", "--n-theta", "1",
                      "--output", str(tmp_path / "x.csv")]) == 1

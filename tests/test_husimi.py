@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stokes_squeeze import (
+    PolarizationState,
     SphereGrid,
     build_spin_space,
     coherent_state,
+    fock_superposition,
     noon_state,
+    normalized_state,
     q_grid,
     q_value,
     rotate,
@@ -15,7 +19,7 @@ from stokes_squeeze import (
 )
 from stokes_squeeze import husimi
 from stokes_squeeze.husimi import MAX_GRID_ENTRIES, QGrid, _chebyshev_weights
-from stokes_squeeze.states import _binomial_profile
+from stokes_squeeze.states import _binomial_profile, basis_state
 from stokes_squeeze.verify import random_state
 
 SQRT3 = math.sqrt(3.0)
@@ -219,11 +223,144 @@ class TestQGrid:
 
 
 def _fresh_values(state, grid) -> np.ndarray:
-    """Q as q_grid made it with a phase matrix of its own on every call."""
+    """Q as q_grid makes it, summed over the state's support, with a phase
+    matrix of its own on every call."""
     num = state.space.num_photons
-    phases = np.exp(-1j * np.outer(grid.phis, np.arange(num + 1)))
-    overlaps = (_binomial_profile(num, grid.thetas) * state.amplitudes[None, :]) @ phases.T
+    support = np.flatnonzero(state.amplitudes)
+    phases = np.exp(-1j * np.outer(grid.phis, support))
+    profile = _binomial_profile(num, grid.thetas, support)
+    overlaps = (profile * state.amplitudes[support]) @ phases.T
     return np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
+
+
+def _dense_values(state, grid) -> np.ndarray:
+    """Q from the (N+1)-term product over every k, zero amplitudes included."""
+    num = state.space.num_photons
+    phases = np.exp(-1j * np.outer(np.arange(num + 1), grid.phis))
+    overlaps = (_binomial_profile(num, grid.thetas) * state.amplitudes[None, :]) @ phases
+    return np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
+
+
+def _sparse_state(num, size, rng) -> PolarizationState:
+    """`size` random complex amplitudes at random indices, zero elsewhere."""
+    amps = np.zeros(num + 1, dtype=complex)
+    amps[rng.choice(num + 1, size=size, replace=False)] = [1, 1j] @ rng.normal(size=(2, size))
+    return normalized_state(build_spin_space(num), amps)
+
+
+def _support_bound(state, grid, dense, sparse) -> np.ndarray:
+    """Per cell, how far the support product may lie from the dense one.
+
+    Both read the same profile b_k, amplitudes a_k and phases p_k, and form
+    the same nonzero terms; they differ only in how the product rounds.
+    Each overlap takes the complex products x_k p_k (x_k = fl(b_k a_k)) and
+    sums at most N+1 of them in some order, as four real sums of products
+    combined; so it lies within sqrt(2) gamma_{N+3} W of the exact sum of
+    its terms, with W = sum_k |x_k| |p_k| and gamma_n = n u / (1 - n u), u
+    the unit round-off (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1 and 3.6).  The two
+    overlaps then differ by at most 3 gamma_{N+3} W (|p_k| <= 1 + 2u
+    covered), and Q = |o|^2 by that times |o1| + |o2| <= (1 + 2u)(sqrt Q1 +
+    sqrt Q2), plus 4u (Q1 + Q2) for rounding |o| and its square.
+    """
+    num = state.space.num_photons
+    weight = np.abs(_binomial_profile(num, grid.thetas)) @ np.abs(state.amplitudes)
+    u = np.finfo(float).eps / 2.0
+    gamma = (num + 3) * u / (1.0 - (num + 3) * u)
+    roots = (1.0 + 2.0 * u) * (np.sqrt(dense) + np.sqrt(sparse))
+    return 3.0 * gamma * weight[:, None] * roots + 4.0 * u * (dense + sparse)
+
+
+class TestSupportProduct:
+    """`q_grid` sums over the state's support, not over all N+1 terms."""
+
+    GRIDS = (
+        SphereGrid(181, 360, scheme="endpoint"),
+        SphereGrid(31, 97, scheme="midpoint"),
+        SphereGrid(9, 11, scheme="endpoint"),
+    )
+
+    @staticmethod
+    def _states(rng):
+        yield random_state(build_spin_space(300), rng)  # dense: any N
+        yield triphoton_state(0.5)
+        for num in (1, 2, 3, 8, 64, 100, 127):
+            space = build_spin_space(num)
+            yield random_state(space, rng)
+            yield noon_state(num, rng.uniform(0, 2 * np.pi))
+            for index in {0, num // 2, num}:
+                yield basis_state(space, space.n_values[index])
+            if num >= 2:
+                yield fock_superposition(space, [(num, 0, 1.0), (num - 1, 1, 0.5j), (0, num, -0.3)])
+                for size in {2, 3, min(num, 30)}:
+                    yield _sparse_state(num, size, rng)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.n_theta}x{g.n_phi}")
+    def test_bits_of_the_dense_product_up_to_127(self, grid):
+        # a dense state passes the same numbers to the same product; below
+        # 128 terms BLAS sums each overlap in one block, where a zero term
+        # changes no bit
+        rng = np.random.default_rng(23)
+        for state in self._states(rng):
+            np.testing.assert_array_equal(
+                q_grid(state, grid).values,
+                _dense_values(state, grid),
+                err_msg=f"N = {state.space.num_photons}, support "
+                f"{np.flatnonzero(state.amplitudes).tolist()}",
+            )
+
+    def test_one_term_support_keeps_bits_on_an_even_width(self):
+        # a basis state times a phase keeps its bits here; on the last column
+        # of an odd width OpenBLAS rounds a one-term complex product otherwise
+        # than the (N+1)-term one (test_within_derived_bound)
+        rng = np.random.default_rng(29)
+        grid = SphereGrid(181, 360, scheme="endpoint")
+        for num in (1, 2, 64, 127):
+            state = _sparse_state(num, 1, rng)
+            np.testing.assert_array_equal(q_grid(state, grid).values, _dense_values(state, grid))
+
+    @pytest.mark.parametrize("num_photons", [128, 129, 200, 1030, 2047, 5824])
+    def test_within_derived_bound(self, num_photons):
+        # from 128 terms on, BLAS sums an overlap in blocks of 128, so the
+        # zero terms group the nonzero ones otherwise than the support does
+        rng = np.random.default_rng(num_photons)
+        grid = SphereGrid(31, 97, scheme="endpoint")
+        states = [noon_state(num_photons, 0.3), _sparse_state(num_photons, 1, rng)]
+        states += [_sparse_state(num_photons, size, rng) for size in (2, 5, 40)]
+        states.append(_sparse_state(rng.integers(1, 128), 1, rng))  # one term, odd width
+        for state in states:
+            sparse, dense = q_grid(state, grid).values, _dense_values(state, grid)
+            excess = np.abs(sparse - dense) - _support_bound(state, grid, dense, sparse)
+            assert excess.max() <= 0.0, np.flatnonzero(state.amplitudes)
+
+    def test_noon_map_asks_for_two_profile_columns(self, monkeypatch):
+        widths = []
+
+        def spy(num, thetas, ks=None):
+            profile = _binomial_profile(num, thetas, ks)
+            widths.append(profile.shape[-1])
+            return profile
+
+        monkeypatch.setattr(husimi, "_binomial_profile", spy)
+        grid = SphereGrid(181, 360, scheme="endpoint")
+        q_grid(noon_state(64, 0.3), grid)
+        q_grid(random_state(build_spin_space(64), np.random.default_rng(31)), grid)
+        assert widths == [2, 65]
+
+    def test_dense_support_reads_the_phase_table_in_place(self):
+        # the largest N of a 2 x 360 grid: a copy of its table would be 33 MB
+        grid = SphereGrid(2, 360, scheme="endpoint")
+        state = random_state(build_spin_space(5824), np.random.default_rng(37))
+        q_grid(state, grid)
+        table = husimi._phase_table
+        tracemalloc.start()
+        try:
+            q_grid(state, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert husimi._phase_table is table
+        assert peak < table.nbytes / 4
 
 
 class TestPhaseTable:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stokes_squeeze import (
+    SphereGrid,
     build_spin_space,
     coherent_state,
     coherent_state_closed_form,
@@ -35,7 +36,7 @@ from stokes_squeeze.spin_core import (
     _stokes_combination,
     stokes_operator,
 )
-from stokes_squeeze.states import _binomial_profile, basis_state
+from stokes_squeeze.states import _FLOAT_LIMIT, _binomial_profile, basis_state
 
 SQRT3 = math.sqrt(3.0)
 SPACE3 = build_spin_space(3)
@@ -178,6 +179,34 @@ class TestCoherentClosedForm:
         np.testing.assert_array_equal(
             _binomial_profile(num_photons, thetas).view(np.uint64), expected.view(np.uint64)
         )
+
+    def test_float_limit_is_where_float_overflows(self):
+        # the profile takes C(N, k) in log space exactly where float() raises
+        assert float(_FLOAT_LIMIT - 1) == np.finfo(float).max
+        with pytest.raises(OverflowError):
+            float(_FLOAT_LIMIT)
+
+    @pytest.mark.parametrize("scheme", ["endpoint", "midpoint"])
+    @pytest.mark.parametrize(
+        "num_photons", [0, 1, 2, 3, 64, 127, 128, 1029, 1030, 1031, 2047, 5824]
+    )
+    def test_profile_columns_match_whole_profile(self, num_photons, scheme):
+        # the columns ks (q_grid asks for a state's support) are bit for bit,
+        # sign bits included, those columns of the whole profile: on a grid
+        # with its poles, and at angles past [0, pi] where cos or sin is < 0
+        rng = np.random.default_rng(num_photons)
+        thetas = np.concatenate([SphereGrid(37, 2, scheme=scheme).thetas, rng.uniform(-7, 7, 8)])
+        whole = _binomial_profile(num_photons, thetas)
+        choices = [np.arange(num_photons + 1), [0, num_photons], [num_photons // 2]]
+        for _ in range(6):
+            size = rng.integers(1, min(num_photons + 1, 40), endpoint=True)
+            choices.append(rng.choice(num_photons + 1, size=size, replace=False))
+        for ks in choices:
+            np.testing.assert_array_equal(
+                _binomial_profile(num_photons, thetas, ks).view(np.uint64),
+                whole[:, ks].view(np.uint64),
+                err_msg=f"ks = {ks}",
+            )
 
 
 class TestTriphotonRaw:

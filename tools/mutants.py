@@ -342,6 +342,14 @@ MUTANTS = (
         "table.shape[0] <= num",
         "table.shape[0] < num",
     ),
+    (
+        # the Husimi sum misses the first support index: |N,0> of a NOON
+        # state, k = 0 of a dense one
+        "q-grid-support-first-dropped",
+        "husimi.py",
+        "support = np.flatnonzero(state.amplitudes)",
+        "support = np.flatnonzero(state.amplitudes)[1:]",
+    ),
 )
 
 
