@@ -4,11 +4,11 @@ metrics, and the self-verification suite.
 Output files are byte-identical across runs for identical invocations; CSV
 renders real numbers with 12 significant digits and an unbounded zeta^2 as an
 empty field.  The husimi CSV is written in blocks of at most
-`HUSIMI_CSV_CELLS` lines: each block is one array of NUL-padded uint32
-words (theta, phi and p as `_fmt` texts, Q rendered by `_g12.g12_words`
-exactly as `%.12g` renders it, then a newline), turned into bytes by one
-`bytes.translate(None, b"\0")` and written in binary mode.  Its grid is
-bounded by `husimi.MAX_GRID_ENTRIES` (2^21 entries per array).  Every float
+`HUSIMI_CSV_CELLS` lines through one buffer of NUL-padded uint32 words per
+map (theta, phi and p as `_fmt` texts rendered once per grid, Q by
+`_g12.g12_words` exactly as `%.12g`, then a newline), whose NULs one
+`translate` per block removes.  A failed write, of any output file, removes
+the file.  The grid is bounded by `husimi.MAX_GRID_ENTRIES`.  Every float
 argument must be finite.  Sweeps run serially, with at most
 `MAX_SWEEP_STEPS` samples, and are written `SWEEP_CHUNK_ROWS` rows at a
 time.
@@ -27,6 +27,7 @@ float takes the float spec.  So the bytes are those of `_fmt` on every CSV cell 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -38,7 +39,7 @@ import numpy as np
 from ._g12 import G12_WORDS, g12_words
 from .elements import vpp_success_probabilities
 from .husimi import SphereGrid, q_grid
-from .spin_core import SpinSpace
+from .spin_core import CACHED_SIZES, SpinSpace
 from .squeezing import SqueezingReport, decibels, squeezing_columns, squeezing_report
 from .states import (
     TRIPHOTON_SPACE, noon_state, triphoton_amplitudes, triphoton_rows_from_amplitudes,
@@ -252,6 +253,19 @@ def _meta(command: str, parameters: dict, space: SpinSpace) -> dict:
     return {"command": command, "parameters": parameters, "spin": space.spin, "dimension": space.dimension}
 
 
+@contextlib.contextmanager
+def _output(path: str, mode: str = "wb", **kwargs):
+    """The file `path` opened for writing, removed again if the writing
+    fails: a failed command leaves no partial output."""
+    handle = open(path, mode, **kwargs)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def cmd_sweep(args) -> int:
     samples = sweep_samples(args.t_min, args.t_max, args.steps)
     parameters = {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps}
@@ -259,14 +273,9 @@ def cmd_sweep(args) -> int:
     # the first chunk is made before the file is opened, and a later chunk
     # that fails removes it: a failed sweep leaves no partial output
     first = next(parts)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+    with _output(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(first)
-        try:
-            handle.writelines(parts)
-        except BaseException:
-            handle.close()
-            os.remove(args.output)
-            raise
+        handle.writelines(parts)
     return 0
 
 
@@ -336,50 +345,59 @@ def _husimi_state(args):
 
 def _text_words(texts) -> np.ndarray:
     """Each text and a comma, NUL-padded to whole little-endian uint32 words:
-    one row of words per text."""
+    one read-only row of words per text."""
     cells = np.array([text + "," for text in texts], dtype="S")
     words = -(-cells.itemsize // 4)
-    return cells.astype(f"S{4 * words}").view("<u4").reshape(len(texts), words)
+    rows = cells.astype(f"S{4 * words}").view("<u4").reshape(len(texts), words)
+    rows.setflags(write=False)
+    return rows
 
 
-def _csv_block(theta_words, phi_words, p_words, values) -> bytes:
-    """The CSV lines of a (rows, cols) block of Q values: the row's theta and
-    p words, the column's phi words, Q by `g12_words` and a newline, as
-    NUL-padded words with the NULs removed."""
-    rows, cols = values.shape
-    ends = np.cumsum([theta_words.shape[1], phi_words.shape[1], p_words.shape[1], G12_WORDS])
-    block = np.empty((rows, cols, ends[-1] + 1), dtype="<u4")
-    block[:, :, : ends[0]] = theta_words[:, None]
-    block[:, :, ends[0] : ends[1]] = phi_words[None]
-    block[:, :, ends[1] : ends[2]] = p_words[:, None]
-    block[:, :, -1] = _NEWLINE_WORD
-    lines = block.reshape(rows * cols, -1)
-    g12_words(values.ravel(), lines[:, ends[2] : ends[3]])
-    return lines.tobytes().translate(None, b"\0")
+@functools.lru_cache(maxsize=CACHED_SIZES)
+def _grid_words(n_theta: int, n_phi: int, scheme: str) -> tuple:
+    """`_text_words` of a grid's theta, p and phi texts, made once per grid size."""
+    grid = SphereGrid(n_theta, n_phi, scheme=scheme)
+    thetas = grid.thetas.tolist()
+    return (
+        _text_words([_fmt(theta) for theta in thetas]),
+        _text_words([_fmt(math.cos(theta)) for theta in thetas]),
+        _text_words([_fmt(phi) for phi in grid.phis.tolist()]),
+    )
 
 
 def _write_husimi_csv(path: str, grid: SphereGrid, values: np.ndarray) -> None:
     """Write the husimi CSV in blocks of at most HUSIMI_CSV_CELLS lines.
 
-    A block is whole theta rows, or one part of a row longer than that.  Q
-    is rendered by `g12_words`; theta, p and phi are `_fmt` texts, made once
-    per row and once per phi column, whose words are kept per column part.
+    A block is whole theta rows, or one part of a row longer than that.  All
+    blocks fill one NUL-padded word buffer: theta, phi and p words from
+    `_grid_words`, Q from `g12_words`, then a newline.  The newline and phi
+    words are written once (the phi words once per block where a row has
+    several parts), so a block writes its theta, p and Q words, and
+    `translate` reads the buffer in place.
     """
     n_theta, n_phi = values.shape
     rows, cols = max(1, HUSIMI_CSV_CELLS // n_phi), min(n_phi, HUSIMI_CSV_CELLS)
-    phi_parts = [
-        (c0, _text_words([_fmt(phi) for phi in grid.phis[c0 : c0 + cols].tolist()]))
-        for c0 in range(0, n_phi, cols)
-    ]
-    with open(path, "wb") as handle:
+    theta_words, p_words, phi_words = _grid_words(n_theta, n_phi, grid.scheme)
+    ends = np.cumsum([theta_words.shape[1], phi_words.shape[1], p_words.shape[1], G12_WORDS])
+    width = int(ends[-1]) + 1
+    buffer = bytearray(4 * min(rows, n_theta) * cols * width)
+    lines = np.frombuffer(buffer, dtype="<u4").reshape(-1, width)
+    lines[:, -1] = _NEWLINE_WORD
+    with _output(path) as handle:
         handle.write(b"theta,phi,p,Q\n")
         for r0 in range(0, n_theta, rows):
-            thetas = grid.thetas[r0 : r0 + rows].tolist()
-            theta_words = _text_words([_fmt(theta) for theta in thetas])
-            p_words = _text_words([_fmt(math.cos(theta)) for theta in thetas])
-            for c0, phi_words in phi_parts:
+            for c0 in range(0, n_phi, cols):
                 block = values[r0 : r0 + rows, c0 : c0 + cols]
-                handle.write(_csv_block(theta_words, phi_words, p_words, block))
+                n, m = block.shape
+                size = 4 * n * m * width  # the block's bytes at the start of the buffer
+                cells = lines[: n * m].reshape(n, m, width)
+                if r0 == 0 or n_phi > cols:  # the first block, or every part of a row
+                    cells[:, :, ends[0] : ends[1]] = phi_words[c0 : c0 + m]
+                cells[:, :, : ends[0]] = theta_words[r0 : r0 + n, None]
+                cells[:, :, ends[1] : ends[2]] = p_words[r0 : r0 + n, None]
+                g12_words(block.ravel(), lines[: n * m, ends[2] : ends[3]])
+                text = buffer if size == len(buffer) else buffer[:size]
+                handle.write(text.translate(None, b"\0"))
 
 
 def cmd_husimi(args) -> int:
@@ -396,7 +414,7 @@ def cmd_husimi(args) -> int:
         np.multiply(scaled, 255.0, out=scaled)
         pixels = np.rint(scaled, out=scaled).astype(np.uint8)
         header = f"P5\n{grid.n_phi} {grid.n_theta}\n255\n".encode("ascii")
-        with open(args.output, "wb") as handle:
+        with _output(args.output) as handle:
             handle.write(header)
             handle.write(pixels.tobytes())
     return 0

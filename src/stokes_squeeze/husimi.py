@@ -7,10 +7,10 @@ cell midpoints or endpoints) and phi uniformly on [0, 2pi).
 
 `q_grid` sums only over the state's support S, the k with a_k != 0, so a
 map costs O(n_theta n_phi |S|): two terms per cell for a NOON state, not
-N + 1.  The phases e^{-i k phi_j} depend only on n_phi, so `q_grid` reads
-its rows S from one retained read-only table, k = 0..K by phi, rebuilt when
-a larger N or another n_phi arrives.  `MAX_GRID_ENTRIES` bounds it too: at
-most 2^21 complex entries, 32 MB.
+N + 1.  A dense support reads its phases e^{-i k phi_j} from one retained
+read-only table, k = 0..K by phi, rebuilt when a larger N or another n_phi
+arrives; a sparse one builds only its |S| rows.  `MAX_GRID_ENTRIES` bounds
+the table too: at most 2^21 complex entries, 32 MB.
 """
 
 from __future__ import annotations
@@ -57,16 +57,21 @@ def _chebyshev_weights(n: int) -> np.ndarray:
 _phase_table = np.empty((0, 0), dtype=complex)
 
 
+def _phase_rows(ks: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """e^{-i k phi_j} for the photon numbers `ks` (rows) and the samples
+    `phis` (columns), entry by entry: a row's bits do not depend on `ks`."""
+    return np.exp(-1j * np.outer(ks, phis))
+
+
 def _phases(phis: np.ndarray, num: int) -> np.ndarray:
     """Rows k = 0..num of the phase table for the samples `phis`, a
-    C-contiguous view.  The table is rebuilt, by the same elementwise
-    product and exp as any smaller one, when it lacks a row or has another
-    width; a call that races another's rebuild uses the table it read or
-    built."""
+    C-contiguous view.  The table is rebuilt by `_phase_rows` when it lacks
+    a row or has another width; a call that races another's rebuild uses
+    the table it read or built."""
     global _phase_table
     table = _phase_table
     if table.shape[1] != phis.size or table.shape[0] <= num:
-        table = np.exp(-1j * np.outer(np.arange(num + 1), phis))
+        table = _phase_rows(np.arange(num + 1), phis)
         table.setflags(write=False)
         _phase_table = table
     return table[: num + 1]
@@ -168,7 +173,8 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
     no bit.  From N = 128 on it sums in blocks of 128, which the zero terms
     fill otherwise than the support does, so a sparse map may move in its
     last bits; so may a one-term complex support on the last column of an
-    odd n_phi.  The N cap stays at N + 1 table rows.
+    odd n_phi.  A sparse support builds only its |S| phase rows, the
+    table's bits; the N cap still counts N + 1 coefficients.
     """
     num = state.space.num_photons
     entries = max(grid.n_theta, grid.n_phi) * (num + 1)
@@ -179,11 +185,11 @@ def q_grid(state: PolarizationState, grid: SphereGrid) -> QGrid:
         )
     support = np.flatnonzero(state.amplitudes)
     if support.size == num + 1:
-        # every column: a view of the phase table, not a copy
-        columns, profile = slice(None), _binomial_profile(num, grid.thetas)
+        # every k: the whole profile and a view of the phase table, not a copy
+        columns, ks, phases = slice(None), None, _phases(grid.phis, num)
     else:
-        columns, profile = support, _binomial_profile(num, grid.thetas, support)
-    overlaps = (profile * state.amplitudes[columns]) @ _phases(grid.phis, num)[columns]
+        columns, ks, phases = support, support, _phase_rows(support, grid.phis)
+    overlaps = (_binomial_profile(num, grid.thetas, ks) * state.amplitudes[columns]) @ phases
     values = np.abs(overlaps)
     np.square(values, out=values)
     np.clip(values, 0.0, 1.0, out=values)

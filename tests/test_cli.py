@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -676,6 +677,85 @@ class TestHusimi:
         for state_args in (["--T", "1"], ["--N", "27"]):
             blob, result = _husimi_csv(tmp_path, monkeypatch, state_args, (2, 70000), scheme)
             assert blob == _per_cell_csv(result), state_args
+
+    @pytest.mark.parametrize("scheme, shape", [
+        ("endpoint", (181, 360)), ("midpoint", (181, 360)),
+        ("endpoint", (2, 5000)), ("midpoint", (2, 5000)),
+    ], ids=str)
+    def test_csv_buffer_edges_match_per_cell_writer(self, tmp_path, monkeypatch, scheme, shape):
+        # 181 rows of 360 end in a block of 5 rows, not 11; a row of 5000
+        # cells is a part of 4096 and a part of 904 in the one buffer
+        n_theta, n_phi = shape
+        rows, cols = max(1, cli.HUSIMI_CSV_CELLS // n_phi), min(n_phi, cli.HUSIMI_CSV_CELLS)
+        assert n_theta % rows or n_phi % cols
+        blob, result = _husimi_csv(tmp_path, monkeypatch, ["--T", "1"], shape, scheme)
+        assert blob == _per_cell_csv(result)
+        if shape == (181, 360) and scheme == "endpoint":
+            # the p words of the theta = pi/2 block are wider than the first block's
+            first = cli._text_words([_fmt(math.cos(t)) for t in result.grid.thetas[:rows]])
+            assert first.shape[1] < cli._grid_words(*shape, scheme)[1].shape[1]
+            assert b",6.12323399574e-17," in blob
+
+    def test_csv_writer_keeps_one_buffer(self, tmp_path):
+        # the writer holds its one block buffer and, while Q is rendered,
+        # g12_words' own arrays (about 1.5 blocks' bytes here); a block made
+        # per iteration, or a copy of the buffer before its NULs are
+        # removed, exceeds the bound
+        grid = cli.SphereGrid(181, 360, scheme="endpoint")
+        values = q_grid(triphoton_state(1.0), grid).values
+        theta_words, p_words, phi_words = cli._grid_words(181, 360, "endpoint")
+        width = theta_words.shape[1] + p_words.shape[1] + phi_words.shape[1] + 7
+        lines = cli.HUSIMI_CSV_CELLS // 360 * 360
+        out = np.zeros((lines, cli.G12_WORDS), dtype="<u4")
+        path = str(tmp_path / "q.csv")
+        cli._write_husimi_csv(path, grid, values)
+        peaks = []
+        for call in (lambda: cli.g12_words(values[:11].ravel(), out),
+                     lambda: cli._write_husimi_csv(path, grid, values)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        g12_peak, writer_peak = peaks
+        assert writer_peak < 4 * lines * width + g12_peak + 2**15
+
+    def test_second_map_on_a_grid_formats_no_text(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return _fmt(value)
+
+        cli._grid_words.cache_clear()
+        monkeypatch.setattr(cli, "_fmt", spy)
+        grid_args = ["--n-theta", "31", "--n-phi", "40", "--output"]
+        assert main(["husimi", "--T", "1", *grid_args, str(tmp_path / "a.csv")]) == 0
+        assert len(calls) == 2 * 31 + 40  # theta and p per row, phi per column
+        assert main(["husimi", "--N", "5", *grid_args, str(tmp_path / "b.csv")]) == 0
+        assert len(calls) == 2 * 31 + 40
+
+    @pytest.mark.parametrize("fmt, writes", [("csv", 2), ("pgm", 1)])
+    def test_failed_write_removes_the_file(self, tmp_path, capsys, monkeypatch, fmt, writes):
+        # the header, and for CSV its first block, reach the file; the next write fails
+        def failing_open(path, mode, **kwargs):
+            handle = open(path, mode, **kwargs)
+            write, left = handle.write, iter(range(writes))
+
+            def limited(data):
+                if next(left, None) is None:
+                    raise OSError(28, "No space left on device")
+                return write(data)
+
+            handle.write = limited
+            return handle
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        out = tmp_path / f"q.{fmt}"
+        assert main(["husimi", "--T", "1", "--format", fmt, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert not out.exists()
 
 class TestParserReuse:
     """`main` may keep one parser for the whole process; every call still

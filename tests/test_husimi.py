@@ -364,12 +364,12 @@ class TestSupportProduct:
 
 
 class TestPhaseTable:
-    """`q_grid` reads its phases from one retained table per grid width."""
+    """A dense support reads its phases from one retained table per grid
+    width; a sparse one builds its own rows and leaves the table alone."""
 
     #: photon numbers in the order they arrive: growing by one, jumping,
     #: shrinking, and growing by one past the largest again
     SEQUENCE = (1, 2, 3, 4, 37, 64, 200, 64, 37, 3, 2, 1, 201, 202)
-    RANDOM_SIZES = (1, 2, 3, 37, 64, 200)
 
     @pytest.fixture(autouse=True)
     def _empty_table(self, monkeypatch):
@@ -383,30 +383,51 @@ class TestPhaseTable:
             largest = 0
             for num in self.SEQUENCE:
                 largest = max(largest, num)
-                states = [noon_state(num, 0.3)]
-                if num in self.RANDOM_SIZES:
-                    states.append(random_state(build_spin_space(num), rng))
-                for state in states:
+                for state in (random_state(build_spin_space(num), rng), noon_state(num, 0.3)):
                     values = q_grid(state, grid).values
                     np.testing.assert_array_equal(values, _fresh_values(state, grid))
                 assert husimi._phase_table.shape == (largest + 1, n_phi)
 
     def test_table_is_kept_for_smaller_photon_numbers(self):
+        rng = np.random.default_rng(41)
         grid = SphereGrid(5, 360)
-        q_grid(noon_state(64, 0.0), grid)
+        q_grid(random_state(build_spin_space(64), rng), grid)
         table = husimi._phase_table
         for num in (1, 2, 63, 64):
-            q_grid(noon_state(num, 0.0), grid)
+            q_grid(random_state(build_spin_space(num), rng), grid)
             assert husimi._phase_table is table
-        q_grid(noon_state(3, 0.0), SphereGrid(5, 361))
+        q_grid(random_state(build_spin_space(3), rng), SphereGrid(5, 361))
         assert husimi._phase_table.shape == (4, 361)
+
+    def test_sparse_support_leaves_the_table_alone(self):
+        # the table of a NOON N = 4096 map would hold 4097 x 360 entries,
+        # 23.6 MB, to give it two rows
+        grid = SphereGrid(181, 360, scheme="endpoint")
+        state = noon_state(4096, 0.3)
+        table = husimi._phase_table
+        tracemalloc.start()
+        try:
+            values = q_grid(state, grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert husimi._phase_table is table
+        assert peak < 2 * 2**20
+        np.testing.assert_array_equal(values, _fresh_values(state, grid))
+
+    @pytest.mark.parametrize("num", [2, 37, 64, 4096, 5824])
+    def test_support_rows_are_the_table_rows(self, num):
+        phis = SphereGrid(2, 360).phis
+        ks = np.array([0, num // 3, num - 1, num])
+        table = husimi._phases(phis, num)
+        np.testing.assert_array_equal(husimi._phase_rows(ks, phis), table[ks])
 
     @pytest.mark.parametrize("n_phi", [2049, 2**20])
     def test_table_is_read_only_and_bounded(self, n_phi):
         # the largest N q_grid accepts on a 2 x n_phi grid
         num = MAX_GRID_ENTRIES // n_phi - 1
         grid = SphereGrid(2, n_phi, scheme="endpoint")
-        q_grid(noon_state(num, 0.0), grid)
+        q_grid(random_state(build_spin_space(num), np.random.default_rng(43)), grid)
         table = husimi._phase_table
         assert table.shape == (num + 1, n_phi)
         assert table.size <= MAX_GRID_ENTRIES

@@ -169,6 +169,29 @@ MUTANTS = (
         '"json": ("%r", {None: "None",',
     ),
     (
+        # every block of the reused CSV buffer takes the first block's theta
+        # words: rows past the first block print the wrong theta
+        "csv-theta-words-first-block-only",
+        "cli.py",
+        "theta_words[r0 : r0 + n, None]",
+        "theta_words[:n, None]",
+    ),
+    (
+        # the buffer's phi words written in the first theta row only: each
+        # later row wider than HUSIMI_CSV_CELLS starts with the last part's phis
+        "csv-phi-words-written-in-the-first-row-only",
+        "cli.py",
+        "if r0 == 0 or n_phi > cols:",
+        "if r0 == 0:",
+    ),
+    (
+        # a failed write keeps its partial file
+        "partial-output-kept",
+        "cli.py",
+        "        os.remove(path)\n",
+        "        pass\n",
+    ),
+    (
         # weights at T = 0 are then IEEE powers of zero: the same except for
         # the -0 odd powers at T = -0.0
         "vpp-zero-row-unmasked",
@@ -329,11 +352,20 @@ MUTANTS = (
         "    dim = num_photons + 1\n    half =",
     ),
     (
-        # the Husimi map mirrored in phi
+        # the Husimi map mirrored in phi: the table rows of a dense support
+        # and the own rows of a sparse one
         "q-grid-phases-conjugated",
         "husimi.py",
-        "table = np.exp(-1j * np.outer(np.arange(num + 1), phis))",
-        "table = np.exp(1j * np.outer(np.arange(num + 1), phis))",
+        "return np.exp(-1j * np.outer(ks, phis))",
+        "return np.exp(1j * np.outer(ks, phis))",
+    ),
+    (
+        # a sparse support reads its rows from the whole table: the same
+        # bits, but all N + 1 rows built and kept for |S| of them
+        "sparse-phases-from-the-table",
+        "husimi.py",
+        "_phase_rows(support, grid.phis)",
+        "_phases(grid.phis, num)[support]",
     ),
     (
         # a table one row short is kept: N one above the last largest fails
