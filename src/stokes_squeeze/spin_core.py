@@ -31,16 +31,17 @@ main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
 zeroed matrix with the same elementwise arithmetic as the dense sum; a real d
 makes it Hermitian by construction.  The moment kernel makes every product
 of a squeezing report: `_mean_moments` gives <S1..S3> (S1 by the O(N)
-`_s1_image`, S2 and S3 by their `_stokes_band` entries written into the work
-matrix), `_transverse_moments` the second moments of n1.S and n2.S,
-and `_direction_variance` the variance of one d.S for the QFI.  The mean and
-one-row chunks write over `_work_matrix`, one cached zero matrix per size and
-thread, whose band every write overwrites: no (N+1)^2 zero fill per call.
-Larger chunks get one fresh zero stack of at most CHUNK_ENTRIES entries.
-Each matrix is applied by one BLAS product, which is O(N^2).  A banded
-O(N) matvec would be cheaper, but it accumulates in another order than BLAS
-(which fuses multiply-adds) and moves the low bits of published sweep
-values, so it needs the golden outputs re-recorded first.
+`_s1_image`, S2 and S3 by their `_stokes_band` entries, in the work matrix
+or as band images), `_transverse_moments` the second moments of n1.S and n2.S,
+and `_direction_variance` the variance of one d.S for the QFI.  Below N =
+256 the mean and one-row chunks write over `_work_matrix`, one cached zero
+matrix per size and thread, whose band every write overwrites: no (N+1)^2
+zero fill per call.  Larger chunks get one fresh zero stack of at most
+CHUNK_ENTRIES entries.  Each matrix is applied by one BLAS product, O(N^2).
+From N = 256 on, where a chunk cannot hold one such matrix, `_band_images`
+gives S1..S3 a in O(N) and no (N+1)^2 array is made.  It rounds in another
+order than BLAS (which fuses multiply-adds), so the smaller sizes, which make
+every published sweep value, keep BLAS until the goldens are re-recorded.
 
 States on one space are handled as a stack: rows of amplitudes, shape
 (B, N+1), one state being a one-row stack.  numpy's gufuncs make one BLAS
@@ -78,12 +79,13 @@ CACHED_SIZES = 16
 #: stops below it (reports at N = 2047, Husimi maps at 5824 on 360 columns)
 MAX_PHOTONS = 2**20
 #: most entries of one dense (N+1) x (N+1) Stokes matrix, so N <= 2047; a
-#: report holds one, its work matrix of 16 (N+1)^2 bytes (`noon --N 2047`
-#: peaks at about 94 MB resident)
+#: report is refused above it too, through `_stokes_band`, but holds no dense
+#: matrix from N = 256 on (`noon --N 2047` peaks at about 31 MB resident)
 MAX_DENSE_ENTRIES = 2**22
 #: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
 #: holds CHUNK_ENTRIES // (N+1)^2 states, 4096 at N = 3 and two at N = 180;
-#: from N = 181 on a chunk is one row, as a single-state report is
+#: from N = 181 on a chunk is one row, as a single-state report is, and from
+#: N = 256 on, where one matrix no longer fits, the kernel takes band images
 CHUNK_ENTRIES = 2**16
 
 
@@ -308,6 +310,15 @@ def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
     return tuple(_readonly(a) for a in (flat, s1, s2, s3))
 
 
+def _combination(d, parts) -> np.ndarray:
+    """d1 parts[0] + d2 parts[1] + d3 parts[2] for one direction d, shape (3,),
+    or one per row of a stack, shape (B, 3): the band of d.S from the bands
+    of S1..S3, or d.S a from the images S1 a .. S3 a."""
+    # scalar-like (1,) coefficients for one direction, (B, 1) columns for a stack
+    d1, d2, d3 = np.asarray(d).T[..., None]
+    return d1 * parts[0] + d2 * parts[1] + d3 * parts[2]
+
+
 def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of d[0] S1 + d[1] S2 + d[2] S3, built on its three diagonals.
 
@@ -322,10 +333,8 @@ def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> n
     band, so the result is the matrix a fresh call gives, without a second
     (N+1)^2 zero fill.
     """
-    flat, b1, b2, b3 = _stokes_band(space.num_photons)
-    # scalar-like (1,) coefficients for one direction, (B, 1) columns for a stack
-    d1, d2, d3 = np.asarray(d).T[..., None]
-    band = d1 * b1 + d2 * b2 + d3 * b3
+    flat, *bands = _stokes_band(space.num_photons)
+    band = _combination(d, bands)
     dim = space.dimension
     stack = band.shape[:-1]
     mat = np.zeros(stack + (dim, dim), dtype=complex) if out is None else out
@@ -350,35 +359,62 @@ def _work_matrix(space: SpinSpace) -> np.ndarray:
     return _zero_matrix(space.num_photons, threading.get_ident())
 
 
+def _banded(space: SpinSpace) -> bool:
+    """Whether the moment kernel takes `_band_images` on `space`: from N = 256
+    on, where one chunk cannot hold one Stokes matrix."""
+    return space.dimension**2 > CHUNK_ENTRIES
+
+
+def _band_images(space: SpinSpace, amps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(S1 a, S2 a, S3 a) for one state or a stack, in O(N) per row: S+ a / 2
+    and S- a / 2 are the amplitudes shifted by one index, times the c/2 of S2's
+    `_stokes_band` (so the dense bound holds here too); S2 a is their sum and
+    S3 a = i (S- a - S+ a) / 2."""
+    dim = space.dimension
+    half = _stokes_band(space.num_photons)[2][dim : 2 * dim - 1]
+    up, down = np.zeros_like(amps), np.zeros_like(amps)
+    up[..., :-1] = half * amps[..., 1:]
+    down[..., 1:] = half * amps[..., :-1]
+    return _s1_image(space, amps), up + down, (down - up) * 1j
+
+
 def _mean_moments(space: SpinSpace, amps: np.ndarray) -> np.ndarray:
     """(<S1>, <S2>, <S3>) of each row of a (B, N+1) stack, as a (B, 3) array;
     every imaginary part must round off."""
-    # the diagonal S1 by its O(N) image; S2, then S3 over it, by their bands
-    # written into the thread's work matrix, which is zero off the band
-    flat, _, b2, b3 = _stokes_band(space.num_photons)
-    work = _work_matrix(space)
-    np.put(work, flat, b2)
-    image2 = np.matvec(work, amps)
-    np.put(work, flat, b3)
-    images = (_s1_image(space, amps), image2, np.matvec(work, amps))
+    if _banded(space):
+        images = _band_images(space, amps)
+    else:
+        # the diagonal S1 by its O(N) image; S2, then S3 over it, by their
+        # bands written into the thread's work matrix, which is zero off the band
+        flat, _, b2, b3 = _stokes_band(space.num_photons)
+        work = _work_matrix(space)
+        np.put(work, flat, b2)
+        image2 = np.matvec(work, amps)
+        np.put(work, flat, b3)
+        images = (_s1_image(space, amps), image2, np.matvec(work, amps))
     raw = np.array([np.vecdot(amps, image) for image in images]).T
     return np.ascontiguousarray(_real_expectation(raw))
 
 
 def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
     """Raw moments (A, B, C) of each row of a (B, N+1) stack, as the rows of
-    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  The rows go in
-    chunks of max(1, CHUNK_ENTRIES // (N+1)^2)."""
+    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  Below N = 256
+    the rows go in chunks of max(1, CHUNK_ENTRIES // (N+1)^2); from there on
+    every row is one chunk, whose images come from `_band_images`."""
     rows = max(1, CHUNK_ENTRIES // space.dimension**2)
     moments = np.empty((3, len(amps)))
     for i in range(0, len(amps), rows):
         chunk = amps[i : i + rows]
-        # n2.S is written over n1.S: for one row in its thread's cached work
-        # matrix, for more rows in one fresh zero stack
-        out = _work_matrix(space)[None] if len(chunk) == 1 else None
-        mats = _stokes_combination(space, n1[i : i + rows], out=out)
-        image1 = np.matvec(mats, chunk)
-        image2 = np.matvec(_stokes_combination(space, n2[i : i + rows], out=mats), chunk)
+        if _banded(space):
+            images = _band_images(space, chunk)
+            image1, image2 = (_combination(n[i : i + rows], images) for n in (n1, n2))
+        else:
+            # n2.S is written over n1.S: for one row in its thread's cached
+            # work matrix, for more rows in one fresh zero stack
+            out = _work_matrix(space)[None] if len(chunk) == 1 else None
+            mats = _stokes_combination(space, n1[i : i + rows], out=out)
+            image1 = np.matvec(mats, chunk)
+            image2 = np.matvec(_stokes_combination(space, n2[i : i + rows], out=mats), chunk)
         sq1 = np.vecdot(image1, image1).real
         sq2 = np.vecdot(image2, image2).real
         moments[:, i : i + rows] = sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
@@ -386,8 +422,11 @@ def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarra
 
 
 def _direction_variance(space: SpinSpace, amps: np.ndarray, direction) -> float:
-    """`variance` of d.S for the unit 3-vector d = `direction`, on the work matrix."""
+    """`variance` of d.S for the unit 3-vector d = `direction`, by the band
+    images from N = 256 on, on the work matrix below."""
     d = _unit_direction(direction)
+    if _banded(space):
+        return _image_variance(amps, _combination(d, _band_images(space, amps)))
     generator = _stokes_combination(space, d, out=_work_matrix(space))
     return _image_variance(amps, generator @ amps)
 

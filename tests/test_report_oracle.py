@@ -3,7 +3,9 @@ in-test copy of the per-row object tail it replaced.
 
 The copy computes one state at a time: the mean from the dense S1..S3, the
 frame from its angles as three numpy vectors, the ellipse moments from the
-band combinations n1.S and n2.S, then the scalar tail.  Every report field
+band combinations n1.S and n2.S, then the scalar tail.  From N = 256 on, as
+the moment kernel does, it takes every image from the three O(N) images of
+`conftest.ladder_images` instead of a dense matrix.  Every report field
 must agree with it by the repr of its value.  A float field is compared as
 `float.__repr__`, which tells apart every bit pattern (-0.0 included): the
 copied tail leaves numpy scalars in some fields where a tail on Python floats
@@ -19,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import combined_image, ladder_images  # noqa: E402
 from stokes_squeeze import (  # noqa: E402
     basis_state,
     bloch_frame,
@@ -29,6 +32,7 @@ from stokes_squeeze import (  # noqa: E402
     squeezing_reports,
 )
 from stokes_squeeze.spin_core import (  # noqa: E402
+    _banded,
     _real_expectation,
     _stokes_combination,
     stokes_operator,
@@ -117,13 +121,19 @@ def _oracle_tail(spin, length, ellipse):
 
 def _oracle_fields(state) -> dict:
     space, amps = state.space, state.amplitudes
-    raw = np.array([np.vdot(amps, stokes_operator(space, k).matrix @ amps) for k in (1, 2, 3)])
+    if _banded(space):
+        images = ladder_images(space, amps)
+    else:
+        images = [stokes_operator(space, k).matrix @ amps for k in (1, 2, 3)]
+    raw = np.array([np.vdot(amps, image) for image in images])
     comps = np.ascontiguousarray(_real_expectation(raw))
     length = float(np.sqrt(np.vdot(comps, comps)))
     radius = float(np.hypot(comps[1], comps[2]))
     frame = _oracle_frame(comps, length, radius)
-    image1 = _stokes_combination(space, frame["n1"]) @ amps
-    image2 = _stokes_combination(space, frame["n2"]) @ amps
+    if _banded(space):
+        image1, image2 = (combined_image(frame[n], images) for n in ("n1", "n2"))
+    else:
+        image1, image2 = (_stokes_combination(space, frame[n]) @ amps for n in ("n1", "n2"))
     sq1, sq2 = np.vdot(image1, image1).real, np.vdot(image2, image2).real
     ellipse = _oracle_ellipse(sq1 - sq2, 2.0 * np.vdot(image1, image2).real, sq1 + sq2)
     parts = (

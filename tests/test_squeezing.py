@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import combined_image, ladder_images
 from stokes_squeeze import (
     HermitianOperator,
     VarianceEllipse,
@@ -33,7 +34,12 @@ from stokes_squeeze import (
 )
 from stokes_squeeze.cli import main
 from stokes_squeeze.spin_core import (
-    CHUNK_ENTRIES, _image_variance, _stokes_combination, _work_matrix, stokes_operator,
+    CHUNK_ENTRIES,
+    _banded,
+    _image_variance,
+    _stokes_combination,
+    _work_matrix,
+    stokes_operator,
 )
 from stokes_squeeze.squeezing import (
     DEGENERACY_TOL, MOMENT_SNAP, BlochFrame, MeanPolarization,
@@ -505,11 +511,18 @@ def test_decibels():
     assert decibels(None) is None
 
 
+def _fresh_image(state, direction) -> np.ndarray:
+    """d.S a from a freshly built combination, or from N = 256 on from the
+    test copy of the O(N) images."""
+    space, amps = state.space, state.amplitudes
+    if _banded(space):
+        return combined_image(direction, ladder_images(space, amps))
+    return _stokes_combination(space, direction) @ amps
+
+
 def _fresh_ellipse(state, frame) -> tuple:
-    """(A, B, C) of the ellipse from two freshly built combinations."""
-    amps = state.amplitudes
-    image1 = _stokes_combination(state.space, frame.n1) @ amps
-    image2 = _stokes_combination(state.space, frame.n2) @ amps
+    """(A, B, C) of the ellipse from two fresh images n1.S a and n2.S a."""
+    image1, image2 = _fresh_image(state, frame.n1), _fresh_image(state, frame.n2)
     sq1, sq2 = np.vdot(image1, image1).real, np.vdot(image2, image2).real
     a, b, c = sq1 - sq2, 2.0 * np.vdot(image1, image2).real, sq1 + sq2
     # the moment snap of `variance_ellipse`
@@ -518,8 +531,8 @@ def _fresh_ellipse(state, frame) -> tuple:
 
 
 def _fresh_qfi(state, direction) -> float:
-    generator = _stokes_combination(state.space, np.asarray(direction, dtype=float))
-    return 4.0 * _image_variance(state.amplitudes, generator @ state.amplitudes)
+    image = _fresh_image(state, np.asarray(direction, dtype=float))
+    return 4.0 * _image_variance(state.amplitudes, image)
 
 
 def _ellipse_bits(report) -> tuple:
@@ -533,11 +546,13 @@ def _unit(rng) -> np.ndarray:
 
 class TestWorkMatrices:
     """Every ellipse and QFI equals, bit for bit, what freshly built n.S
-    matrices give, whatever sizes and stacks ran before it."""
+    matrices give (from N = 256 on, the O(N) images), whatever sizes and
+    stacks ran before it."""
 
     def test_interleaved_sizes_match_fresh_matrices(self):
         # stacked: two-row chunks and a one-row chunk at N = 180, rows run as
-        # single states at N = 181, and one 809-row chunk at N = 8
+        # single states at N = 181, one 809-row chunk at N = 8, and O(N)
+        # images at N = 512
         rng = np.random.default_rng(29)
         for num, count in ((512, 3), (128, 3), (180, 3), (181, 3), (8, 809), (512, 3)):
             space = build_spin_space(num)
@@ -591,9 +606,32 @@ class TestWorkMatrices:
             fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
             assert _ellipse_bits(report) == fresh
 
+    def test_band_images_from_n_256_on(self, monkeypatch):
+        # N = 255 is the largest size whose Stokes matrix fits a chunk
+        reads, work = [], spin_core._work_matrix
+
+        def spy(space):
+            reads.append(space.num_photons)
+            return work(space)
+
+        monkeypatch.setattr(spin_core, "_work_matrix", spy)
+        rng = np.random.default_rng(41)
+        for num in (255, 256):
+            space = build_spin_space(num)
+            states = [random_state(space, rng) for _ in range(3)]
+            singles = [squeezing_report(state) for state in states]
+            qfi_pure(states[0], _unit(rng))
+            stacked = squeezing_reports(space, [s.amplitudes for s in states])
+            for single, report in zip(singles, stacked, strict=True):
+                assert report_fields(report) == report_fields(single), num
+        # per single report the mean and the ellipse, then the QFI, then one
+        # ellipse per row of the stack (its mean runs on the stack)
+        assert reads == [255] * 11
+
     def test_two_threads_match_a_serial_run(self, monkeypatch):
+        # at N = 255, the largest size on the work matrices
         rng = np.random.default_rng(37)
-        space = build_spin_space(256)
+        space = build_spin_space(255)
         states = [random_state(space, rng) for _ in range(24)]
         directions = [_unit(rng) for _ in states]
 
@@ -630,11 +668,12 @@ class TestWorkMatrices:
             assert not thread.is_alive()
         assert got == serial
 
-    def test_report_route_holds_one_dense_matrix(self):
-        # a cold cache at N = 1023: the mean, the ellipse and the QFI share the
-        # thread's one (N+1)^2 work matrix and build no other dense matrix
+    def test_report_route_allocates_no_dense_matrix(self):
+        # cold caches at N = 1023: the mean, the ellipse and the QFI take O(N)
+        # images, so no array of (N+1)^2 entries is made
         space, state = build_spin_space(1023), noon_state(1023, 0.3)
         spin_core._zero_matrix.cache_clear()
+        spin_core._stokes_band.cache_clear()
         tracemalloc.start()
         try:
             squeezing_report(state)
@@ -643,7 +682,7 @@ class TestWorkMatrices:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 16 * space.dimension**2
+        assert peak < 64 * 16 * space.dimension
 
     def test_report_reads_every_band_through_spin_core(self, monkeypatch):
         # the mean's S2 and S3 bands, then the n1.S and n2.S combinations

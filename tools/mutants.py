@@ -76,8 +76,8 @@ MUTANTS = (
     (
         "d2-sign-flipped",
         "spin_core.py",
-        "band = d1 * b1 + d2 * b2 + d3 * b3",
-        "band = d1 * b1 - d2 * b2 + d3 * b3",
+        "d1 * parts[0] + d2 * parts[1] + d3 * parts[2]",
+        "d1 * parts[0] - d2 * parts[1] + d3 * parts[2]",
     ),
     (
         # V- of one state (extremal_variances)
@@ -222,6 +222,27 @@ MUTANTS = (
         "spin_core.py",
         "np.vecdot(image1, image2)",
         "(image1.conj() * image2).sum(axis=-1)",
+    ),
+    (
+        # the band route's S3 image negated: <S3> and the frame flip
+        "band-s3-image-sign",
+        "spin_core.py",
+        "(down - up) * 1j",
+        "(up - down) * 1j",
+    ),
+    (
+        # the band route's S+ a takes a_(k-1) and S- a takes a_(k+1)
+        "band-ladder-shift-swapped",
+        "spin_core.py",
+        "up[..., :-1] = half * amps[..., 1:]\n    down[..., 1:] = half * amps[..., :-1]",
+        "up[..., :-1] = half * amps[..., :-1]\n    down[..., 1:] = half * amps[..., 1:]",
+    ),
+    (
+        # N = 255, whose Stokes matrix just fits a chunk, takes the band route
+        "band-route-from-n-255",
+        "spin_core.py",
+        "return space.dimension**2 > CHUNK_ENTRIES",
+        "return space.dimension**2 >= CHUNK_ENTRIES",
     ),
     (
         # every thread writes its combinations into the same work matrix
