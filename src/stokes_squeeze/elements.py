@@ -6,11 +6,12 @@ generic axis rotation are unitary.  Each element is one function, which
 checks its own arguments (the VPP ratio as `spin_core._require_ratio` does).
 All functions return fresh states and never mutate their input.
 
-Every unitary goes through the cached S2 eigenbasis of `spin_core`, O(N^2)
-per call after two half-size `eigh`s per N: the QWP is the S2 rotation by
--pi/2, and a rotation about any axis is one Euler product of S1 phases and
-one S2 rotation.  No dense exponential is built here, but V is a dense
-(N+1)^2 matrix, so the unitaries keep the dense bound: N >= 2048 is refused.
+Every unitary goes through the cached S2 eigenbasis of `spin_core`, two
+products with its half-size flip blocks per call after two half-size `eigh`s
+per N: the QWP is the S2 rotation by -pi/2, and a rotation about any axis is
+one Euler product of S1 phases and one S2 rotation.  No dense exponential is
+built here, but the blocks hold about (N+1)^2 / 2 entries, so the unitaries
+keep the dense bound: N >= 2048 is refused.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def rotate_about(state: PolarizationState, direction, angle: float) -> Polarizat
     global phase included, since both are one SU(2) element.  On spin 1/2,
     where S = (sigma_z, sigma_x, sigma_y)/2, with u, v = cos, sin(angle/2):
     b = 2 atan2(v hypot(d2, d3), hypot(u, v d1)), a + c = 2 atan2(v d1, u) and
-    a - c = 2 atan2(d3, d2).  That is one S2 rotation, two O(N^2) products.
+    a - c = 2 atan2(d3, d2).  That is one S2 rotation, two block products.
     """
     d = _unit_direction(direction)
     _require_finite(angle=angle)

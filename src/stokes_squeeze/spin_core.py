@@ -21,9 +21,13 @@ dense generator.  S1 is diagonal, so exp(-i x S1) is a vector of phases, and
 exp(-i x S2) = V diag(e^{-i x (k - s)}) V^T comes from the real tridiagonal
 S2 (c/2 off the diagonal), which the flip k -> N - k splits into two blocks
 of half the size: one `eigh` per block and photon number, cached and
-validated when it is first built.  After that, each factor costs O(N^2), and
-V keeps 8 (N+1)^2 bytes per cached N.  `hermitian_exponential` stays as the
-dense route the tests compare against.
+validated when it is first built.  The two orthogonal blocks U_b are kept as
+they are, one real (2, p, p) stack with p = N//2 + 1, and V is never formed:
+V^T a is the fold (a_j +- a_{N-j}) / sqrt2 followed by U_b^T, and V y is U_b
+followed by the unfold, each one batched real product over both blocks.  A
+factor costs about (N+1)^2 / 2 real multiply-adds per side, half of what
+the dense V took, and the cache keeps about 4 (N+1)^2 bytes per N.
+`hermitian_exponential` stays as the dense route the tests compare against.
 
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
@@ -39,7 +43,9 @@ matrix per size and thread, whose band every write overwrites: no (N+1)^2
 zero fill per call.  Larger chunks get one fresh zero stack of at most
 CHUNK_ENTRIES entries.  Each matrix is applied by one BLAS product, O(N^2).
 From N = 256 on, where a chunk cannot hold one such matrix, `_band_images`
-gives S1..S3 a in O(N) and no (N+1)^2 array is made.  It rounds in another
+gives S1..S3 a in O(N) and no (N+1)^2 array is made; a chunk of a stack
+then holds CHUNK_ENTRIES // (N+1) rows, and one state's mean, ellipse and
+QFI share its images through `_report_images`.  It rounds in another
 order than BLAS (which fuses multiply-adds), so the smaller sizes, which make
 every published sweep value, keep BLAS until the goldens are re-recorded.
 
@@ -61,6 +67,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +92,8 @@ MAX_DENSE_ENTRIES = 2**22
 #: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
 #: holds CHUNK_ENTRIES // (N+1)^2 states, 4096 at N = 3 and two at N = 180;
 #: from N = 181 on a chunk is one row, as a single-state report is, and from
-#: N = 256 on, where one matrix no longer fits, the kernel takes band images
+#: N = 256 on, where one matrix no longer fits, the kernel takes band images,
+#: CHUNK_ENTRIES // (N+1) rows of them per chunk
 CHUNK_ENTRIES = 2**16
 
 
@@ -378,11 +386,23 @@ def _band_images(space: SpinSpace, amps: np.ndarray) -> tuple[np.ndarray, ...]:
     return _s1_image(space, amps), up + down, (down - up) * 1j
 
 
-def _mean_moments(space: SpinSpace, amps: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _report_images(state: PolarizationState) -> tuple[np.ndarray, ...] | None:
+    """`_band_images` of one state as a one-row stack from N = 256 on, read-only,
+    None below: the mean, the ellipse and the QFI of a state read them here,
+    so a report makes them once.  Only the last state's are kept."""
+    if not _banded(state.space):
+        return None
+    return tuple(_readonly(image) for image in _band_images(state.space, state.amplitudes[None]))
+
+
+def _mean_moments(space: SpinSpace, amps: np.ndarray, images=None) -> np.ndarray:
     """(<S1>, <S2>, <S3>) of each row of a (B, N+1) stack, as a (B, 3) array;
-    every imaginary part must round off."""
+    every imaginary part must round off.  From N = 256 on it reads the
+    stack's band `images` if given, or makes them."""
     if _banded(space):
-        images = _band_images(space, amps)
+        if images is None:
+            images = _band_images(space, amps)
     else:
         # the diagonal S1 by its O(N) image; S2, then S3 over it, by their
         # bands written into the thread's work matrix, which is zero off the band
@@ -396,18 +416,23 @@ def _mean_moments(space: SpinSpace, amps: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_real_expectation(raw))
 
 
-def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
+def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2, images=None) -> np.ndarray:
     """Raw moments (A, B, C) of each row of a (B, N+1) stack, as the rows of
-    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  Below N = 256
-    the rows go in chunks of max(1, CHUNK_ENTRIES // (N+1)^2); from there on
-    every row is one chunk, whose images come from `_band_images`."""
-    rows = max(1, CHUNK_ENTRIES // space.dimension**2)
+    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  A chunk holds
+    CHUNK_ENTRIES entries: max(1, CHUNK_ENTRIES // (N+1)^2) rows of matrices
+    below N = 256, and CHUNK_ENTRIES // (N+1) rows of images from there on,
+    which come from the stack's band `images` if given."""
+    banded = _banded(space)
+    rows = max(1, CHUNK_ENTRIES // (space.dimension if banded else space.dimension**2))
     moments = np.empty((3, len(amps)))
     for i in range(0, len(amps), rows):
         chunk = amps[i : i + rows]
-        if _banded(space):
-            images = _band_images(space, chunk)
-            image1, image2 = (_combination(n[i : i + rows], images) for n in (n1, n2))
+        if banded:
+            if images is None:
+                parts = _band_images(space, chunk)
+            else:
+                parts = [image[i : i + rows] for image in images]
+            image1, image2 = (_combination(n[i : i + rows], parts) for n in (n1, n2))
         else:
             # n2.S is written over n1.S: for one row in its thread's cached
             # work matrix, for more rows in one fresh zero stack
@@ -421,14 +446,15 @@ def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarra
     return moments
 
 
-def _direction_variance(space: SpinSpace, amps: np.ndarray, direction) -> float:
+def _direction_variance(state: PolarizationState, direction) -> float:
     """`variance` of d.S for the unit 3-vector d = `direction`, by the band
     images from N = 256 on, on the work matrix below."""
     d = _unit_direction(direction)
-    if _banded(space):
-        return _image_variance(amps, _combination(d, _band_images(space, amps)))
-    generator = _stokes_combination(space, d, out=_work_matrix(space))
-    return _image_variance(amps, generator @ amps)
+    images = _report_images(state)
+    if images is not None:
+        return _image_variance(state.amplitudes, _combination(d, images)[0])
+    generator = _stokes_combination(state.space, d, out=_work_matrix(state.space))
+    return _image_variance(state.amplitudes, generator @ state.amplitudes)
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
@@ -445,24 +471,61 @@ def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:
     return HermitianOperator(space, _stokes_combination(space, np.eye(3)[which - 1]))
 
 
+class _FlipBlocks(NamedTuple):
+    """The S2 eigenbasis of one photon number on its two flip blocks, with
+    every array a rotation reads, all read-only.  p = N//2 + 1; block b = 0
+    is the flip-even one and b = 1 the flip-odd one.  A rotation works on the
+    (real, imag) float view of the amplitudes, so the fold, the unfold and
+    their positions carry a last axis of two equal entries."""
+
+    #: N + 1
+    dimension: int
+    #: (2, p, p) real orthogonal U_b, the flip-odd block padded by a zero
+    #: row and column for even N
+    blocks: np.ndarray
+    #: the U_b^T, a transposed view of `blocks`
+    forward: np.ndarray
+    #: (2, p, 1) -i (k - s) of each block column, 0 on the padding
+    generator: np.ndarray
+    #: (2, 2, p, 2) positions of a_j (first) and a_{N-j} in the float view,
+    #: once for each block; j = N - j = N/2 on the middle row for even N
+    gather: np.ndarray
+    #: (2, 2, p, 2) factors of a_j and a_{N-j} in block b, so that the fold
+    #: (a_j +- a_{N-j}) / sqrt2 is their sum: 1/2 on the middle row of the
+    #: even block, 0 on the padding
+    fold: np.ndarray
+    #: (2, 2, p, 2) factors of the even image y_e (first) and the odd y_o at
+    #: j and at N - j, so that the unfold (y_e +- y_o) / sqrt2 is their sum:
+    #: 1 and 0 on the middle row
+    unfold: np.ndarray
+    #: (2, p, 2) positions of j and N - j in the float view of the result
+    scatter: np.ndarray
+    #: (2, p, 1) block coefficients of |s,s>, the first row of V
+    first_row: np.ndarray
+
+
 @functools.lru_cache(maxsize=CACHED_SIZES)
-def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues k - s in ascending order, V) of S2, with V real orthogonal.
+def _s2_eigenbasis(num_photons: int) -> _FlipBlocks:
+    """The real orthogonal eigenbasis of S2 on its two flip blocks.
 
     S2 is real tridiagonal with the symmetric c/2 off the diagonal, so it is
     two blocks on the flip-even (e_j + e_{N-j})/sqrt2, e_{N/2} and flip-odd
     (e_j - e_{N-j})/sqrt2, j < (N+1)//2: c/2 off the diagonal, plus +-c/2 on
     the last entry for odd N, and sqrt2 c/2 to e_{N/2} for even N.  The even
-    block (size N//2 + 1) holds k - s for k = N mod 2.  Each block's real
-    `eigh` is validated once (U^T U = I and eigenvalues k - s, both within
-    HERMITICITY_TOL) and written in place into V.  N >= 2048 is refused.
+    block (size N//2 + 1) holds k - s for k = N mod 2, the odd one the
+    other k, each in ascending order.  Each block's real `eigh` is validated
+    once (U^T U = I and eigenvalues k - s, both within HERMITICITY_TOL) and
+    kept as it is: V, which holds both blocks and their zeros, is never
+    formed.  N >= 2048 is refused.
     """
     dim = _dense_dimension(num_photons)
     half = _ladder_coefficients(SpinSpace(num_photons)) / 2
     pairs, odd, exact = dim // 2, num_photons % 2, np.arange(dim) - num_photons / 2
-    eigvecs = np.zeros((dim, dim))  # the flip-odd columns vanish at e_{N/2}
+    rows = num_photons // 2 + 1
+    blocks = np.zeros((2, rows, rows))  # the padding stays zero
+    generator = np.zeros((2, rows, 1), dtype=complex)
     # the flip-even block, then the flip-odd one, which N = 0 does not have
-    for sign, cols in ((1.0, slice(odd, None, 2)), (-1.0, slice(1 - odd, None, 2))):
+    for slot, sign, cols in ((0, 1.0, slice(odd, None, 2)), (1, -1.0, slice(1 - odd, None, 2))):
         size = len(exact[cols])
         if not size:
             continue
@@ -483,23 +546,42 @@ def _s2_eigenbasis(num_photons: int) -> tuple[np.ndarray, np.ndarray]:
         spectrum = np.abs(eigvals - exact[cols]).max()
         if spectrum > HERMITICITY_TOL:
             raise ArithmeticError(f"S2 eigenvalues deviate from k - s by {spectrum:.3e}")
-        vecs[:pairs] /= math.sqrt(2.0)
-        eigvecs[:pairs, cols] = vecs[:pairs]
-        np.multiply(vecs[:pairs], sign, out=eigvecs[::-1][:pairs, cols])
-        if size > pairs:
-            eigvecs[pairs, cols] = vecs[pairs]
+        blocks[slot, :size, :size] = vecs
+        generator[slot, :size, 0] = -1j * exact[cols]
         del block, vecs  # before the next block is built
-    return _readonly(exact), _readonly(eigvecs)
+    # positions of j and N - j, and the factors of the fold and the unfold
+    lower = np.arange(rows)
+    scatter = 2 * np.array([lower, num_photons - lower])[..., None] + np.arange(2)
+    root = math.sqrt(0.5)
+    fold, unfold = np.full((2, 2, rows, 2), root), np.full((2, 2, rows, 2), root)
+    fold[1, 1] = -root  # a_{N-j} in the odd block
+    unfold[1, 1] = -root  # y_o at N - j
+    if not odd:
+        fold[:, 0, -1], fold[:, 1, -1] = 0.5, 0.0
+        unfold[0, :, -1], unfold[1, :, -1] = 1.0, 0.0
+    arrays = (blocks, blocks.transpose(0, 2, 1), generator)
+    arrays += (np.stack([scatter, scatter], axis=1), fold, unfold, scatter)
+    basis = _FlipBlocks(dim, *(_readonly(a) for a in arrays), first_row=None)
+    first = np.zeros(dim, dtype=complex)
+    first[0] = 1.0
+    return basis._replace(first_row=_readonly(_s2_coefficients(basis, first)))
 
 
-def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec for a real matrix and a complex vector.
+def _s2_coefficients(basis: _FlipBlocks, amps: np.ndarray) -> np.ndarray:
+    """V^T amps in block order, shape (2, p, 1), for a contiguous complex
+    vector: the fold, then one batched real product with the U_b^T."""
+    terms = basis.fold * amps.view(np.float64)[basis.gather]
+    return np.matmul(basis.forward, terms[0] + terms[1]).view(complex)
 
-    The vector is viewed as (real, imag) pairs, so one real product does the
-    work and no complex copy of `mat` is made.
-    """
-    pairs = np.ascontiguousarray(vec, dtype=complex).view(np.float64).reshape(-1, 2)
-    return (mat @ pairs).view(complex).ravel()
+
+def _s2_synthesis(basis: _FlipBlocks, coeffs: np.ndarray) -> np.ndarray:
+    """V coeffs for contiguous block coefficients of shape (2, p, 1): one
+    batched real product with the U_b, then the unfold."""
+    image = np.matmul(basis.blocks, coeffs.view(np.float64))
+    terms = basis.unfold * image[:, None]
+    amps = np.empty(2 * basis.dimension)
+    amps[basis.scatter] = terms[0] + terms[1]
+    return amps.view(complex)
 
 
 def _s1_phases(space: SpinSpace, x: float) -> np.ndarray:
@@ -508,10 +590,11 @@ def _s1_phases(space: SpinSpace, x: float) -> np.ndarray:
 
 
 def _s2_rotate(space: SpinSpace, x: float, amps: np.ndarray) -> np.ndarray:
-    """exp(-i x S2) @ amps through the cached eigenbasis, in O(N^2)."""
-    eigvals, eigvecs = _s2_eigenbasis(space.num_photons)
-    coeffs = np.exp(-1j * x * eigvals) * _real_matvec(eigvecs.T, amps)
-    return _real_matvec(eigvecs, coeffs)
+    """exp(-i x S2) @ amps on the cached flip blocks: the fold, U_b^T, the
+    phases e^{-i x (k - s)}, U_b and the unfold, about (N+1)^2 / 2 real
+    multiply-adds per product."""
+    basis = _s2_eigenbasis(space.num_photons)
+    return _s2_synthesis(basis, np.exp(x * basis.generator) * _s2_coefficients(basis, amps))
 
 
 def ladder_operator(space: SpinSpace, sign: int) -> np.ndarray:

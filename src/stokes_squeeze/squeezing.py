@@ -56,6 +56,7 @@ from .spin_core import (
     _direction_variance,
     _mean_moments,
     _readonly,
+    _report_images,
     _require_unit_rows,
     _transverse_moments,
 )
@@ -171,14 +172,15 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    comps, lengths, radii = _mean_columns(state.space, state.amplitudes[None])
+    images = _report_images(state)
+    comps, lengths, radii = _mean_columns(state.space, state.amplitudes[None], images)
     return MeanPolarization(_readonly(comps[0]), lengths.item(), radii.item())
 
 
-def _mean_columns(space: SpinSpace, amps: np.ndarray) -> tuple:
+def _mean_columns(space: SpinSpace, amps: np.ndarray, images=None) -> tuple:
     """Components (B, 3), lengths (B,) and transverse radii (B,) of the mean
-    polarizations of a (B, N+1) stack."""
-    comps = _mean_moments(space, amps)
+    polarizations of a (B, N+1) stack, from its band images if given."""
+    comps = _mean_moments(space, amps, images)
     lengths = np.sqrt(np.vecdot(comps, comps))
     over = lengths > space.spin + 1e-12
     if np.count_nonzero(over):
@@ -225,7 +227,8 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
     n1, n2 = np.array([frame.n1]), np.array([frame.n2])
-    a, b, c = _transverse_moments(state.space, state.amplitudes[None], n1, n2)[:, 0].tolist()
+    amps, images = state.amplitudes[None], _report_images(state)
+    a, b, c = _transverse_moments(state.space, amps, n1, n2, images)[:, 0].tolist()
     # exact-zero moments survive as +-1e-16 noise; snap them so atan2 picks a
     # deterministic branch (the family's B = 0, A < 0 must give gamma_opt = pi)
     snap = MOMENT_SNAP * max(1.0, c)
@@ -375,7 +378,7 @@ def qfi_pure(state: PolarizationState, direction) -> float:
 
     `direction` must be a unit 3-vector on the Poincare sphere.
     """
-    return 4.0 * _direction_variance(state.space, state.amplitudes, direction)
+    return 4.0 * _direction_variance(state, direction)
 
 
 def decibels(value: float) -> float | None:

@@ -7,9 +7,11 @@ superpositions.  States are compared by fidelity |<a|b>|^2, never
 amplitude-wise, since optical transformations fix them only up to a global
 phase.
 
-`coherent_state` is one O(N^2) product with the cached S2 eigenbasis of
-`spin_core` (two half-size `eigh`s per photon number, one per flip block),
-not a dense exponential.  Its oracle is the binomial expansion of
+`coherent_state` is not a dense exponential: it reads the block
+coefficients of |s,s> (the first row of the S2 eigenbasis V) from the cached
+flip blocks of `spin_core` (two half-size `eigh`s per photon number), so it
+costs one batched product with the blocks, about (N+1)^2 / 2 real
+multiply-adds, and the unfold.  Its oracle is the binomial expansion of
 `_binomial_profile`, shared with `husimi`.
 """
 
@@ -26,10 +28,10 @@ from .spin_core import (
     SpaceMismatchError,
     SpinSpace,
     _normalized_rows,
-    _real_matvec,
     _require_finite,
     _require_ratio,
     _s2_eigenbasis,
+    _s2_synthesis,
     build_spin_space,
     normalized_state,
 )
@@ -61,11 +63,12 @@ def coherent_state(space: SpinSpace, theta: float, phi: float) -> PolarizationSt
     The generator is D(phi + pi/2) (-S3) D(-phi - pi/2) with D(x) = exp(-i x S1),
     and |s,s> is the first basis state, so the exact amplitudes, global phase
     included, are exp(i k (phi + pi/2)) times column 0 of exp(-i theta S2),
-    with k the basis index.
+    with k the basis index.  That column is V diag(e^{-i theta (k - s)}) V^T
+    e_0; V^T e_0 is cached with the flip blocks, so only V is applied.
     """
     _require_finite(theta=theta, phi=phi)
-    eigvals, eigvecs = _s2_eigenbasis(space.num_photons)
-    column = _real_matvec(eigvecs, np.exp(-1j * theta * eigvals) * eigvecs[0])
+    basis = _s2_eigenbasis(space.num_photons)
+    column = _s2_synthesis(basis, np.exp(theta * basis.generator) * basis.first_row)
     phases = np.exp(1j * (phi + np.pi / 2) * np.arange(space.dimension))
     return normalized_state(space, phases * column)
 

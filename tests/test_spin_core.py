@@ -352,18 +352,46 @@ class TestHermitianExponential:
             hermitian_exponential(stokes_operator(build_spin_space(2), 1), scale)
 
 
+def _dense_eigenbasis(num_photons):
+    """(eigenvalues, V) rebuilt from the cached flip blocks by their layout:
+    column c of block b is the eigenvector of the c-th k of its parity, with
+    U_b[j, c] / sqrt2 at j and +-U_b[j, c] / sqrt2 at N - j (+ for the even
+    block b = 0), and U_b[N/2, c] at the middle for even N."""
+    basis = _s2_eigenbasis(num_photons)
+    dim, odd = num_photons + 1, num_photons % 2
+    pairs = dim // 2
+    eigvals, eigvecs = np.empty(dim), np.zeros((dim, dim))
+    for b, sign in enumerate((1.0, -1.0)):
+        cols = slice(odd if b == 0 else 1 - odd, None, 2)
+        size = len(range(dim)[cols])
+        block = basis.blocks[b, :size, :size]
+        eigvals[cols] = (1j * basis.generator[b, :size, 0]).real
+        eigvecs[:pairs, cols] = block[:pairs] / np.sqrt(2.0)
+        eigvecs[::-1][:pairs, cols] = sign * block[:pairs] / np.sqrt(2.0)
+        if size > pairs:
+            eigvecs[pairs, cols] = block[pairs]
+    return eigvals, eigvecs
+
+
 class TestS2Eigenbasis:
     @pytest.mark.parametrize("num_photons", [0, 1, 4, 33])
     def test_diagonalizes_s2(self, num_photons):
-        eigvals, eigvecs = _s2_eigenbasis(num_photons)
+        basis = _s2_eigenbasis(num_photons)
+        rows = num_photons // 2 + 1
+        assert basis.blocks.shape == (2, rows, rows)
+        assert basis.blocks.dtype == np.float64
+        assert not basis.blocks.flags.writeable
+        # each block is orthogonal; the odd one of an even N on its own size
+        for b, size in enumerate((rows, rows - (num_photons % 2 == 0))):
+            block = basis.blocks[b, :size, :size]
+            np.testing.assert_allclose(block.T @ block, np.eye(size), rtol=0, atol=1e-12)
+            assert not basis.blocks[b, size:].any() and not basis.blocks[b, :, size:].any()
+        eigvals, eigvecs = _dense_eigenbasis(num_photons)
         s2 = stokes_operator(build_spin_space(num_photons), 2).matrix
-        spin = num_photons / 2
-        np.testing.assert_array_equal(eigvals, np.arange(num_photons + 1) - spin)
+        np.testing.assert_array_equal(eigvals, np.arange(num_photons + 1) - num_photons / 2)
         np.testing.assert_allclose(
             eigvecs @ np.diag(eigvals) @ eigvecs.T, s2, rtol=0, atol=1e-12
         )
-        assert eigvecs.dtype == np.float64
-        assert not eigvecs.flags.writeable
 
     def test_second_call_hits_cache(self):
         first = _s2_eigenbasis(19)
@@ -398,15 +426,60 @@ class TestS2Eigenbasis:
         assert sizes == (expected[:1] if num_photons == 0 else expected)
 
     def test_build_peak_memory_is_bounded(self):
-        # V itself is 8 (N+1)^2 bytes; one eigh of the whole S2 held three
-        # times that, one half-size block at a time holds about 1.5 times
+        # the two blocks hold 2 * 8 * 257^2 bytes, about 4 (N+1)^2, and one
+        # half-size eigh at a time about as much again (measured 1.02 times
+        # 8 * 513^2); a dense V of 8 (N+1)^2 bytes peaked at 1.54 times that
         tracemalloc.start()
         try:
             _s2_eigenbasis.__wrapped__(512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * 513**2
+        assert peak <= 1.1 * 8 * 513**2
+
+    def test_warm_rotations_allocate_no_dense_matrix(self):
+        # with the blocks cached, a rotation and a coherent state hold O(N)
+        # arrays only: a complex copy of the blocks would take 8 MiB here
+        num_photons = 1023
+        space = build_spin_space(num_photons)
+        state = coherent_state(space, 0.8, 2.1)
+        direction = _unit([1.0, -2.0, 0.5])
+        rotate_about(state, direction, 0.9)
+        tracemalloc.start()
+        try:
+            rotate_about(state, direction, 0.9)
+            coherent_state(space, 1.1, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 16 * (num_photons + 1)
+
+    @pytest.mark.parametrize("num_photons", [0, 1, 2, 3, 10, 11])
+    def test_rotations_match_dense_exponential(self, num_photons):
+        # both parities of N, and N = 0, whose odd block is all padding
+        space = build_spin_space(num_photons)
+        rng = np.random.default_rng(500 + num_photons)
+        s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
+        for angle in (0.0, -np.pi / 2, 1.3, 2.0 * np.pi + 0.4):
+            state = random_state(space, rng)
+            expected = hermitian_exponential(HermitianOperator(space, s2), -1j * angle)
+            np.testing.assert_allclose(
+                spin_core._s2_rotate(space, angle, state.amplitudes),
+                expected @ state.amplitudes, rtol=0, atol=1e-13,
+            )
+            d = _unit(rng.normal(size=3))
+            generator = HermitianOperator(space, d[0] * s1 + d[1] * s2 + d[2] * s3)
+            np.testing.assert_allclose(
+                rotate_about(state, d, angle).amplitudes,
+                hermitian_exponential(generator, -1j * angle) @ state.amplitudes,
+                rtol=0, atol=1e-13,
+            )
+            theta, phi = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+            generator = HermitianOperator(space, np.sin(phi) * s2 - np.cos(phi) * s3)
+            np.testing.assert_allclose(
+                coherent_state(space, theta, phi).amplitudes,
+                hermitian_exponential(generator, 1j * theta)[:, 0], rtol=0, atol=1e-13,
+            )
 
     def test_non_orthogonal_basis_rejected(self, monkeypatch):
         eigh = np.linalg.eigh

@@ -628,6 +628,58 @@ class TestWorkMatrices:
         # ellipse per row of the stack (its mean runs on the stack)
         assert reads == [255] * 11
 
+    def test_one_band_image_set_per_state(self, monkeypatch):
+        # from N = 256 on the mean, the ellipse and the QFI of one state share
+        # its images
+        calls, images = [], spin_core._band_images
+
+        def spy(space, amps):
+            calls.append(amps.shape)
+            return images(space, amps)
+
+        monkeypatch.setattr(spin_core, "_band_images", spy)
+        space = build_spin_space(512)
+        state = random_state(space, np.random.default_rng(47))
+        report = squeezing_report(state)
+        assert calls == [(1, 513)]
+        qfi_pure(state, report.frame.n1)
+        assert calls == [(1, 513)]
+        squeezing_report(coherent_state(space, 0.7, 2.3))
+        assert calls == [(1, 513)] * 2
+
+    def test_band_stack_chunks_match_single_reports(self):
+        # at N = 256 a chunk holds CHUNK_ENTRIES // 257 = 255 rows of images:
+        # two full chunks, then a one-row one
+        space = build_spin_space(256)
+        rng = np.random.default_rng(53)
+        count = 2 * (CHUNK_ENTRIES // space.dimension) + 1
+        states = [random_state(space, rng) for _ in range(count)]
+        stacked = squeezing_reports(space, [s.amplitudes for s in states])
+        for state, report in zip(states, stacked, strict=True):
+            assert report_fields(report) == report_fields(squeezing_report(state))
+
+    def test_band_stack_chunk_memory_is_bounded(self):
+        # one chunk's three images, two combinations and their temporaries
+        # peak at 6.1 chunks of 16 CHUNK_ENTRIES bytes, and consecutive chunks
+        # overlap to 10.0; the 765 rows in one pass measured 18.1
+        space = build_spin_space(256)
+        rng = np.random.default_rng(59)
+        count = 3 * (CHUNK_ENTRIES // space.dimension)
+        amps = np.array([random_state(space, rng).amplitudes for _ in range(count)])
+        n1 = np.tile([0.0, -0.6, 0.8], (count, 1))
+        n2 = np.tile([1.0, 0.0, 0.0], (count, 1))
+        spin_core._transverse_moments(space, amps[:1], n1[:1], n2[:1])  # the band cache
+        tracemalloc.start()
+        try:
+            moments = spin_core._transverse_moments(space, amps, n1, n2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 16 * CHUNK_ENTRIES
+        np.testing.assert_array_equal(
+            moments[:, -1], spin_core._transverse_moments(space, amps[-1:], n1[:1], n2[:1])[:, 0]
+        )
+
     def test_two_threads_match_a_serial_run(self, monkeypatch):
         # at N = 255, the largest size on the work matrices
         rng = np.random.default_rng(37)

@@ -66,6 +66,14 @@ MUTANTS = (
         "off[-1] *= 1.0",
     ),
     (
+        # the unfold writes y_e + y_o to N - j as well as to j, so the
+        # flip-odd half of every rotated state lands on the wrong side
+        "s2-unfold-sign",
+        "spin_core.py",
+        "unfold[1, 1] = -root",
+        "unfold[1, 1] = root",
+    ),
+    (
         # the scan's cross term negated: V(gamma) reads V(-gamma), so the
         # extrema keep their values and the argmin moves to -gamma_opt
         "scan-cross-term-sign",
