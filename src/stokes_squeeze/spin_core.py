@@ -11,7 +11,7 @@ S1, S2 and S3 from c.  Each call of `stokes_operator` builds one dense S0..S3
 in a `HermitianOperator`, the one dense operator type, and each call of
 `ladder_operator` one read-only S+-; only `verify` and the tests read them.
 Size-keyed caches keep at most CACHED_SIZES entries each.  A dense matrix on
-the space (S0..S3, S+-, the work matrices and the S2 eigenbasis below) is
+the space (S0..S3, S+-, n.S and the S2 eigenbasis below) is
 refused with a ValueError above MAX_DENSE_ENTRIES = 2^22 entries, that is
 from N = 2048 on, before it is made.  `SpinSpace` itself refuses more than
 MAX_PHOTONS = 2^20 photons, so no O(N) array is made for a huge N either.
@@ -32,22 +32,19 @@ the dense V took, and the cache keeps about 4 (N+1)^2 bytes per N.
 A combination d.S = d1 S1 + d2 S2 + d3 S3 lives on three diagonals: S1 on the
 main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
 (S1..S3 are its unit-axis combinations) writes those 3N+1 entries into a
-zeroed matrix with the same elementwise arithmetic as the dense sum; a real d
-makes it Hermitian by construction.  The moment kernel makes every product
-of a squeezing report: `_mean_moments` gives <S1..S3> (S1 by the O(N)
-`_s1_image`, S2 and S3 by their `_stokes_band` entries, in the work matrix
-or as band images), `_transverse_moments` the second moments of n1.S and n2.S,
-and `_direction_variance` the variance of one d.S for the QFI.  Below N =
-256 the mean and one-row chunks write over `_work_matrix`, one cached zero
-matrix per size and thread, whose band every write overwrites: no (N+1)^2
-zero fill per call.  Larger chunks get one fresh zero stack of at most
-CHUNK_ENTRIES entries.  Each matrix is applied by one BLAS product, O(N^2).
-From N = 256 on, where a chunk cannot hold one such matrix, `_band_images`
-gives S1..S3 a in O(N) and no (N+1)^2 array is made; a chunk of a stack
-then holds CHUNK_ENTRIES // (N+1) rows, and one state's mean, ellipse and
-QFI share its images through `_report_images`.  It rounds in another
-order than BLAS (which fuses multiply-adds), so the smaller sizes, which make
-every published sweep value, keep BLAS until the goldens are re-recorded.
+fresh zero matrix with the same elementwise arithmetic as the dense sum; a
+real d makes it Hermitian by construction.  The moment kernel makes every
+product of a squeezing report: `_mean_moments` gives <S1..S3>,
+`_transverse_moments` the second moments of n1.S and n2.S, and
+`_direction_variance` the variance of one d.S for the QFI.  From N = 4 on
+(`_banded`) they combine the images S1 a, S2 a and S3 a, which
+`_band_images` makes in O(N), and no (N+1)^2 array is made; one state's
+mean, ellipse and QFI share its images through `_report_images`.  Up to
+N = 3, S2 and S3 (for the mean) and n.S are dense matrices applied by BLAS,
+which fuses multiply-adds and so rounds otherwise than the images: every
+published sweep, state and NOON output is made at N = 3 and keeps its bits.
+A stack runs in the chunks of `_chunks`, so the kernel's memory is bounded
+by one chunk whatever the number of rows.
 
 States on one space are handled as a stack: rows of amplitudes, shape
 (B, N+1), one state being a one-row stack.  numpy's gufuncs make one BLAS
@@ -64,7 +61,6 @@ import cmath
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
@@ -86,14 +82,13 @@ CACHED_SIZES = 16
 #: stops below it (reports at N = 2047, Husimi maps at 5824 on 360 columns)
 MAX_PHOTONS = 2**20
 #: most entries of one dense (N+1) x (N+1) Stokes matrix, so N <= 2047; a
-#: report is refused above it too, through `_stokes_band`, but holds no dense
-#: matrix from N = 256 on (`noon --N 2047` peaks at about 31 MB resident)
+#: report is refused above it too, through `_stokes_band`, though it holds no
+#: dense matrix from N = 4 on (`noon --N 2047` peaks at about 31 MB resident)
 MAX_DENSE_ENTRIES = 2**22
-#: complex entries of one stacked (rows, N+1, N+1) matrix: a chunk of a stack
-#: holds CHUNK_ENTRIES // (N+1)^2 states, 4096 at N = 3 and two at N = 180;
-#: from N = 181 on a chunk is one row, as a single-state report is, and from
-#: N = 256 on, where one matrix no longer fits, the kernel takes band images,
-#: CHUNK_ENTRIES // (N+1) rows of them per chunk
+#: complex entries of one chunk of a stack in the moment kernel: a chunk
+#: holds CHUNK_ENTRIES // (N+1) rows of band images from N = 4 on (32 at
+#: N = 2047), and CHUNK_ENTRIES // (N+1)^2 rows of dense matrices up to N = 3
+#: (4096 at N = 3)
 CHUNK_ENTRIES = 2**16
 
 
@@ -327,7 +322,7 @@ def _combination(d, parts) -> np.ndarray:
     return d1 * parts[0] + d2 * parts[1] + d3 * parts[2]
 
 
-def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> np.ndarray:
+def _stokes_combination(space: SpinSpace, d) -> np.ndarray:
     """Dense matrix of d[0] S1 + d[1] S2 + d[2] S3, built on its three diagonals.
 
     `d` is one real direction, shape (3,), or a stack of B directions, shape
@@ -335,42 +330,30 @@ def _stokes_combination(space: SpinSpace, d, out: np.ndarray | None = None) -> n
     Every band entry is the same expression, in the same operand order, as in
     the dense sum, so it is bitwise equal to it; entries off the band are +0.
     A real d gives a Hermitian matrix by construction.
-
-    `out`, a combination this function returned before for the same space
-    and stack shape, is overwritten with the new band: it is zero off the
-    band, so the result is the matrix a fresh call gives, without a second
-    (N+1)^2 zero fill.
     """
     flat, *bands = _stokes_band(space.num_photons)
     band = _combination(d, bands)
     dim = space.dimension
     stack = band.shape[:-1]
-    mat = np.zeros(stack + (dim, dim), dtype=complex) if out is None else out
+    mat = np.zeros(stack + (dim, dim), dtype=complex)
     mat.reshape(stack + (dim * dim,))[..., flat] = band
     return mat
 
 
-@functools.lru_cache(maxsize=CACHED_SIZES)
-def _zero_matrix(num_photons: int, thread: int) -> np.ndarray:
-    """The work matrix of `_work_matrix`: zeros of shape (N+1, N+1), one per
-    size and thread."""
-    dim = _dense_dimension(num_photons)
-    return np.zeros((dim, dim), dtype=complex)
-
-
-def _work_matrix(space: SpinSpace) -> np.ndarray:
-    """The moment kernel's matrix for one band at a time on `space`: zero off
-    the band, cached per photon number and thread.  Every write covers the
-    whole band, so the result is the matrix a fresh zero one gives, without
-    zero-filling (N+1)^2 entries.  The caller must be done with it before its
-    thread writes the next band there; no thread sees another's matrix."""
-    return _zero_matrix(space.num_photons, threading.get_ident())
-
-
 def _banded(space: SpinSpace) -> bool:
-    """Whether the moment kernel takes `_band_images` on `space`: from N = 256
-    on, where one chunk cannot hold one Stokes matrix."""
-    return space.dimension**2 > CHUNK_ENTRIES
+    """Whether the moment kernel takes `_band_images` on `space`: from N = 4
+    on.  Band images round otherwise than BLAS products (no fused
+    multiply-add), and every published sweep, state and NOON output is made
+    at N = 3, so N <= 3 keeps the dense route until those are re-recorded."""
+    return space.num_photons > 3
+
+
+def _chunks(space: SpinSpace, count: int) -> list[slice]:
+    """The chunks of a stack of `count` rows in the moment kernel, as row
+    slices of CHUNK_ENTRIES entries: of band images from N = 4 on, of dense
+    matrices up to N = 3."""
+    rows = CHUNK_ENTRIES // (space.dimension if _banded(space) else space.dimension**2)
+    return [slice(i, i + rows) for i in range(0, count, rows)]
 
 
 def _band_images(space: SpinSpace, amps: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -388,7 +371,7 @@ def _band_images(space: SpinSpace, amps: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _report_images(state: PolarizationState) -> tuple[np.ndarray, ...] | None:
-    """`_band_images` of one state as a one-row stack from N = 256 on, read-only,
+    """`_band_images` of one state as a one-row stack from N = 4 on, read-only,
     None below: the mean, the ellipse and the QFI of a state read them here,
     so a report makes them once.  Only the last state's are kept."""
     if not _banded(state.space):
@@ -397,64 +380,59 @@ def _report_images(state: PolarizationState) -> tuple[np.ndarray, ...] | None:
 
 
 def _mean_moments(space: SpinSpace, amps: np.ndarray, images=None) -> np.ndarray:
-    """(<S1>, <S2>, <S3>) of each row of a (B, N+1) stack, as a (B, 3) array;
-    every imaginary part must round off.  From N = 256 on it reads the
-    stack's band `images` if given, or makes them."""
-    if _banded(space):
-        if images is None:
-            images = _band_images(space, amps)
-    else:
-        # the diagonal S1 by its O(N) image; S2, then S3 over it, by their
-        # bands written into the thread's work matrix, which is zero off the band
-        flat, _, b2, b3 = _stokes_band(space.num_photons)
-        work = _work_matrix(space)
-        np.put(work, flat, b2)
-        image2 = np.matvec(work, amps)
-        np.put(work, flat, b3)
-        images = (_s1_image(space, amps), image2, np.matvec(work, amps))
-    raw = np.array([np.vecdot(amps, image) for image in images]).T
-    return np.ascontiguousarray(_real_expectation(raw))
+    """(<S1>, <S2>, <S3>) of each row of a (B, N+1) stack, as a (B, 3) array,
+    chunk by chunk; every imaginary part must round off.  From N = 4 on it
+    reads the stack's band `images` if given, or makes them."""
+    means = np.empty((len(amps), 3))
+    for rows in _chunks(space, len(amps)):
+        chunk = amps[rows]
+        if _banded(space):
+            parts = [image[rows] for image in images] if images else _band_images(space, chunk)
+        else:
+            # the diagonal S1 by its O(N) image; S2, then S3 over it, by their
+            # bands written into one zero matrix
+            flat, _, b2, b3 = _stokes_band(space.num_photons)
+            work = np.zeros((space.dimension, space.dimension), dtype=complex)
+            np.put(work, flat, b2)
+            image2 = np.matvec(work, chunk)
+            np.put(work, flat, b3)
+            parts = (_s1_image(space, chunk), image2, np.matvec(work, chunk))
+        raw = np.array([np.vecdot(chunk, image) for image in parts]).T
+        means[rows] = _real_expectation(raw)
+    return means
 
 
 def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2, images=None) -> np.ndarray:
     """Raw moments (A, B, C) of each row of a (B, N+1) stack, as the rows of
-    a (3, B) array; row i in the frame (n1[i], n2[i], ...).  A chunk holds
-    CHUNK_ENTRIES entries: max(1, CHUNK_ENTRIES // (N+1)^2) rows of matrices
-    below N = 256, and CHUNK_ENTRIES // (N+1) rows of images from there on,
-    which come from the stack's band `images` if given."""
-    banded = _banded(space)
-    rows = max(1, CHUNK_ENTRIES // (space.dimension if banded else space.dimension**2))
+    a (3, B) array, chunk by chunk; row i in the frame (n1[i], n2[i], ...).
+    From N = 4 on n1.S a and n2.S a combine the band images, which come from
+    the stack's `images` if given; up to N = 3 they are dense products."""
     moments = np.empty((3, len(amps)))
-    for i in range(0, len(amps), rows):
-        chunk = amps[i : i + rows]
-        if banded:
-            if images is None:
-                parts = _band_images(space, chunk)
-            else:
-                parts = [image[i : i + rows] for image in images]
-            image1, image2 = (_combination(n[i : i + rows], parts) for n in (n1, n2))
+    for rows in _chunks(space, len(amps)):
+        chunk = amps[rows]
+        if _banded(space):
+            parts = [image[rows] for image in images] if images else _band_images(space, chunk)
+            image1, image2 = (_combination(n[rows], parts) for n in (n1, n2))
         else:
-            # n2.S is written over n1.S: for one row in its thread's cached
-            # work matrix, for more rows in one fresh zero stack
-            out = _work_matrix(space)[None] if len(chunk) == 1 else None
-            mats = _stokes_combination(space, n1[i : i + rows], out=out)
-            image1 = np.matvec(mats, chunk)
-            image2 = np.matvec(_stokes_combination(space, n2[i : i + rows], out=mats), chunk)
+            image1, image2 = (
+                np.matvec(_stokes_combination(space, n[rows]), chunk) for n in (n1, n2)
+            )
         sq1 = np.vecdot(image1, image1).real
         sq2 = np.vecdot(image2, image2).real
-        moments[:, i : i + rows] = sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
+        moments[:, rows] = sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
     return moments
 
 
 def _direction_variance(state: PolarizationState, direction) -> float:
     """`variance` of d.S for the unit 3-vector d = `direction`, by the band
-    images from N = 256 on, on the work matrix below."""
+    images from N = 4 on, by the dense d.S up to N = 3."""
     d = _unit_direction(direction)
     images = _report_images(state)
-    if images is not None:
-        return _image_variance(state.amplitudes, _combination(d, images)[0])
-    generator = _stokes_combination(state.space, d, out=_work_matrix(state.space))
-    return _image_variance(state.amplitudes, generator @ state.amplitudes)
+    if images is None:
+        image = _stokes_combination(state.space, d) @ state.amplitudes
+    else:
+        image = _combination(d, images)[0]
+    return _image_variance(state.amplitudes, image)
 
 
 def stokes_operator(space: SpinSpace, which: int) -> HermitianOperator:

@@ -15,10 +15,10 @@ strictly separate so the two paths cross-validate each other.
 
 Every operator product comes from the moment kernel of `spin_core`: the
 mean from `_mean_moments`, the ellipse from `_transverse_moments` and the QFI
-from `_direction_variance`, by BLAS products with banded Stokes matrices
-below N = 256 and by O(N) band images from there on.  One state is passed as
-a one-row stack, and each row's moments are bit for bit what the row alone
-gives, in any stack.
+from `_direction_variance`, by O(N) band images from N = 4 on and by BLAS
+products with banded Stokes matrices up to N = 3, where every published
+output is made.  One state is passed as a one-row stack, and each row's
+moments are bit for bit what the row alone gives, in any stack.
 
 One state goes through the four public stages on Python floats:
 `squeezing_report` is `mean_polarization` -> `bloch_frame` ->

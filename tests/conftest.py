@@ -9,7 +9,7 @@ Without hypothesis installed the property tests skip and nothing else changes.
 made on first use and shared by every test that reads the unperturbed table.
 
 `ladder_images` and `combined_image` are a test copy of the moment kernel's
-O(N) images, for the tests that pin its bits from N = 256 on.
+O(N) images, for the tests that pin its bits from N = 4 on.
 """
 
 import contextlib

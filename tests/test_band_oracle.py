@@ -1,13 +1,13 @@
 """The moment kernel's band route and the dense route against exact values.
 
-From N = 256 on the kernel takes the images S1 a, S2 a and S3 a of a state a
-in O(N) (`_band_images`), where below it applies dense Stokes matrices.  Here
-both routes are compared, at N in {256, 512, 2047} on a random, a coherent
-and a NOON state, with the same quantities in 50-digit `decimal` arithmetic
+From N = 4 on the kernel takes the images S1 a, S2 a and S3 a of a state a
+in O(N) (`_band_images`), where up to N = 3 it applies dense Stokes matrices.
+Here both routes are compared, at N in {4, 32, 128, 256, 512, 2047} on a
+random, a coherent and a NOON state, with the same quantities in 50-digit `decimal` arithmetic
 on the exact values of the double amplitudes: the three images, the mean
 <S_k> = Re <a|S_k a>, and the raw moments (A, B, C) of `_transverse_moments`
 in the report's frame (n1, n2), taken as the exact values of its doubles.
-The dense route is the one the kernel takes below N = 256: `S_k @ a` with the
+The dense route is the one the kernel takes up to N = 3: `S_k @ a` with the
 dense S_k (`_stokes_combination` of the unit axis, bit for bit the matrix of
 `stokes_operator`, see `test_spin_core.TestBandIsTheSource`) and one dense
 n.S per frame vector.
@@ -34,10 +34,10 @@ from stokes_squeeze.states import coherent_state_closed_form
 from stokes_squeeze.verify import random_state
 
 EPS = 2.0**-52
-#: the bound in eps (s+1)^p.  Over these nine states both routes stay within
-#: 0.24 (images) and 0.36 (means) of eps (s+1), and 0.67 of eps (s+1)^2; on
-#: other draws the NOON C at N = 2047 reached 0.98, one rounding of a sum
-#: near s^2.  4 leaves a margin.
+#: the bound in eps (s+1)^p.  Over these eighteen states both routes stay
+#: within 0.24 (images) and 0.39 (means) of eps (s+1), and 0.91 (the NOON C at
+#: N = 128) of eps (s+1)^2; on other draws the NOON C at N = 2047 reached
+#: 0.98, one rounding of a sum near s^2.  4 leaves a margin.
 K = 4.0
 #: (field, p): an image entry or a mean component carries p = 1, A, B, C p = 2
 POWERS = {"images": 1, "mean": 1, "moments": 2}
@@ -104,7 +104,7 @@ def _states(num_photons: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("num_photons", [256, 512, 2047])
+@pytest.mark.parametrize("num_photons", [4, 32, 128, 256, 512, 2047])
 def test_band_and_dense_routes_stay_near_exact_values(num_photons):
     space = build_spin_space(num_photons)
     states = _states(num_photons)

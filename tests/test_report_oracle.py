@@ -3,7 +3,7 @@ in-test copy of the per-row object tail it replaced.
 
 The copy computes one state at a time: the mean from the dense S1..S3, the
 frame from its angles as three numpy vectors, the ellipse moments from the
-band combinations n1.S and n2.S, then the scalar tail.  From N = 256 on, as
+band combinations n1.S and n2.S, then the scalar tail.  From N = 4 on, as
 the moment kernel does, it takes every image from the three O(N) images of
 `conftest.ladder_images` instead of a dense matrix.  Every report field
 must agree with it by the repr of its value.  A float field is compared as

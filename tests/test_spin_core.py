@@ -32,7 +32,6 @@ from stokes_squeeze.spin_core import (
     _s2_eigenbasis,
     _stokes_band,
     _stokes_combination,
-    _work_matrix,
 )
 from stokes_squeeze.states import basis_state, coherent_state, fidelity, triphoton_state
 from stokes_squeeze.verify import random_state
@@ -631,7 +630,6 @@ class TestDenseBound:
             lambda: _stokes_band(2048),
             lambda: stokes_operator(space, 0),
             lambda: ladder_operator(space, +1),
-            lambda: _work_matrix(space),
             lambda: coherent_state(space, 1.0, 0.5),
             lambda: rotate_about(noon, (1.0, 0.0, 0.0), 0.3),
             lambda: rotate(noon, 2, 0.3),

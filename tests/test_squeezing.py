@@ -38,7 +38,6 @@ from stokes_squeeze.spin_core import (
     _banded,
     _image_variance,
     _stokes_combination,
-    _work_matrix,
     stokes_operator,
 )
 from stokes_squeeze.squeezing import (
@@ -304,19 +303,20 @@ class TestSqueezingReport:
 class TestStackedReports:
     """squeezing_reports is squeezing_report row by row, bit for bit."""
 
-    @pytest.mark.parametrize("num_photons, rows", [(127, 9), (255, 3)])
-    def test_equal_single_reports_across_chunk_boundaries(self, num_photons, rows):
-        # 4 rows per chunk at N = 127, so the stack ends in a partial chunk
-        # after two full ones; 1 at N = 255, where each row runs alone
-        assert CHUNK_ENTRIES // (num_photons + 1) ** 2 == {127: 4, 255: 1}[num_photons]
-        space = build_spin_space(num_photons)
-        rng = np.random.default_rng(num_photons)
+    def test_equal_single_reports_across_chunk_boundaries(self):
+        # a chunk holds 4096 rows of dense matrices at N = 3, so the stack
+        # ends in a one-row chunk after a full one; every 64th row, the last
+        # row of the full chunk and the one-row chunk are checked
+        space = build_spin_space(3)
+        rows = CHUNK_ENTRIES // space.dimension**2 + 1
+        assert rows == 4097
+        rng = np.random.default_rng(3)
         states = [random_state(space, rng) for _ in range(rows - 1)]
-        states.append(noon_state(num_photons, 0.4))
+        states.append(noon_state(3, 0.4))
         stacked = squeezing_reports(space, [state.amplitudes for state in states])
         assert len(stacked) == rows
-        for state, report in zip(states, stacked):
-            assert report_fields(report) == report_fields(squeezing_report(state))
+        for i in [*range(0, rows, 64), rows - 2]:
+            assert report_fields(stacked[i]) == report_fields(squeezing_report(states[i])), i
 
     def test_triphoton_sweep_equals_single_reports(self):
         ts = list(np.linspace(0.0, 1.8, 181)) + [SQRT3, 7.25]
@@ -414,15 +414,22 @@ class TestQfiPure:
 
     @pytest.mark.parametrize("num_photons", [1, 3, 16, 128])
     def test_equals_dense_operator_route(self, num_photons):
-        # the banded generator reproduces 4 variance(d.S) of the dense sum exactly
+        # up to N = 3 the banded generator reproduces 4 variance(d.S) of the
+        # dense sum exactly; from N = 4 on, the variance of the test copy's
+        # O(N) image d.S a
         space = build_spin_space(num_photons)
         s1, s2, s3 = (stokes_operator(space, axis).matrix for axis in (1, 2, 3))
         for _ in range(5):
             state = random_state(space, RNG)
             d = RNG.normal(size=3)
             d /= np.linalg.norm(d)
-            dense = HermitianOperator(space, d[0] * s1 + d[1] * s2 + d[2] * s3)
-            assert qfi_pure(state, d) == 4.0 * variance(state, dense)
+            if _banded(space):
+                image = combined_image(d, ladder_images(space, state.amplitudes))
+                expected = 4.0 * _image_variance(state.amplitudes, image)
+            else:
+                dense = HermitianOperator(space, d[0] * s1 + d[1] * s2 + d[2] * s3)
+                expected = 4.0 * variance(state, dense)
+            assert qfi_pure(state, d) == expected
 
 
 class TestAnalyticForms:
@@ -512,8 +519,8 @@ def test_decibels():
 
 
 def _fresh_image(state, direction) -> np.ndarray:
-    """d.S a from a freshly built combination, or from N = 256 on from the
-    test copy of the O(N) images."""
+    """d.S a from a freshly built combination up to N = 3, or from N = 4 on
+    from the test copy of the O(N) images."""
     space, amps = state.space, state.amplitudes
     if _banded(space):
         return combined_image(direction, ladder_images(space, amps))
@@ -546,15 +553,14 @@ def _unit(rng) -> np.ndarray:
 
 class TestWorkMatrices:
     """Every ellipse and QFI equals, bit for bit, what freshly built n.S
-    matrices give (from N = 256 on, the O(N) images), whatever sizes and
+    matrices give (from N = 4 on, the O(N) images), whatever sizes and
     stacks ran before it."""
 
     def test_interleaved_sizes_match_fresh_matrices(self):
-        # stacked: two-row chunks and a one-row chunk at N = 180, rows run as
-        # single states at N = 181, one 809-row chunk at N = 8, and O(N)
-        # images at N = 512
+        # single states and stacks of band images at sizes in turn, and a
+        # stack at N = 3 in one chunk of dense matrices
         rng = np.random.default_rng(29)
-        for num, count in ((512, 3), (128, 3), (180, 3), (181, 3), (8, 809), (512, 3)):
+        for num, count in ((512, 3), (128, 3), (3, 9), (181, 3), (8, 809), (512, 3)):
             space = build_spin_space(num)
             states = [random_state(space, rng) for _ in range(count)]
             singles = [squeezing_report(state) for state in states]
@@ -568,28 +574,6 @@ class TestWorkMatrices:
                 assert report_fields(report) == report_fields(single), num
                 fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
                 assert _ellipse_bits(report) == fresh, num
-
-    def test_stacks_cache_only_single_work_matrices(self, monkeypatch):
-        # with the cache cleared, every matrix it holds passes the spy once
-        cached, seen = spin_core._zero_matrix, []
-
-        def spy(*key):
-            seen.append(cached(*key))
-            return seen[-1]
-
-        cached.cache_clear()
-        monkeypatch.setattr(spin_core, "_zero_matrix", spy)
-        rng = np.random.default_rng(43)
-        for num in (3, 8, 128):
-            space = build_spin_space(num)
-            # full chunks, then a one-row chunk
-            count = CHUNK_ENTRIES // space.dimension**2 + 1
-            states = [random_state(space, rng) for _ in range(count)]
-            squeezing_report(states[0])
-            squeezing_reports(space, [s.amplitudes for s in states])
-        assert all(matrix.ndim == 2 for matrix in seen)
-        assert {matrix.shape for matrix in seen} == {(4, 4), (9, 9), (129, 129)}
-        assert cached.cache_info().currsize == 3
 
     def test_stacks_of_other_sizes_in_between(self):
         # N = 3 stacks of a few rows, then one state, at two sizes in turn
@@ -606,17 +590,23 @@ class TestWorkMatrices:
             fresh = tuple(x.hex() for x in _fresh_ellipse(state, report.frame))
             assert _ellipse_bits(report) == fresh
 
-    def test_band_images_from_n_256_on(self, monkeypatch):
-        # N = 255 is the largest size whose Stokes matrix fits a chunk
-        reads, work = [], spin_core._work_matrix
+    def test_band_images_from_n_4_on(self, monkeypatch):
+        # N = 3 is the largest size on dense matrices
+        calls = []
 
-        def spy(space):
-            reads.append(space.num_photons)
-            return work(space)
+        def spy(name):
+            route = getattr(spin_core, name)
 
-        monkeypatch.setattr(spin_core, "_work_matrix", spy)
+            def record(space, *args):
+                calls.append((name, space.num_photons))
+                return route(space, *args)
+
+            return record
+
+        for name in ("_stokes_combination", "_band_images"):
+            monkeypatch.setattr(spin_core, name, spy(name))
         rng = np.random.default_rng(41)
-        for num in (255, 256):
+        for num in (3, 4):
             space = build_spin_space(num)
             states = [random_state(space, rng) for _ in range(3)]
             singles = [squeezing_report(state) for state in states]
@@ -624,12 +614,14 @@ class TestWorkMatrices:
             stacked = squeezing_reports(space, [s.amplitudes for s in states])
             for single, report in zip(singles, stacked, strict=True):
                 assert report_fields(report) == report_fields(single), num
-        # per single report the mean and the ellipse, then the QFI, then one
-        # ellipse per row of the stack (its mean runs on the stack)
-        assert reads == [255] * 11
+        # at N = 3 n1.S and n2.S per report, d.S for the QFI and one n1.S
+        # and n2.S stack for the stacked ellipse; at N = 4 one image set per
+        # report, one more for the QFI of the first state, and one each for
+        # the stack's mean and ellipse
+        assert calls == [("_stokes_combination", 3)] * 9 + [("_band_images", 4)] * 6
 
     def test_one_band_image_set_per_state(self, monkeypatch):
-        # from N = 256 on the mean, the ellipse and the QFI of one state share
+        # from N = 4 on the mean, the ellipse and the QFI of one state share
         # its images
         calls, images = [], spin_core._band_images
 
@@ -661,7 +653,8 @@ class TestWorkMatrices:
     def test_band_stack_chunk_memory_is_bounded(self):
         # one chunk's three images, two combinations and their temporaries
         # peak at 6.1 chunks of 16 CHUNK_ENTRIES bytes, and consecutive chunks
-        # overlap to 10.0; the 765 rows in one pass measured 18.1
+        # overlap to 10.0; the 765 rows in one pass measured 18.1.  The mean
+        # peaks at 8.0 chunks; in one pass it measured 15.0
         space = build_spin_space(256)
         rng = np.random.default_rng(59)
         count = 3 * (CHUNK_ENTRIES // space.dimension)
@@ -669,21 +662,34 @@ class TestWorkMatrices:
         n1 = np.tile([0.0, -0.6, 0.8], (count, 1))
         n2 = np.tile([1.0, 0.0, 0.0], (count, 1))
         spin_core._transverse_moments(space, amps[:1], n1[:1], n2[:1])  # the band cache
-        tracemalloc.start()
-        try:
-            moments = spin_core._transverse_moments(space, amps, n1, n2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 16 * CHUNK_ENTRIES
-        np.testing.assert_array_equal(
-            moments[:, -1], spin_core._transverse_moments(space, amps[-1:], n1[:1], n2[:1])[:, 0]
-        )
+        # each as rows, for all of them or for the rows `k`
+        for moments_of in (
+            lambda k: spin_core._transverse_moments(space, amps[k], n1[k], n2[k]).T,
+            lambda k: spin_core._mean_moments(space, amps[k]),
+        ):
+            tracemalloc.start()
+            try:
+                moments = moments_of(slice(None))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 16 * CHUNK_ENTRIES
+            np.testing.assert_array_equal(moments[-1], moments_of(slice(-1, None))[0])
 
     def test_two_threads_match_a_serial_run(self, monkeypatch):
-        # at N = 255, the largest size on the work matrices
+        # at N = 3 both threads write their n.S, then both apply it: a matrix
+        # shared across threads would hold the other thread's band at every
+        # product.  At N = 64 both combine their images, then both go on, so
+        # each state's next read of the `_report_images` cache may find the
+        # other thread's state there
+        for num, hook in ((3, "_stokes_combination"), (64, "_combination")):
+            with monkeypatch.context() as patch:
+                self._two_threads_match_a_serial_run(patch, num, hook)
+
+    @staticmethod
+    def _two_threads_match_a_serial_run(patch, num, hook):
         rng = np.random.default_rng(37)
-        space = build_spin_space(255)
+        space = build_spin_space(num)
         states = [random_state(space, rng) for _ in range(24)]
         directions = [_unit(rng) for _ in states]
 
@@ -696,17 +702,15 @@ class TestWorkMatrices:
 
         halves = [list(range(0, 24, 2)), list(range(1, 24, 2))]
         serial = [results(half) for half in halves]
-        # both threads write their n.S, then both apply it: a matrix shared
-        # across threads would hold the other thread's band at every product
         written = threading.Barrier(2, timeout=10)
-        combination = spin_core._stokes_combination
+        build = getattr(spin_core, hook)
 
-        def write_then_wait(*args, **kwargs):
-            mats = combination(*args, **kwargs)
+        def build_then_wait(*args, **kwargs):
+            built = build(*args, **kwargs)
             written.wait()
-            return mats
+            return built
 
-        monkeypatch.setattr(spin_core, "_stokes_combination", write_then_wait)
+        patch.setattr(spin_core, hook, build_then_wait)
         got = [None, None]
 
         def run(which):
@@ -718,26 +722,28 @@ class TestWorkMatrices:
         for thread in threads:
             thread.join(timeout=60)
             assert not thread.is_alive()
-        assert got == serial
+        assert got == serial, num
 
     def test_report_route_allocates_no_dense_matrix(self):
-        # cold caches at N = 1023: the mean, the ellipse and the QFI take O(N)
-        # images, so no array of (N+1)^2 entries is made
-        space, state = build_spin_space(1023), noon_state(1023, 0.3)
-        spin_core._zero_matrix.cache_clear()
-        spin_core._stokes_band.cache_clear()
-        tracemalloc.start()
-        try:
-            squeezing_report(state)
-            squeezing_reports(space, [state.amplitudes, state.amplitudes])
-            qfi_pure(state, (0.0, 0.6, 0.8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 16 * space.dimension
+        # cold caches: the mean, the ellipse and the QFI take O(N) images, so
+        # no array of (N+1)^2 entries is made; at N = 64 the bound is below
+        # the 16 (N+1)^2 bytes of one dense matrix
+        for num in (64, 1023):
+            space, state = build_spin_space(num), noon_state(num, 0.3)
+            spin_core._stokes_band.cache_clear()
+            tracemalloc.start()
+            try:
+                squeezing_report(state)
+                squeezing_reports(space, [state.amplitudes, state.amplitudes])
+                qfi_pure(state, (0.0, 0.6, 0.8))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 16 * space.dimension, num
 
     def test_report_reads_every_band_through_spin_core(self, monkeypatch):
-        # the mean's S2 and S3 bands, then the n1.S and n2.S combinations
+        # at N = 3 the mean's S2 and S3 bands, then the n1.S and n2.S
+        # combinations; at N = 5 the band images, which the ellipse reuses
         reads, band = [], spin_core._stokes_band
 
         def spy(num_photons):
@@ -745,13 +751,6 @@ class TestWorkMatrices:
             return band(num_photons)
 
         monkeypatch.setattr(spin_core, "_stokes_band", spy)
+        squeezing_report(noon_state(3, 0.3))
         squeezing_report(noon_state(5, 0.3))
-        assert reads == [5, 5, 5]
-
-    def test_each_thread_has_its_own_work_matrix(self):
-        space = build_spin_space(64)
-        mine, theirs = _work_matrix(space), []
-        thread = threading.Thread(target=lambda: theirs.append(_work_matrix(space)))
-        thread.start()
-        thread.join()
-        assert theirs[0] is not mine and _work_matrix(space) is mine
+        assert reads == [3, 3, 3, 5]
