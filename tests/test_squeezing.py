@@ -303,7 +303,27 @@ class TestSqueezingReport:
 class TestStackedReports:
     """squeezing_reports is squeezing_report row by row, bit for bit."""
 
-    def test_equal_single_reports_across_chunk_boundaries(self):
+    @pytest.mark.parametrize("num_photons, rows", [(127, 9), (255, 3)])
+    def test_equal_single_reports_across_chunk_boundaries(self, monkeypatch, num_photons, rows):
+        # band chunks shrunk to 4 rows at N = 127, so the stack ends in a
+        # partial chunk after two full ones; to 1 at N = 255, where each row
+        # runs alone
+        per_chunk = {127: 4, 255: 1}[num_photons]
+        monkeypatch.setattr(spin_core, "CHUNK_ENTRIES", per_chunk * (num_photons + 1))
+        space = build_spin_space(num_photons)
+        assert [len(range(rows)[k]) for k in spin_core._chunks(space, rows)] == {
+            127: [4, 4, 1],
+            255: [1, 1, 1],
+        }[num_photons]
+        rng = np.random.default_rng(num_photons)
+        states = [random_state(space, rng) for _ in range(rows - 1)]
+        states.append(noon_state(num_photons, 0.4))
+        stacked = squeezing_reports(space, [state.amplitudes for state in states])
+        assert len(stacked) == rows
+        for state, report in zip(states, stacked):
+            assert report_fields(report) == report_fields(squeezing_report(state))
+
+    def test_equal_single_reports_across_a_dense_chunk_boundary(self):
         # a chunk holds 4096 rows of dense matrices at N = 3, so the stack
         # ends in a one-row chunk after a full one; every 64th row, the last
         # row of the full chunk and the one-row chunk are checked
