@@ -34,25 +34,27 @@ main one, S2 and S3 on the first off-diagonals.  `_stokes_combination`
 (S1..S3 are its unit-axis combinations) writes those 3N+1 entries into a
 fresh zero matrix with the same elementwise arithmetic as the dense sum; a
 real d makes it Hermitian by construction.  The moment kernel makes every
-product of a squeezing report: `_mean_moments` gives <S1..S3>,
-`_transverse_moments` the second moments of n1.S and n2.S, and
-`_direction_variance` the variance of one d.S for the QFI.  From N = 4 on
-(`_banded`) they combine the images S1 a, S2 a and S3 a, which
+product of a squeezing report, in two shape-generic helpers: `_mean_of`
+gives <S1..S3> and `_moments_of` the second moments (A, B, C) of n1.S and
+n2.S, whose two images come from one combination with the pair (n1, n2);
+`_direction_variance` gives the variance of one d.S for the QFI.  From N = 4
+on (`_banded`) they combine the images S1 a, S2 a and S3 a, which
 `_band_images` makes in O(N), and no (N+1)^2 array is made; one state's
-mean, ellipse and QFI share its images through `_report_images`.  Up to
-N = 3, S2 and S3 (for the mean) and n.S are dense matrices applied by BLAS,
-which fuses multiply-adds and so rounds otherwise than the images: every
-published sweep, state and NOON output is made at N = 3 and keeps its bits.
-A stack runs in the chunks of `_chunks`, so the kernel's memory is bounded
-by one chunk whatever the number of rows.
+mean, ellipse and QFI share its three images through `_report_images`.  Up
+to N = 3, S2 and S3 (for the mean) and n.S are dense matrices applied by
+BLAS, which fuses multiply-adds and so rounds otherwise than the images:
+every published sweep, state and NOON output is made at N = 3 and keeps its
+bits.
 
-States on one space are handled as a stack: rows of amplitudes, shape
-(B, N+1), one state being a one-row stack.  numpy's gufuncs make one BLAS
-call per row with the arguments a single call would use: `np.matvec` is the
-`zgemv` of `mat @ amps`, `np.vecdot` the `zdotc` of `np.vdot`, and two real
-`vecdot`s are the `ddot`s of `np.linalg.norm`, so every row's value is the
-one-state value bit for bit.  `einsum` and `sum` reduce in another order and
-are not used there.
+One state goes through the helpers once, as its (N+1,) amplitudes.  A stack
+of states on one space, rows of amplitudes of shape (B, N+1), goes through
+them once per chunk of `_chunks` (`_mean_moments`, `_transverse_moments`),
+so the kernel's memory is bounded by one chunk whatever the number of rows.
+numpy's gufuncs make one BLAS call per row with the arguments a single
+state's call uses: `np.matvec` is the `zgemv` of `mat @ amps`, `np.vecdot`
+the `zdotc` of `np.vdot`, and two real `vecdot`s are the `ddot`s of
+`np.linalg.norm`, so every row's value is the one-state value bit for bit.
+`einsum` and `sum` reduce in another order and are not used there.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ MAX_DENSE_ENTRIES = 2**22
 #: complex entries of one chunk of a stack in the moment kernel: a chunk
 #: holds CHUNK_ENTRIES // (N+1) rows of band images from N = 4 on (32 at
 #: N = 2047), and CHUNK_ENTRIES // (N+1)^2 rows of dense matrices up to N = 3
-#: (4096 at N = 3)
+#: (4096 at N = 3, where the ellipse takes two such blocks, n1.S and n2.S)
 CHUNK_ENTRIES = 2**16
 
 
@@ -314,10 +316,12 @@ def _stokes_band(num_photons: int) -> tuple[np.ndarray, ...]:
 
 
 def _combination(d, parts) -> np.ndarray:
-    """d1 parts[0] + d2 parts[1] + d3 parts[2] for one direction d, shape (3,),
-    or one per row of a stack, shape (B, 3): the band of d.S from the bands
-    of S1..S3, or d.S a from the images S1 a .. S3 a."""
-    # scalar-like (1,) coefficients for one direction, (B, 1) columns for a stack
+    """d1 parts[0] + d2 parts[1] + d3 parts[2]: the band of d.S from the bands
+    of S1..S3, or d.S a from the images S1 a .. S3 a.  d is one direction,
+    shape (3,), one per row of a stack, (B, 3), a pair (n1, n2), (2, 3), or a
+    pair per row, (B, 2, 3); a pair gives its two combinations first."""
+    # d's axes reversed: (1,) coefficients for one direction, (B, 1) columns
+    # for a stack, and a leading pair axis before them
     d1, d2, d3 = np.asarray(d).T[..., None]
     return d1 * parts[0] + d2 * parts[1] + d3 * parts[2]
 
@@ -325,8 +329,9 @@ def _combination(d, parts) -> np.ndarray:
 def _stokes_combination(space: SpinSpace, d) -> np.ndarray:
     """Dense matrix of d[0] S1 + d[1] S2 + d[2] S3, built on its three diagonals.
 
-    `d` is one real direction, shape (3,), or a stack of B directions, shape
-    (B, 3), which gives a (B, N+1, N+1) stack of matrices, one per row.
+    `d` is one real direction, shape (3,), or a stack of them as
+    `_combination` takes it, which gives a stack of matrices: (B, N+1, N+1)
+    for B directions, (2, B, N+1, N+1) for B pairs.
     Every band entry is the same expression, in the same operand order, as in
     the dense sum, so it is bitwise equal to it; entries off the band are +0.
     A real d gives a Hermitian matrix by construction.
@@ -371,55 +376,64 @@ def _band_images(space: SpinSpace, amps: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _report_images(state: PolarizationState) -> tuple[np.ndarray, ...] | None:
-    """`_band_images` of one state as a one-row stack from N = 4 on, read-only,
-    None below: the mean, the ellipse and the QFI of a state read them here,
-    so a report makes them once.  Only the last state's are kept."""
+    """`_band_images` of one state from N = 4 on, as three read-only (N+1,)
+    arrays, None below: the mean, the ellipse and the QFI of a state read them
+    here, so a report makes them once.  Only the last state's are kept."""
     if not _banded(state.space):
         return None
-    return tuple(_readonly(image) for image in _band_images(state.space, state.amplitudes[None]))
+    return tuple(_readonly(image) for image in _band_images(state.space, state.amplitudes))
 
 
-def _mean_moments(space: SpinSpace, amps: np.ndarray, images=None) -> np.ndarray:
-    """(<S1>, <S2>, <S3>) of each row of a (B, N+1) stack, as a (B, 3) array,
-    chunk by chunk; every imaginary part must round off.  From N = 4 on it
-    reads the stack's band `images` if given, or makes them."""
+def _mean_of(space: SpinSpace, amps: np.ndarray, images=None) -> np.ndarray:
+    """(<S1>, <S2>, <S3>) of one state, amplitudes (N+1,), as a (3,) array, or
+    of each row of a (b, N+1) chunk, as a (b, 3) array; every imaginary part
+    must round off.  From N = 4 on it reads the band `images` if given, or
+    makes them."""
+    if _banded(space):
+        parts = images or _band_images(space, amps)
+    else:
+        # the diagonal S1 by its O(N) image; S2, then S3 over it, by their
+        # bands written into one zero matrix
+        flat, _, b2, b3 = _stokes_band(space.num_photons)
+        work = np.zeros((space.dimension, space.dimension), dtype=complex)
+        np.put(work, flat, b2)
+        image2 = np.matvec(work, amps)
+        np.put(work, flat, b3)
+        parts = (_s1_image(space, amps), image2, np.matvec(work, amps))
+    raw = np.array([np.vecdot(amps, image) for image in parts]).T
+    return _real_expectation(raw)
+
+
+def _moments_of(space: SpinSpace, amps: np.ndarray, frame, images=None) -> tuple:
+    """Raw moments (A, B, C) of one state, amplitudes (N+1,), in the frame
+    (n1, n2) of shape (2, 3), or of each row of a (b, N+1) chunk in its own
+    frame, (b, 2, 3).  n1.S a and n2.S a come from one combination: from
+    N = 4 on of the band images, which are `images` if given; up to N = 3 of
+    dense n.S matrices."""
+    if _banded(space):
+        image1, image2 = _combination(frame, images or _band_images(space, amps))
+    else:
+        image1, image2 = np.matvec(_stokes_combination(space, frame), amps)
+    sq1 = np.vecdot(image1, image1).real
+    sq2 = np.vecdot(image2, image2).real
+    return sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
+
+
+def _mean_moments(space: SpinSpace, amps: np.ndarray) -> np.ndarray:
+    """`_mean_of` each row of a (B, N+1) stack, as a (B, 3) array, chunk by chunk."""
     means = np.empty((len(amps), 3))
     for rows in _chunks(space, len(amps)):
-        chunk = amps[rows]
-        if _banded(space):
-            parts = [image[rows] for image in images] if images else _band_images(space, chunk)
-        else:
-            # the diagonal S1 by its O(N) image; S2, then S3 over it, by their
-            # bands written into one zero matrix
-            flat, _, b2, b3 = _stokes_band(space.num_photons)
-            work = np.zeros((space.dimension, space.dimension), dtype=complex)
-            np.put(work, flat, b2)
-            image2 = np.matvec(work, chunk)
-            np.put(work, flat, b3)
-            parts = (_s1_image(space, chunk), image2, np.matvec(work, chunk))
-        raw = np.array([np.vecdot(chunk, image) for image in parts]).T
-        means[rows] = _real_expectation(raw)
+        means[rows] = _mean_of(space, amps[rows])
     return means
 
 
-def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2, images=None) -> np.ndarray:
-    """Raw moments (A, B, C) of each row of a (B, N+1) stack, as the rows of
-    a (3, B) array, chunk by chunk; row i in the frame (n1[i], n2[i], ...).
-    From N = 4 on n1.S a and n2.S a combine the band images, which come from
-    the stack's `images` if given; up to N = 3 they are dense products."""
+def _transverse_moments(space: SpinSpace, amps: np.ndarray, n1, n2) -> np.ndarray:
+    """`_moments_of` each row of a (B, N+1) stack, as the rows of a (3, B)
+    array, chunk by chunk; row i in the frame (n1[i], n2[i], ...)."""
+    frames = np.stack((n1, n2), axis=1)
     moments = np.empty((3, len(amps)))
     for rows in _chunks(space, len(amps)):
-        chunk = amps[rows]
-        if _banded(space):
-            parts = [image[rows] for image in images] if images else _band_images(space, chunk)
-            image1, image2 = (_combination(n[rows], parts) for n in (n1, n2))
-        else:
-            image1, image2 = (
-                np.matvec(_stokes_combination(space, n[rows]), chunk) for n in (n1, n2)
-            )
-        sq1 = np.vecdot(image1, image1).real
-        sq2 = np.vecdot(image2, image2).real
-        moments[:, rows] = sq1 - sq2, 2.0 * np.vecdot(image1, image2).real, sq1 + sq2
+        moments[:, rows] = _moments_of(space, amps[rows], frames[rows])
     return moments
 
 
@@ -431,7 +445,7 @@ def _direction_variance(state: PolarizationState, direction) -> float:
     if images is None:
         image = _stokes_combination(state.space, d) @ state.amplitudes
     else:
-        image = _combination(d, images)[0]
+        image = _combination(d, images)
     return _image_variance(state.amplitudes, image)
 
 

@@ -14,11 +14,13 @@ coefficients, extremal variances) doubles every matrix result and is kept
 strictly separate so the two paths cross-validate each other.
 
 Every operator product comes from the moment kernel of `spin_core`: the
-mean from `_mean_moments`, the ellipse from `_transverse_moments` and the QFI
-from `_direction_variance`, by O(N) band images from N = 4 on and by BLAS
+mean from `_mean_of`, the ellipse from `_moments_of` and the QFI from
+`_direction_variance`, by O(N) band images from N = 4 on and by BLAS
 products with banded Stokes matrices up to N = 3, where every published
-output is made.  One state is passed as a one-row stack, and each row's
-moments are bit for bit what the row alone gives, in any stack.
+output is made.  One state is passed as its (N+1,) amplitudes, with the
+images `_report_images` keeps of it; a stack runs the same two helpers chunk
+by chunk (`_mean_moments`, `_transverse_moments`), and each row's moments are
+bit for bit what the row alone gives, in any stack.
 
 One state goes through the four public stages on Python floats:
 `squeezing_report` is `mean_polarization` -> `bloch_frame` ->
@@ -34,8 +36,8 @@ the same pipeline on numpy columns, with the same checks, tolerances and
 messages.  Per row it keeps, in `math`, only atan2, sin, cos, hypot and the
 square of s/|<S>|, whose numpy versions may differ in the last bit; the
 frame vectors, the snap, V-+ with its clamp, xi^2, chi^2 and the QFI are
-columns, since + - * / round the same there.  The routes stay apart because
-numpy's per-call overhead on a one-row stack costs an N = 3 report two to
+columns, since + - * / round the same there.  The tails stay apart because
+numpy's per-call overhead on columns of one row costs a report's tail two to
 three times what the floats cost, and single reports are what large-N work
 makes.  `squeezing_reports` builds its report objects with the
 constructors as well, so a stack's rows are checked once as columns and
@@ -55,6 +57,8 @@ from .spin_core import (
     _amplitude_rows,
     _direction_variance,
     _mean_moments,
+    _mean_of,
+    _moments_of,
     _readonly,
     _report_images,
     _require_unit_rows,
@@ -172,15 +176,16 @@ class SqueezingReport:
 
 def mean_polarization(state: PolarizationState) -> MeanPolarization:
     """Mean Stokes vector (<S1>, <S2>, <S3>) with length and transverse radius."""
-    images = _report_images(state)
-    comps, lengths, radii = _mean_columns(state.space, state.amplitudes[None], images)
-    return MeanPolarization(_readonly(comps[0]), lengths.item(), radii.item())
+    # the real parts of the raw means, contiguous as a stack's rows are
+    comps = _readonly(_mean_of(state.space, state.amplitudes, _report_images(state)).copy())
+    length, radius = _mean_lengths(state.space, comps)
+    return MeanPolarization(comps, float(length), float(radius))
 
 
-def _mean_columns(space: SpinSpace, amps: np.ndarray, images=None) -> tuple:
-    """Components (B, 3), lengths (B,) and transverse radii (B,) of the mean
-    polarizations of a (B, N+1) stack, from its band images if given."""
-    comps = _mean_moments(space, amps, images)
+def _mean_lengths(space: SpinSpace, comps: np.ndarray) -> tuple:
+    """Lengths and transverse radii of one mean polarization, components
+    (3,), or of each row of a (B, 3) stack; a length above the spin is
+    refused."""
     lengths = np.sqrt(np.vecdot(comps, comps))
     over = lengths > space.spin + 1e-12
     if np.count_nonzero(over):
@@ -188,7 +193,7 @@ def _mean_columns(space: SpinSpace, amps: np.ndarray, images=None) -> tuple:
             f"mean polarization length {np.extract(over, lengths)[0]} exceeds the spin "
             f"{space.spin}"
         )
-    return comps, lengths, np.hypot(comps[:, 1], comps[:, 2])
+    return lengths, np.hypot(comps[..., 1], comps[..., 2])
 
 
 def _angles(components, length: float, radius: float) -> tuple:
@@ -226,9 +231,8 @@ def variance_ellipse(state: PolarizationState, frame: BlochFrame) -> VarianceEll
 
     A = <S_n1^2 - S_n2^2>, B = <S_n1 S_n2 + S_n2 S_n1>, C = <S_n1^2 + S_n2^2>.
     """
-    n1, n2 = np.array([frame.n1]), np.array([frame.n2])
-    amps, images = state.amplitudes[None], _report_images(state)
-    a, b, c = _transverse_moments(state.space, amps, n1, n2, images)[:, 0].tolist()
+    pair, images = np.array((frame.n1, frame.n2)), _report_images(state)
+    a, b, c = map(float, _moments_of(state.space, state.amplitudes, pair, images))
     # exact-zero moments survive as +-1e-16 noise; snap them so atan2 picks a
     # deterministic branch (the family's B = 0, A < 0 must give gamma_opt = pi)
     snap = MOMENT_SNAP * max(1.0, c)
@@ -313,7 +317,8 @@ def squeezing_columns(space: SpinSpace, amplitudes) -> tuple:
     amps = _amplitude_rows(space, amplitudes)
     _require_unit_rows(amps)
     spin = _spin(space)
-    comps, lengths, radii = _mean_columns(space, amps)
+    comps = _mean_moments(space, amps)
+    lengths, radii = _mean_lengths(space, comps)
     # atan2, sin, cos and hypot by `math`, row by row; the rest in columns
     s1, s2, s3 = comps.T.tolist()
     theta, phi = list(map(math.atan2, radii.tolist(), s1)), list(map(math.atan2, s3, s2))

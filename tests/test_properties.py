@@ -1,9 +1,11 @@
 """Property tests on random states, N <= 64: SU(2) rotations, the
 covariance of the Husimi Q under them, the uncertainty bound of the
 squeezing report and the analysis frame; the invariance of the report under
-rotations, N <= 512; `sweep` files over random ranges against the per-cell
-writers; and the `%.12g` kernel of the husimi CSV against `%`.  Stacked
-against single-state reports is in test_report_oracle.py."""
+rotations, N <= 512; the single-state route of the moment kernel against a
+stack's row and the test copy of its images, N <= 600; `sweep` files over
+random ranges against the per-cell writers; and the `%.12g` kernel of the
+husimi CSV against `%`.  Stacked against single-state reports on the per-row
+tail is in test_report_oracle.py."""
 
 import math
 
@@ -15,21 +17,28 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from conftest import combined_image, ladder_images  # noqa: E402
 from stokes_squeeze import (  # noqa: E402
     bloch_frame,
     build_spin_space,
     coherent_state,
     mean_polarization,
+    noon_state,
+    normalized_state,
     q_value,
+    qfi_pure,
     rotate_about,
     squeezing_report,
+    squeezing_reports,
     stokes_operator,
 )
+from stokes_squeeze.spin_core import _banded, _image_variance  # noqa: E402
 from stokes_squeeze.squeezing import DEGENERACY_TOL, MeanPolarization  # noqa: E402
 from stokes_squeeze.verify import random_state, rodrigues  # noqa: E402
 from stokes_squeeze.cli import sweep_samples  # noqa: E402
 from test_g12 import _assert_like_percent  # noqa: E402
 from test_cli import _per_cell_sweep, _per_row_records, _sweep_file  # noqa: E402
+from test_squeezing import report_fields  # noqa: E402
 
 BASIS_AXES = [
     tuple(sign * float(i == axis) for i in range(3)) for axis in range(3) for sign in (1, -1)
@@ -126,6 +135,42 @@ def test_report_obeys_uncertainty_bound(case):
     assert (
         report.v_minus * report.v_plus >= report.mean.length**2 / 4 - 1e-12 * spin**2
     )
+
+
+def _drawn_state(kind: str, num_photons: int, rng):
+    space = build_spin_space(num_photons)
+    if kind == "sparse":  # up to three nonzero amplitudes
+        amps = np.zeros(space.dimension, dtype=complex)
+        where = rng.choice(space.dimension, size=min(3, space.dimension), replace=False)
+        amps[where] = rng.normal(size=where.size) + 1j * rng.normal(size=where.size)
+        return normalized_state(space, amps)
+    if kind == "coherent":
+        return coherent_state(space, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+    if kind == "noon":
+        return noon_state(num_photons, rng.uniform(0, 2 * math.pi))
+    return random_state(space, rng)
+
+
+@given(
+    st.sampled_from(["random", "sparse", "coherent", "noon"]),
+    st.integers(min_value=1, max_value=600),
+    seeds,
+)
+def test_single_route_equals_a_stack_row_and_the_image_copy(kind, num_photons, seed):
+    # one state runs the kernel on its (N+1,) amplitudes, a stack on rows:
+    # every report field is the same bits; from N = 4 on the QFI is the
+    # variance of the test copy's image d.S a
+    rng = np.random.default_rng(seed)
+    state = _drawn_state(kind, num_photons, rng)
+    report = squeezing_report(state)
+    (row,) = squeezing_reports(state.space, [state.amplitudes])
+    assert report_fields(report) == report_fields(row)
+    if _banded(state.space):
+        d = rng.normal(size=3)
+        for direction in (report.frame.n1, report.frame.n3, d / np.linalg.norm(d)):
+            image = combined_image(direction, ladder_images(state.space, state.amplitudes))
+            expected = 4.0 * _image_variance(state.amplitudes, image)
+            assert qfi_pure(state, direction).hex() == expected.hex()
 
 
 #: the round-off units of a moment, eps (s+1)^2, and of |<S>|, eps (s+1)

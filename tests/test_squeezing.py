@@ -572,9 +572,10 @@ def _unit(rng) -> np.ndarray:
 
 
 class TestWorkMatrices:
-    """Every ellipse and QFI equals, bit for bit, what freshly built n.S
-    matrices give (from N = 4 on, the O(N) images), whatever sizes and
-    stacks ran before it."""
+    """The moment kernel: every ellipse and QFI equals, bit for bit, what
+    freshly built n.S matrices give (from N = 4 on, the O(N) images),
+    whatever sizes and stacks ran before it; the route each size and entry
+    point takes, the shared image cache, the chunks and their memory."""
 
     def test_interleaved_sizes_match_fresh_matrices(self):
         # single states and stacks of band images at sizes in turn, and a
@@ -611,19 +612,21 @@ class TestWorkMatrices:
             assert _ellipse_bits(report) == fresh
 
     def test_band_images_from_n_4_on(self, monkeypatch):
-        # N = 3 is the largest size on dense matrices
+        # N = 3 is the largest size on dense matrices; one state goes through
+        # the kernel as its (N+1,) amplitudes, never in chunks, and a stack
+        # chunk by chunk
         calls = []
 
         def spy(name):
             route = getattr(spin_core, name)
 
-            def record(space, *args):
-                calls.append((name, space.num_photons))
-                return route(space, *args)
+            def record(space, arg):
+                calls.append((name, space.num_photons, np.shape(arg)))
+                return route(space, arg)
 
             return record
 
-        for name in ("_stokes_combination", "_band_images"):
+        for name in ("_stokes_combination", "_band_images", "_chunks"):
             monkeypatch.setattr(spin_core, name, spy(name))
         rng = np.random.default_rng(41)
         for num in (3, 4):
@@ -634,30 +637,45 @@ class TestWorkMatrices:
             stacked = squeezing_reports(space, [s.amplitudes for s in states])
             for single, report in zip(singles, stacked, strict=True):
                 assert report_fields(report) == report_fields(single), num
-        # at N = 3 n1.S and n2.S per report, d.S for the QFI and one n1.S
-        # and n2.S stack for the stacked ellipse; at N = 4 one image set per
-        # report, one more for the QFI of the first state, and one each for
-        # the stack's mean and ellipse
-        assert calls == [("_stokes_combination", 3)] * 9 + [("_band_images", 4)] * 6
+        # at N = 3 one (n1, n2).S pair per report, d.S for the QFI, and for
+        # the stack one chunk of the mean and one of the ellipse, which takes
+        # a pair per row; at N = 4 one image set per report, one more for
+        # the QFI of the first state, and one per chunk of the stack
+        chunk = [("_chunks", 3, ())]
+        assert calls[:7] == [("_stokes_combination", 3, (2, 3))] * 3 + [
+            ("_stokes_combination", 3, (3,)),
+            *chunk,
+            *chunk,
+            ("_stokes_combination", 3, (3, 2, 3)),
+        ]
+        stack = [("_chunks", 4, ()), ("_band_images", 4, (3, 5))]
+        assert calls[7:] == [("_band_images", 4, (5,))] * 4 + stack * 2
 
     def test_one_band_image_set_per_state(self, monkeypatch):
         # from N = 4 on the mean, the ellipse and the QFI of one state share
-        # its images
-        calls, images = [], spin_core._band_images
+        # its images, made once from its amplitudes, and take no chunk
+        made, images = [], spin_core._band_images
 
         def spy(space, amps):
-            calls.append(amps.shape)
-            return images(space, amps)
+            made.append((amps.shape, images(space, amps)))
+            return made[-1][1]
+
+        def refuse(*args):
+            raise AssertionError("a single state taken in chunks")
 
         monkeypatch.setattr(spin_core, "_band_images", spy)
+        monkeypatch.setattr(spin_core, "_chunks", refuse)
         space = build_spin_space(512)
         state = random_state(space, np.random.default_rng(47))
         report = squeezing_report(state)
-        assert calls == [(1, 513)]
+        assert [shape for shape, _ in made] == [(513,)]
         qfi_pure(state, report.frame.n1)
-        assert calls == [(1, 513)]
+        assert [shape for shape, _ in made] == [(513,)]
+        cached = spin_core._report_images(state)
+        assert len(cached) == 3 and all(a is b for a, b in zip(cached, made[0][1]))
+        assert not any(image.flags.writeable for image in cached)
         squeezing_report(coherent_state(space, 0.7, 2.3))
-        assert calls == [(1, 513)] * 2
+        assert [shape for shape, _ in made] == [(513,)] * 2
 
     def test_band_stack_chunks_match_single_reports(self):
         # at N = 256 a chunk holds CHUNK_ENTRIES // 257 = 255 rows of images:
@@ -762,8 +780,8 @@ class TestWorkMatrices:
             assert peak < 64 * 16 * space.dimension, num
 
     def test_report_reads_every_band_through_spin_core(self, monkeypatch):
-        # at N = 3 the mean's S2 and S3 bands, then the n1.S and n2.S
-        # combinations; at N = 5 the band images, which the ellipse reuses
+        # at N = 3 the mean's S2 and S3 bands, then the (n1, n2).S pair; at
+        # N = 5 the band images, which the ellipse reuses
         reads, band = [], spin_core._stokes_band
 
         def spy(num_photons):
@@ -773,4 +791,4 @@ class TestWorkMatrices:
         monkeypatch.setattr(spin_core, "_stokes_band", spy)
         squeezing_report(noon_state(3, 0.3))
         squeezing_report(noon_state(5, 0.3))
-        assert reads == [3, 3, 3, 5]
+        assert reads == [3, 3, 5]

@@ -134,6 +134,14 @@ MUTANTS = (
         "profile = np.sqrt(binom) * cos**k * sin ** (num_photons - k)",
     ),
     (
+        # one state's ellipse (variance_ellipse) on the pair (n2, n1): A
+        # flips its sign and gamma_opt turns by pi/2; a stack is unchanged
+        "single-ellipse-pair-swapped",
+        "squeezing.py",
+        "np.array((frame.n1, frame.n2))",
+        "np.array((frame.n2, frame.n1))",
+    ),
+    (
         # a stack's n1 directions one row late: a one-row stack is unchanged
         "stacked-frames-shifted",
         "squeezing.py",
@@ -224,22 +232,25 @@ MUTANTS = (
         "(e > 0))",
     ),
     (
-        # <n1.S n2.S> summed by numpy's pairwise sum instead of one BLAS dot:
-        # it differs in the last bit on most random rows
+        # <n1.S n2.S> summed by numpy's pairwise sum instead of one BLAS dot,
+        # in `_moments_of`, which one state and every stack chunk run: it
+        # differs in the last bit on most random states
         "moment-dot-summed-in-numpy",
         "spin_core.py",
         "np.vecdot(image1, image2)",
         "(image1.conj() * image2).sum(axis=-1)",
     ),
     (
-        # the band route's S3 image negated: <S3> and the frame flip
+        # the band route's S3 image negated, in one state's cached images
+        # and in a stack's chunks: <S3> and the frame flip
         "band-s3-image-sign",
         "spin_core.py",
         "(down - up) * 1j",
         "(up - down) * 1j",
     ),
     (
-        # the band route's S+ a takes a_(k-1) and S- a takes a_(k+1)
+        # the band route's S+ a takes a_(k-1) and S- a takes a_(k+1), for
+        # one state's (N+1,) amplitudes and a stack's rows alike
         "band-ladder-shift-swapped",
         "spin_core.py",
         "up[..., :-1] = half * amps[..., 1:]\n    down[..., 1:] = half * amps[..., :-1]",
